@@ -82,27 +82,25 @@ let spill_dir_arg =
        & info [ "spill-dir" ] ~docv:"DIR"
            ~doc:"Root the sharded run's on-disk state (bucket spill files and \
                  per-bucket checkpoints) under $(docv), created on demand. \
-                 Buckets then stream from disk one at a time — peak memory \
-                 O(n/K) — and a killed run resumes at its first unfinished \
-                 bucket. Implies the sharded path even with --buckets 1.")
+                 With --buckets K > 1, buckets then stream from disk one at a \
+                 time — peak memory O(n/K) — and a killed run resumes at its \
+                 first unfinished bucket. At --buckets 1 the run is the \
+                 monolithic protocol and leaves $(docv) untouched.")
 
-(* The effective bucket count, printed under --trace next to the worker
-   report: --spill-dir engages the sharded driver even at K=1, and
-   K buckets over an empty spill still run K (empty) sub-protocols. *)
-let shard_plan_of ~buckets ~spill_dir =
-  if buckets = 1 && spill_dir = None then None
-  else Some (Psi.Shard.plan ?state_dir:spill_dir ~buckets ())
-
+(* The bucket plan, printed under --trace next to the worker report:
+   K = 1 is the monolithic run whatever --spill-dir says, and K buckets
+   over an empty spill still run K (empty) sub-protocols. *)
 let report_buckets ~trace buckets spill_dir =
   if trace then
-    match shard_plan_of ~buckets ~spill_dir with
-    | None -> Printf.eprintf "buckets: requested 1, effective 1 — monolithic path\n%!"
-    | Some plan ->
-        Printf.eprintf "buckets: requested %d, effective %d — sharded path%s\n%!" buckets
-          (Psi.Shard.buckets plan)
-          (match Psi.Shard.state_dir plan with
-          | None -> " (in-memory partitions)"
-          | Some d -> Printf.sprintf " (spill: %s)" d)
+    if buckets = 1 then
+      Printf.eprintf "buckets: requested 1, effective 1 — monolithic path%s\n%!"
+        (if spill_dir = None then "" else " (--spill-dir unused)")
+    else
+      Printf.eprintf "buckets: requested %d, effective %d — sharded path%s\n%!" buckets
+        buckets
+        (match spill_dir with
+        | None -> " (in-memory partitions)"
+        | Some d -> Printf.sprintf " (spill: %s)" d)
 
 let trace_arg =
   Arg.(value & flag
@@ -292,10 +290,10 @@ let session_op_and_printer op csv_s csv_r attr =
           | Psi.Session.Size sz -> Printf.printf "|T_S >< T_R| = %d\n" sz
           | _ -> failwith "psi_demo: unexpected session result shape" )
 
-let run_cached cfg ~seed ~keys ~dir ~delta ?shard op csv_s csv_r attr =
+let run_cached cfg ~seed ~keys ~dir ~delta ~shard op csv_s csv_r attr =
   let session_op, print_result = session_op_and_printer op csv_s csv_r attr in
   let r =
-    Psi.Session.run_incremental cfg ~seed ~keys ?shard ~cache_dir:dir [ session_op ] ()
+    Psi.Session.run_incremental cfg ~seed ~keys ~shard ~cache_dir:dir [ session_op ] ()
   in
   (match r.Psi.Session.report.Psi.Session.results with
   | [ res ] -> print_result res
@@ -308,9 +306,9 @@ let run_cached cfg ~seed ~keys ~dir ~delta ?shard op csv_s csv_r attr =
       i.Psi.Session.added i.Psi.Session.removed i.Psi.Session.unchanged
   end
 
-(* --buckets K / --spill-dir: the sharded engine without a cache —
-   Session.run with a shard plan, printing through the same formats as
-   every other path. *)
+(* --buckets K > 1: the sharded run without a cache — Session.run with
+   the shard plan, printing through the same formats as every other
+   path. *)
 let run_sharded cfg ~seed ~shard op csv_s csv_r attr =
   let session_op, print_result = session_op_and_printer op csv_s csv_r attr in
   let r = Psi.Session.run cfg ~seed ~shard [ session_op ] () in
@@ -326,14 +324,14 @@ let run_intersect group seed jobs buckets spill_dir op csv_s csv_r attr cache de
   report_kernel ~trace (Crypto.Group.named group);
   report_buckets ~trace buckets spill_dir;
   with_trace ?out:trace_out trace @@ fun () ->
-  let shard = shard_plan_of ~buckets ~spill_dir in
-  match (cache, shard) with
-  | Some dir, _ ->
+  let shard = Psi.Shard.plan ?state_dir:spill_dir ~buckets () in
+  match cache with
+  | Some dir ->
       run_cached cfg ~seed
         ~keys:(if fresh_keys then `Fresh else `Cached)
-        ~dir ~delta ?shard op csv_s csv_r attr
-  | None, Some shard -> run_sharded cfg ~seed ~shard op csv_s csv_r attr
-  | None, None -> (
+        ~dir ~delta ~shard op csv_s csv_r attr
+  | None when buckets > 1 -> run_sharded cfg ~seed ~shard op csv_s csv_r attr
+  | None -> (
       match op with
   | Op_intersection ->
       let vs = values_of_csv csv_s attr and vr = values_of_csv csv_r attr in
@@ -436,10 +434,11 @@ let report_net_stats ep =
     s.Wire.Channel.messages_sent s.Wire.Channel.messages_received
     s.Wire.Channel.max_message_bytes
 
-(* Sharded two-process mode: after the same handshake, drive this
-   party's side of the op through the shard engine. Each process roots
-   its own spill/checkpoint state (the peers never share a disk). *)
-let net_shard_op ~party ~csv ~attr ~op =
+(* After the handshake, each process drives its side of the op through
+   the executor's bucket loop (K = 1 is the monolithic protocol). Each
+   process roots its own spill/checkpoint state: the peers never share a
+   disk. *)
+let net_op ~party ~csv ~attr ~op =
   match (party, op) with
   | `Sender, Op_intersection ->
       Psi.Shard.Intersect { s_values = values_of_csv csv attr; r_values = [] }
@@ -458,35 +457,41 @@ let net_shard_op ~party ~csv ~attr ~op =
   | `Receiver, Op_join_size ->
       Psi.Shard.Equijoin_size { s_values = []; r_values = multiset_of_csv csv attr }
 
-let net_sender_sharded cfg shard ~seed ~csv ~attr ~op ep =
+let resumed_note st =
+  if st.Psi.Shard.start > 0 then
+    Printf.sprintf ", resumed at bucket %d" st.Psi.Shard.start
+  else ""
+
+let net_sender cfg shard ~seed ~csv ~attr ~op ep =
+  (* Same root-span name as the in-process Runner gives this party, so
+     psi_trace sees one shape for both deployments. *)
   Obs.Span.with_ "party:sender" @@ fun () ->
   let drbg = Crypto.Drbg.split (Crypto.Drbg.create ~seed) ~label:"sender" in
   Psi.Handshake.respond cfg ep;
-  let _ops, st =
-    Psi.Shard.sender_op cfg shard ~drbg ep (net_shard_op ~party:`Sender ~csv ~attr ~op)
-  in
-  Printf.printf "sender: sharded run done — %d element(s) over %d bucket(s)%s\n"
+  let _ops, st = Psi.Shard.sender_op cfg shard ~drbg ep (net_op ~party:`Sender ~csv ~attr ~op) in
+  Printf.printf "sender: run done — %d element(s) over %d bucket(s); peer holds %d%s\n"
     (List.fold_left ( + ) 0 st.Psi.Shard.sizes)
-    st.Psi.Shard.buckets
-    (if st.Psi.Shard.start > 0 then
-       Printf.sprintf ", resumed at bucket %d" st.Psi.Shard.start
-     else "")
+    st.Psi.Shard.buckets st.Psi.Shard.peer (resumed_note st)
 
-let net_receiver_sharded cfg shard ~seed ~csv ~attr ~op ep =
+let net_receiver cfg shard ~seed ~csv ~attr ~op ep =
   Obs.Span.with_ "party:receiver" @@ fun () ->
   let drbg = Crypto.Drbg.split (Crypto.Drbg.create ~seed) ~label:"receiver" in
   Psi.Handshake.initiate cfg ep;
   let _ops, result, st =
-    Psi.Shard.receiver_op cfg shard ~drbg ep (net_shard_op ~party:`Receiver ~csv ~attr ~op)
+    Psi.Shard.receiver_op cfg shard ~drbg ep (net_op ~party:`Receiver ~csv ~attr ~op)
   in
-  let n_r = List.fold_left ( + ) 0 st.Psi.Shard.sizes in
-  (match result with
+  (* A resumed run saw only the peer's remaining buckets. *)
+  if st.Psi.Shard.start > 0 then
+    Printf.eprintf "receiver: |V_S| counts buckets %d..%d only%s\n%!" st.Psi.Shard.start
+      (st.Psi.Shard.buckets - 1) (resumed_note st);
+  let n_s = st.Psi.Shard.peer and n_r = List.fold_left ( + ) 0 st.Psi.Shard.sizes in
+  match result with
   | Psi.Shard.Values inter ->
-      Printf.printf "|V_R| = %d, |V_S ∩ V_R| = %d\n" n_r (List.length inter);
+      Printf.printf "|V_S| = %d, |V_R| = %d, |V_S ∩ V_R| = %d\n" n_s n_r (List.length inter);
       List.iter (Printf.printf "%s\n") inter
   | Psi.Shard.Size sz -> (
       match op with
-      | Op_size -> Printf.printf "|V_S ∩ V_R| = %d (|V_R| = %d)\n" sz n_r
+      | Op_size -> Printf.printf "|V_S ∩ V_R| = %d (|V_S| = %d, |V_R| = %d)\n" sz n_s n_r
       | _ -> Printf.printf "|T_S >< T_R| = %d\n" sz)
   | Psi.Shard.Matches matches ->
       List.iter
@@ -494,70 +499,7 @@ let net_receiver_sharded cfg shard ~seed ~csv ~attr ~op ep =
           Printf.printf "%s:\n" v;
           List.iter (Printf.printf "  %s\n") recs)
         matches;
-      Printf.printf "%d joining value(s)\n" (List.length matches))
-
-let net_sender cfg ~seed ~csv ~attr ~op ep =
-  (* Same root-span name as the in-process Runner gives this party, so
-     psi_trace sees one shape for both deployments. *)
-  Obs.Span.with_ "party:sender" @@ fun () ->
-  let rng = Crypto.Drbg.to_rng (Crypto.Drbg.split (Crypto.Drbg.create ~seed) ~label:"sender") in
-  Psi.Handshake.respond cfg ep;
-  (match op with
-  | Op_intersection ->
-      let vs = values_of_csv csv attr in
-      let r = Psi.Intersection.sender cfg ~rng ~values:vs ep in
-      Printf.printf "sender: shared %d value(s) obliviously; peer holds %d\n"
-        (List.length vs) r.Psi.Intersection.v_r_count
-  | Op_size ->
-      let vs = values_of_csv csv attr in
-      let r = Psi.Intersection_size.sender cfg ~rng ~values:vs ep in
-      Printf.printf "sender: intersection-size run done; peer holds %d value(s)\n"
-        r.Psi.Intersection_size.v_r_count
-  | Op_join ->
-      let records = records_of_csv csv attr in
-      let r = Psi.Equijoin.sender cfg ~rng ~records ep in
-      Printf.printf "sender: equijoin run done over %d record(s); peer holds %d value(s)\n"
-        (List.length records) r.Psi.Equijoin.v_r_count
-  | Op_join_size ->
-      let vs = multiset_of_csv csv attr in
-      let r = Psi.Equijoin_size.sender cfg ~rng ~values:vs ep in
-      Printf.printf "sender: join-size run done; peer has %d duplicate class(es)\n"
-        (List.length r.Psi.Equijoin_size.r_duplicate_distribution))
-
-let net_receiver cfg ~seed ~csv ~attr ~op ep =
-  Obs.Span.with_ "party:receiver" @@ fun () ->
-  let rng =
-    Crypto.Drbg.to_rng (Crypto.Drbg.split (Crypto.Drbg.create ~seed) ~label:"receiver")
-  in
-  Psi.Handshake.initiate cfg ep;
-  match op with
-  | Op_intersection ->
-      let vr = values_of_csv csv attr in
-      let r = Psi.Intersection.receiver cfg ~rng ~values:vr ep in
-      Printf.printf "|V_S| = %d, |V_R| = %d, |V_S ∩ V_R| = %d\n"
-        r.Psi.Intersection.v_s_count (List.length vr)
-        (List.length r.Psi.Intersection.intersection);
-      List.iter (Printf.printf "%s\n") r.Psi.Intersection.intersection
-  | Op_size ->
-      let vr = values_of_csv csv attr in
-      let r = Psi.Intersection_size.receiver cfg ~rng ~values:vr ep in
-      Printf.printf "|V_S ∩ V_R| = %d (|V_S| = %d, |V_R| = %d)\n"
-        r.Psi.Intersection_size.size r.Psi.Intersection_size.v_s_count (List.length vr)
-  | Op_join ->
-      let vr = values_of_csv csv attr in
-      let r = Psi.Equijoin.receiver cfg ~rng ~values:vr ep in
-      List.iter
-        (fun (v, recs) ->
-          Printf.printf "%s:\n" v;
-          List.iter (Printf.printf "  %s\n") recs)
-        r.Psi.Equijoin.matches;
-      Printf.printf "%d joining value(s); |V_S| = %d\n"
-        (List.length r.Psi.Equijoin.matches)
-        r.Psi.Equijoin.v_s_count
-  | Op_join_size ->
-      let vr = multiset_of_csv csv attr in
-      let r = Psi.Equijoin_size.receiver cfg ~rng ~values:vr ep in
-      Printf.printf "|T_S >< T_R| = %d\n" r.Psi.Equijoin_size.join_size
+      Printf.printf "%d joining value(s); |V_S| = %d\n" (List.length matches) n_s
 
 (* Give a just-started listener a moment to bind before giving up. *)
 let connect_with_retry ~host ~port =
@@ -590,17 +532,9 @@ let run_net group seed jobs buckets spill_dir listen connect csv attr op max_con
   report_kernel ~trace (Crypto.Group.named group);
   report_buckets ~trace buckets spill_dir;
   with_trace ?out:trace_out trace @@ fun () ->
-  let shard = shard_plan_of ~buckets ~spill_dir in
-  let play_sender ep =
-    match shard with
-    | Some plan -> net_sender_sharded cfg plan ~seed ~csv ~attr ~op ep
-    | None -> net_sender cfg ~seed ~csv ~attr ~op ep
-  in
-  let play_receiver ep =
-    match shard with
-    | Some plan -> net_receiver_sharded cfg plan ~seed ~csv ~attr ~op ep
-    | None -> net_receiver cfg ~seed ~csv ~attr ~op ep
-  in
+  let shard = Psi.Shard.plan ?state_dir:spill_dir ~buckets () in
+  let play_sender ep = net_sender cfg shard ~seed ~csv ~attr ~op ep in
+  let play_receiver ep = net_receiver cfg shard ~seed ~csv ~attr ~op ep in
   match (listen, connect) with
   | Some port, None ->
       (* The psid listener, serving connections sequentially: repeated

@@ -151,11 +151,8 @@ let estimate (p : Cost_model.params) ?(paillier_ratio = 4.0) ~v_s ~v_r () =
   }
 
 let run cfg ?(seed = "aggregate-seed") ?key_bits ~sender_records ~receiver_values () =
-  let drbg = Crypto.Drbg.create ~seed in
-  let s_rng = Crypto.Drbg.to_rng (Crypto.Drbg.split drbg ~label:"sender") in
-  let r_rng = Crypto.Drbg.to_rng (Crypto.Drbg.split drbg ~label:"receiver") in
-  Wire.Runner.run
+  Protocol.launch (Crypto.Drbg.create ~seed)
     (* psi-lint: allow SEC01 — rng feeds Paillier keygen/encryption inside the party; only public keys and ciphertexts reach the channel *)
-    ~sender:(fun ep -> sender cfg ~rng:s_rng ?key_bits ~records:sender_records ep)
+    ~sender:(fun d ep -> sender cfg ~rng:(Crypto.Drbg.to_rng d) ?key_bits ~records:sender_records ep)
     (* psi-lint: allow SEC01 — rng feeds Paillier encryption inside the party; only ciphertexts reach the channel *)
-    ~receiver:(fun ep -> receiver cfg ~rng:r_rng ~values:receiver_values ep)
+    ~receiver:(fun d ep -> receiver cfg ~rng:(Crypto.Drbg.to_rng d) ~values:receiver_values ep)

@@ -117,18 +117,10 @@ let receiver cfg ~rng ~values ep =
   }
 
 let run cfg ?(seed = "equijoin-size-seed") ~sender_values ~receiver_values () =
-  let drbg = Crypto.Drbg.create ~seed in
-  let s_rng = Crypto.Drbg.to_rng (Crypto.Drbg.split drbg ~label:"sender") in
-  let r_rng = Crypto.Drbg.to_rng (Crypto.Drbg.split drbg ~label:"receiver") in
-  let o =
-    Wire.Runner.run
-      ~sender:(fun ep -> sender cfg ~rng:s_rng ~values:sender_values ep)
-      ~receiver:(fun ep -> receiver cfg ~rng:r_rng ~values:receiver_values ep)
-  in
-  Protocol.record_run ~op:"equijoin_size"
-    ~v_s:o.Wire.Runner.receiver_result.v_s_multiset_size
-    ~v_r:o.Wire.Runner.sender_result.v_r_multiset_size
-    ~ops:
-      (Protocol.total o.Wire.Runner.sender_result.ops o.Wire.Runner.receiver_result.ops)
-    ~wire_bytes:o.Wire.Runner.total_bytes;
-  o
+  Protocol.launch (Crypto.Drbg.create ~seed)
+    ~record:
+      ( "equijoin_size",
+        fun (s : sender_report) (r : receiver_report) ->
+          (r.v_s_multiset_size, s.v_r_multiset_size, Protocol.total s.ops r.ops) )
+    ~sender:(fun d ep -> sender cfg ~rng:(Crypto.Drbg.to_rng d) ~values:sender_values ep)
+    ~receiver:(fun d ep -> receiver cfg ~rng:(Crypto.Drbg.to_rng d) ~values:receiver_values ep)

@@ -62,21 +62,13 @@ let receiver cfg ~rng ~values ep =
   { size; v_s_count = List.length y_s; ops }
 
 let run cfg ?(seed = "intersection-size-seed") ~sender_values ~receiver_values () =
-  let drbg = Crypto.Drbg.create ~seed in
-  let s_rng = Crypto.Drbg.to_rng (Crypto.Drbg.split drbg ~label:"sender") in
-  let r_rng = Crypto.Drbg.to_rng (Crypto.Drbg.split drbg ~label:"receiver") in
-  let o =
-    Wire.Runner.run
-      ~sender:(fun ep -> sender cfg ~rng:s_rng ~values:sender_values ep)
-      ~receiver:(fun ep -> receiver cfg ~rng:r_rng ~values:receiver_values ep)
-  in
-  Protocol.record_run ~op:"intersection_size"
-    ~v_s:o.Wire.Runner.receiver_result.v_s_count
-    ~v_r:o.Wire.Runner.sender_result.v_r_count
-    ~ops:
-      (Protocol.total o.Wire.Runner.sender_result.ops o.Wire.Runner.receiver_result.ops)
-    ~wire_bytes:o.Wire.Runner.total_bytes;
-  o
+  Protocol.launch (Crypto.Drbg.create ~seed)
+    ~record:
+      ( "intersection_size",
+        fun (s : sender_report) (r : receiver_report) ->
+          (r.v_s_count, s.v_r_count, Protocol.total s.ops r.ops) )
+    ~sender:(fun d ep -> sender cfg ~rng:(Crypto.Drbg.to_rng d) ~values:sender_values ep)
+    ~receiver:(fun d ep -> receiver cfg ~rng:(Crypto.Drbg.to_rng d) ~values:receiver_values ep)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2 variant: Z_R and Z_S go to the researcher T.               *)
@@ -89,15 +81,12 @@ let tag_z_s_to_t = "intersection_size/Z_S->T"
 
 let run_to_third_party cfg ?(seed = "intersection-size-3p") ~sender_values ~receiver_values
     () =
-  let drbg = Crypto.Drbg.create ~seed in
-  let s_rng = Crypto.Drbg.to_rng (Crypto.Drbg.split drbg ~label:"sender") in
-  let r_rng = Crypto.Drbg.to_rng (Crypto.Drbg.split drbg ~label:"receiver") in
   let outcome =
-    Wire.Runner.run
-      ~sender:(fun ep ->
+    Protocol.launch (Crypto.Drbg.create ~seed)
+      ~sender:(fun d ep ->
         Obs.Span.with_ "intersection_size_3p/sender" @@ fun () ->
         let ops = Protocol.new_ops () in
-        let e_s = Commutative.gen_key cfg.Protocol.group ~rng:s_rng in
+        let e_s = Commutative.gen_key cfg.Protocol.group ~rng:(Crypto.Drbg.to_rng d) in
         let y_s = hash_encrypt_sort "own-set" cfg ops e_s (Protocol.dedup sender_values) in
         let y_r = Protocol.elements_of (Protocol.recv_tagged ep (Protocol.scoped cfg tag_y_r)) in
         Protocol.send_elements_stream cfg ep ~tag:(Protocol.scoped cfg tag_y_s) y_s;
@@ -108,10 +97,10 @@ let run_to_third_party cfg ?(seed = "intersection-size-3p") ~sender_values ~rece
           |> fun es -> Obs.Span.with_ "reorder" (fun () -> Protocol.sort_encoded es)
         in
         (z_r, ops))
-      ~receiver:(fun ep ->
+      ~receiver:(fun d ep ->
         Obs.Span.with_ "intersection_size_3p/receiver" @@ fun () ->
         let ops = Protocol.new_ops () in
-        let e_r = Commutative.gen_key cfg.Protocol.group ~rng:r_rng in
+        let e_r = Commutative.gen_key cfg.Protocol.group ~rng:(Crypto.Drbg.to_rng d) in
         let y_r = hash_encrypt_sort "own-set" cfg ops e_r (Protocol.dedup receiver_values) in
         Protocol.send_elements_stream cfg ep ~tag:(Protocol.scoped cfg tag_y_r) y_r;
         let y_s = Protocol.elements_of (Protocol.recv_tagged ep (Protocol.scoped cfg tag_y_s)) in

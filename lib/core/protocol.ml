@@ -55,6 +55,26 @@ let record_run ~op ~v_s ~v_r ~(ops : ops) ~wire_bytes =
     Obs.Metrics.incr ~by:wire_bytes (c "wire_bytes")
   end
 
+(* Both parties' streams come from one seeded generator, split sender
+   first; a retry's labels carry its attempt number so a replay never
+   reuses the keys an interrupted attempt derived. *)
+let launch ?endpoints ?attempt ?record drbg ~sender ~receiver =
+  let label party =
+    match attempt with None -> party | Some a -> Printf.sprintf "%s#%d" party a
+  in
+  let s_drbg = Crypto.Drbg.split drbg ~label:(label "sender") in
+  let r_drbg = Crypto.Drbg.split drbg ~label:(label "receiver") in
+  let endpoints = match endpoints with Some eps -> eps | None -> Wire.Channel.create () in
+  let o =
+    Wire.Runner.run_on endpoints ~sender:(sender s_drbg) ~receiver:(receiver r_drbg)
+  in
+  Option.iter
+    (fun (op, tally) ->
+      let v_s, v_r, ops = tally o.Wire.Runner.sender_result o.Wire.Runner.receiver_result in
+      record_run ~op ~v_s ~v_r ~ops ~wire_bytes:o.Wire.Runner.total_bytes)
+    record;
+  o
+
 let dedup values = List.sort_uniq String.compare values
 
 (* Bridge one (namespace, key) slice of the session's Ecache into the

@@ -80,6 +80,22 @@ val total : ops -> ops -> ops
     consumes it. *)
 val record_run : op:string -> v_s:int -> v_r:int -> ops:ops -> wire_bytes:int -> unit
 
+(** [launch drbg ~sender ~receiver] runs both parties in-process
+    ({!Wire.Runner.run_on}) with their own streams split from [drbg]:
+    ["sender"] first, then ["receiver"] (["sender#<a>"]/["receiver#<a>"]
+    with [~attempt:a]). [endpoints] defaults to a fresh memory channel.
+    With [~record:(op, tally)], the finished run is published through
+    {!record_run}, [tally] giving [(v_s, v_r, ops)] from the two party
+    results. Every protocol's [run] and the session executor use it. *)
+val launch :
+  ?endpoints:Wire.Channel.endpoint * Wire.Channel.endpoint ->
+  ?attempt:int ->
+  ?record:string * ('s -> 'r -> int * int * ops) ->
+  Crypto.Drbg.t ->
+  sender:(Crypto.Drbg.t -> Wire.Channel.endpoint -> 's) ->
+  receiver:(Crypto.Drbg.t -> Wire.Channel.endpoint -> 'r) ->
+  ('s, 'r) Wire.Runner.outcome
+
 (** {1 Helpers used by the protocol modules} *)
 
 (** [dedup values] sorts and removes duplicates — the paper's "set of

@@ -1,5 +1,6 @@
-(* The operation vocabulary is shared with the sharded driver — one
-   [op]/[result] type, two execution engines. *)
+(* The operation vocabulary is the executor's: every session runs its
+   operations through Shard's bucket loop (the monolithic run is the
+   1-bucket plan). *)
 type op = Shard.op =
   | Intersect of { s_values : string list; r_values : string list }
   | Intersect_size of { s_values : string list; r_values : string list }
@@ -14,114 +15,20 @@ type result = Shard.result =
 type report = { results : result list; total_bytes : int; ops : Protocol.ops }
 
 let op_name = Shard.op_name
-
-(* Per-operation rollups under the session namespace, plus a span per
-   operation on each party's thread. *)
-let record_op op =
-  Obs.Metrics.incr (Obs.Metrics.counter "session.operations");
-  Obs.Metrics.incr (Obs.Metrics.counter ("session." ^ op_name op ^ ".runs"))
-
 let m_retries = Obs.Metrics.counter "session.retries"
 let m_reconnects = Obs.Metrics.counter "session.reconnects"
 let m_replays = Obs.Metrics.counter "session.replays"
 
-(* One operation, sender side; returns the op tallies. *)
-let sender_op cfg ~rng ep op =
-  Obs.Span.with_ ("session/" ^ op_name op) @@ fun () ->
-  match op with
-  | Intersect { s_values; _ } ->
-      (Intersection.sender cfg ~rng ~values:s_values ep).Intersection.ops
-  | Intersect_size { s_values; _ } ->
-      (Intersection_size.sender cfg ~rng ~values:s_values ep).Intersection_size.ops
-  | Equijoin { s_records; _ } ->
-      (Equijoin.sender cfg ~rng ~records:s_records ep).Equijoin.ops
-  | Equijoin_size { s_values; _ } ->
-      (Equijoin_size.sender cfg ~rng ~values:s_values ep).Equijoin_size.ops
-
-(* One operation, receiver side; returns the tallies and the output. *)
-let receiver_op cfg ~rng ep op =
-  record_op op;
-  Obs.Span.with_ ("session/" ^ op_name op) @@ fun () ->
-  match op with
-  | Intersect { r_values; _ } ->
-      let r = Intersection.receiver cfg ~rng ~values:r_values ep in
-      (r.Intersection.ops, Values r.Intersection.intersection)
-  | Intersect_size { r_values; _ } ->
-      let r = Intersection_size.receiver cfg ~rng ~values:r_values ep in
-      (r.Intersection_size.ops, Size r.Intersection_size.size)
-  | Equijoin { r_values; _ } ->
-      let r = Equijoin.receiver cfg ~rng ~values:r_values ep in
-      (r.Equijoin.ops, Matches r.Equijoin.matches)
-  | Equijoin_size { r_values; _ } ->
-      let r = Equijoin_size.receiver cfg ~rng ~values:r_values ep in
-      (r.Equijoin_size.ops, Size r.Equijoin_size.join_size)
-
-(* Sharded counterparts: same span/counter behavior, but each op runs
-   through the sharded driver with per-bucket keys forked from the
-   party's [drbg] and per-op state under the plan's [state_dir]. *)
-let sender_op_sharded cfg shard ~drbg ~op_index ep op =
-  Obs.Span.with_ ("session/" ^ op_name op) @@ fun () ->
-  fst (Shard.sender_op cfg shard ~drbg ~op_index ep op)
-
-let receiver_op_sharded cfg shard ~drbg ~op_index ep op =
-  record_op op;
-  Obs.Span.with_ ("session/" ^ op_name op) @@ fun () ->
-  let ops, result, _stats = Shard.receiver_op cfg shard ~drbg ~op_index ep op in
-  (ops, result)
-
-let run cfg ?(seed = "session") ?shard operations () =
-  let drbg = Crypto.Drbg.create ~seed in
-  let s_drbg = Crypto.Drbg.split drbg ~label:"sender" in
-  let r_drbg = Crypto.Drbg.split drbg ~label:"receiver" in
-  let outcome =
-    match shard with
-    | None ->
-        let s_rng = Crypto.Drbg.to_rng s_drbg in
-        let r_rng = Crypto.Drbg.to_rng r_drbg in
-        Wire.Runner.run
-          ~sender:(fun ep ->
-            Handshake.respond cfg ep;
-            List.fold_left
-              (fun acc op -> Protocol.total acc (sender_op cfg ~rng:s_rng ep op))
-              (Protocol.new_ops ()) operations)
-          ~receiver:(fun ep ->
-            Handshake.initiate cfg ep;
-            List.fold_left_map
-              (fun acc op ->
-                let o, res = receiver_op cfg ~rng:r_rng ep op in
-                (Protocol.total acc o, res))
-              (Protocol.new_ops ()) operations)
-    | Some plan ->
-        Wire.Runner.run
-          ~sender:(fun ep ->
-            Handshake.respond cfg ep;
-            List.fold_left
-              (fun (acc, i) op ->
-                ( Protocol.total acc
-                    (sender_op_sharded cfg plan ~drbg:s_drbg ~op_index:i ep op),
-                  i + 1 ))
-              (Protocol.new_ops (), 0) operations
-            |> fst)
-          ~receiver:(fun ep ->
-            Handshake.initiate cfg ep;
-            let (acc, _), results =
-              List.fold_left_map
-                (fun (acc, i) op ->
-                  let o, res =
-                    receiver_op_sharded cfg plan ~drbg:r_drbg ~op_index:i ep op
-                  in
-                  ((Protocol.total acc o, i + 1), res))
-                (Protocol.new_ops (), 0) operations
-            in
-            (acc, results))
-  in
-  let s_ops = outcome.Wire.Runner.sender_result in
-  let r_ops, results = outcome.Wire.Runner.receiver_result in
-  let ops = Protocol.total s_ops r_ops in
+(* A finished run's report, published to the session rollup counters. *)
+let report_of ~total_bytes ~ops results =
   Obs.Metrics.incr ~by:ops.Protocol.encryptions (Obs.Metrics.counter "session.encryptions");
-  Obs.Metrics.incr ~by:outcome.Wire.Runner.total_bytes
-    (Obs.Metrics.counter "session.wire_bytes");
-  { results; total_bytes = outcome.Wire.Runner.total_bytes; ops }
+  Obs.Metrics.incr ~by:total_bytes (Obs.Metrics.counter "session.wire_bytes");
+  { results; total_bytes; ops }
+
+let run cfg ?(seed = "session") ?(shard = Shard.monolithic) operations () =
+  let o, ops = Shard.execute cfg shard (Crypto.Drbg.create ~seed) operations in
+  report_of ~total_bytes:o.Wire.Runner.total_bytes ~ops
+    (List.map fst o.Wire.Runner.receiver_result)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental sessions: persistent cache + snapshot diffing           *)
@@ -182,8 +89,8 @@ let snapshot_compatible ~key_fp prev cur_ops =
 let run_incremental cfg ?(seed = "session") ?(keys = `Cached) ?max_entries ?shard
     ~cache_dir operations () =
   (* A sharded incremental session roots its per-bucket state (spills,
-     checkpoints, per-bucket caches) next to the session cache unless
-     the plan already chose a home. *)
+     checkpoints) next to the session cache unless the plan already
+     chose a home. *)
   let shard =
     Option.map
       (fun p -> Shard.with_default_state_dir p (Filename.concat cache_dir "shard"))
@@ -293,28 +200,6 @@ type resilient_report = {
   receiver_views : Wire.Message.t list list;
 }
 
-let resume_tag = "session/resume"
-
-let send_resume ep n =
-  Wire.Channel.send ep
-    (Wire.Message.make ~tag:resume_tag (Wire.Message.Elements [ string_of_int n ]))
-
-let recv_resume ep =
-  match Wire.Channel.recv ep with
-  | { Wire.Message.tag; payload = Wire.Message.Elements [ s ] }
-    when String.equal tag resume_tag -> (
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> n
-      | _ -> failwith "session resume failed: malformed checkpoint index")
-  | _ -> failwith "session resume failed: unexpected message"
-
-(* Accumulate [src] into the mutable tally [dst]. Field updates are
-   single read-add-store sequences, safe under systhreads. *)
-let add_ops dst (src : Protocol.ops) =
-  dst.Protocol.hashes <- dst.Protocol.hashes + src.Protocol.hashes;
-  dst.Protocol.encryptions <- dst.Protocol.encryptions + src.Protocol.encryptions;
-  dst.Protocol.cipher_ops <- dst.Protocol.cipher_ops + src.Protocol.cipher_ops
-
 (* Errors a reconnect can plausibly cure: a peer (or fault proxy)
    closing, a deadline expiring, a frame mangled in flight, a protocol
    step detecting divergence. Everything else is a programming error
@@ -325,54 +210,23 @@ let transient = function
       true
   | _ -> false
 
-let run_resilient ?(resilience = default_resilience) cfg ?(seed = "session") ?shard
-    ~connect operations =
-  let ops_arr = Array.of_list operations in
-  let n_ops = Array.length ops_arr in
+let run_resilient ?(resilience = default_resilience) cfg ?(seed = "session")
+    ?(shard = Shard.monolithic) ~connect operations =
   let drbg = Crypto.Drbg.create ~seed in
-  (* Checkpoints: how many operations each party has fully completed.
-     In a two-process deployment each party persists its own; here they
-     live on either side of the thread boundary. *)
-  let s_done = ref 0 and r_done = ref 0 in
-  let results = Array.make (max n_ops 1) None in
-  let replays = ref 0 in
+  (* Checkpoints outlive the attempts: each attempt's resume exchange
+     skips the op × bucket units both parties finished, replays the ones
+     only one of them did, and the receiver keeps the first completed
+     result. *)
+  let ck = Shard.checkpoints () in
   let total_bytes = ref 0 in
-  let acc_ops = Protocol.new_ops () in
   let views = ref [] in
   let attempts = ref 0 in
-  let replay i done_count =
-    if i < done_count then begin
-      incr replays;
-      Obs.Metrics.incr m_replays;
-      if Obs.Ring.active () then
-        Obs.Ring.note (Printf.sprintf "session: replaying op %d" i)
-    end
-  in
   let rec attempt () =
     incr attempts;
     let a = !attempts in
     let s_ep, r_ep = connect ~attempt:a in
     Wire.Channel.set_timeout s_ep resilience.recv_timeout_s;
     Wire.Channel.set_timeout r_ep resilience.recv_timeout_s;
-    (* Fresh per-attempt streams: a replayed operation must not reuse
-       the encryption keys the interrupted attempt already derived. *)
-    let party_drbg label = Crypto.Drbg.split drbg ~label:(Printf.sprintf "%s#%d" label a) in
-    let s_drbg = party_drbg "sender" and r_drbg = party_drbg "receiver" in
-    let s_rng = Crypto.Drbg.to_rng s_drbg and r_rng = Crypto.Drbg.to_rng r_drbg in
-    (* With a shard plan, each operation runs through the sharded driver:
-       an interrupted op resumes at its first unfinished bucket (the
-       plan's state_dir holds the per-bucket checkpoints), and replayed
-       buckets draw fresh per-attempt keys from the forked drbg. *)
-    let run_sender_op ep i op =
-      match shard with
-      | None -> sender_op cfg ~rng:s_rng ep op
-      | Some plan -> sender_op_sharded cfg plan ~drbg:s_drbg ~op_index:i ep op
-    in
-    let run_receiver_op ep i op =
-      match shard with
-      | None -> receiver_op cfg ~rng:r_rng ep op
-      | Some plan -> receiver_op_sharded cfg plan ~drbg:r_drbg ~op_index:i ep op
-    in
     let finish () =
       total_bytes :=
         !total_bytes
@@ -382,33 +236,12 @@ let run_resilient ?(resilience = default_resilience) cfg ?(seed = "session") ?sh
       Wire.Channel.close s_ep;
       Wire.Channel.close r_ep
     in
-    match
-      Wire.Runner.run_on (s_ep, r_ep)
-        ~sender:(fun ep ->
-          Handshake.respond cfg ep;
-          let theirs = recv_resume ep in
-          send_resume ep !s_done;
-          for i = min !s_done theirs to n_ops - 1 do
-            replay i !s_done;
-            add_ops acc_ops (run_sender_op ep i ops_arr.(i));
-            s_done := max !s_done (i + 1)
-          done)
-        ~receiver:(fun ep ->
-          Handshake.initiate cfg ep;
-          send_resume ep !r_done;
-          let theirs = recv_resume ep in
-          for i = min !r_done theirs to n_ops - 1 do
-            let is_replay = i < !r_done in
-            replay i !r_done;
-            let o, res = run_receiver_op ep i ops_arr.(i) in
-            add_ops acc_ops o;
-            (* Idempotent replay: the first completed result wins; a
-               replayed operation only re-derives it for the peer. *)
-            if not is_replay then results.(i) <- Some res;
-            r_done := max !r_done (i + 1)
-          done)
-    with
-    | _outcome -> finish ()
+    (* Fresh per-attempt streams: a replayed operation must not reuse
+       the encryption keys the interrupted attempt already derived. *)
+    match Shard.execute cfg shard ~ck ~endpoints:(s_ep, r_ep) ~attempt:a drbg operations with
+    | outcome ->
+        finish ();
+        outcome
     | exception e when transient e ->
         finish ();
         Obs.Metrics.incr m_retries;
@@ -433,19 +266,12 @@ let run_resilient ?(resilience = default_resilience) cfg ?(seed = "session") ?sh
           Obs.Ring.note (Printf.sprintf "session: reconnecting (attempt %d)" (a + 1));
         attempt ()
   in
-  attempt ();
-  let results =
-    List.init n_ops (fun i ->
-        match results.(i) with
-        | Some r -> r
-        | None -> failwith "session: operation completed without a result")
-  in
-  Obs.Metrics.incr ~by:acc_ops.Protocol.encryptions
-    (Obs.Metrics.counter "session.encryptions");
-  Obs.Metrics.incr ~by:!total_bytes (Obs.Metrics.counter "session.wire_bytes");
+  let o, ops = attempt () in
+  Obs.Metrics.incr ~by:(Shard.replays ck) m_replays;
   {
-    report = { results; total_bytes = !total_bytes; ops = acc_ops };
+    report =
+      report_of ~total_bytes:!total_bytes ~ops (List.map fst o.Wire.Runner.receiver_result);
     attempts = !attempts;
-    replays = !replays;
+    replays = Shard.replays ck;
     receiver_views = List.rev !views;
   }

@@ -14,12 +14,15 @@
     {!run} executes in-process over one in-memory channel and fails on
     the first error. {!run_resilient} is the deployment-shaped variant:
     it runs over {e any} connector (sockets, fault-injected transports),
-    checkpoints after every completed operation, and on a transient
-    failure reconnects with exponential backoff and resumes from the
-    last common checkpoint. *)
+    checkpoints after every completed operation (and bucket), and on a
+    transient failure reconnects with exponential backoff and resumes
+    from the last common checkpoint.
 
-(** Re-exported from {!Shard}: the session and the sharded driver speak
-    the same operation vocabulary. *)
+    Every entry point runs its operations through one executor,
+    {!Shard.execute}: the optional [?shard] plan only changes the bucket
+    count, and the default 1-bucket plan is the paper's monolithic run. *)
+
+(** Re-exported from {!Shard}, the executor. *)
 type op = Shard.op =
   | Intersect of { s_values : string list; r_values : string list }
   | Intersect_size of { s_values : string list; r_values : string list }
@@ -38,45 +41,18 @@ type report = {
 }
 
 (** [run cfg ~seed ops ()] handshakes and executes [ops] sequentially
-    over one channel. With [?shard], every operation runs through the
-    sharded driver ({!Shard.sender_op}/{!Shard.receiver_op}, op index =
-    list position): [k] pipelined sub-protocols per op, per-bucket keys,
-    bounded peak memory — results identical to the monolithic path.
+    over one channel ({!Shard.execute}, op index = list position). With
+    a [?shard] plan of [k > 1] buckets, each op runs as [k] pipelined
+    sub-protocols with per-bucket keys and bounded peak memory —
+    results identical to the monolithic run.
     @raise Failure on handshake or protocol errors. *)
 val run : Protocol.config -> ?seed:string -> ?shard:Shard.plan -> op list -> unit -> report
 
-(** {1 One-sided building blocks}
-
-    The pieces {!run} is made of, for callers that drive only one side
-    of a session over a live connection — the service layer
-    ([lib/service]) runs {!sender_op} per client request on the daemon
-    side and {!receiver_op} on the client side. Each executes exactly
-    one operation (wrapped in a [session/<op>] span) and leaves channel
-    lifecycle, handshake and sequencing to the caller. *)
-
 (** Wire name of an operation: ["intersect"], ["intersect_size"],
-    ["equijoin"] or ["equijoin_size"]. *)
+    ["equijoin"] or ["equijoin_size"]. Callers that drive only one side
+    of a session over a live connection (the service layer) run
+    {!Shard.sender_op}/{!Shard.receiver_op} with {!Shard.monolithic}. *)
 val op_name : op -> string
-
-(** [sender_op cfg ~rng ep op] runs S's side of [op] over [ep] (the
-    [s_values]/[s_records] field is used, the [r_]* field ignored) and
-    returns S's tallies. *)
-val sender_op :
-  Protocol.config ->
-  rng:Bignum.Nat_rand.rng ->
-  Wire.Channel.endpoint ->
-  op ->
-  Protocol.ops
-
-(** [receiver_op cfg ~rng ep op] runs R's side of [op] over [ep] and
-    returns R's tallies plus the protocol output. Also publishes the
-    per-op session counters ({!run} counts each op once, on R). *)
-val receiver_op :
-  Protocol.config ->
-  rng:Bignum.Nat_rand.rng ->
-  Wire.Channel.endpoint ->
-  op ->
-  Protocol.ops * result
 
 (** {1 Incremental sessions}
 
@@ -120,10 +96,9 @@ type incremental_report = { report : report; incremental : incremental_stats }
        fingerprints miss every cached ciphertext by construction —
        only the key-independent hash-to-group work amortizes.}}
 
-    With [?shard], the run additionally executes each op through the
-    sharded driver, rooting the plan's state (bucket spills, per-bucket
-    checkpoints and caches) under [cache_dir]/shard when the plan has no
-    [state_dir] of its own — per-bucket delta reruns at 1M scale. *)
+    With a [?shard] plan, each op runs as that plan's buckets, rooting
+    the plan's state (bucket spills and per-bucket checkpoints) under
+    [cache_dir]/shard when the plan has no [state_dir] of its own. *)
 val run_incremental :
   Protocol.config ->
   ?seed:string ->
@@ -160,8 +135,9 @@ type resilient_report = {
           interrupted attempt threw away *)
   attempts : int;  (** connections made (1 = no faults encountered) *)
   replays : int;
-      (** operations re-executed because one party had completed them
-          but the other had not when the connection died *)
+      (** op × bucket units (operations, for the 1-bucket plan)
+          re-executed because one party had completed them but the
+          other had not when the connection died *)
   receiver_views : Wire.Message.t list list;
       (** the receiver's transcript of each attempt, in order — what
           leakage analyses inspect *)
@@ -173,24 +149,23 @@ type resilient_report = {
     in-memory pair, a socket pair, or anything wrapped by
     {!Wire.Fault.wrap_pair}.
 
-    After each completed operation both parties advance a checkpoint.
-    On reconnection, each party announces its checkpoint in a
-    [session/resume] exchange (after the config handshake) and both
-    resume from the {e minimum} — an operation one party finished but
-    the other did not is replayed; the receiver keeps the first
+    After each completed operation (each bucket, for a plan with
+    [k > 1]) both parties advance a checkpoint: in the plan's
+    [state_dir] when it has one, in memory across attempts otherwise.
+    Every operation opens with one [shard/resume] frame per party
+    (after the config handshake, on every attempt) announcing that
+    party's checkpoint, and both resume from the {e minimum} — an
+    operation (bucket) both finished is skipped, one that only one
+    party finished is replayed, and the receiver keeps the first
     completed result ({e idempotent replay}). Both parties draw fresh
     key material per attempt, so replays never reuse encryption keys.
+    Checkpoints are consumed when the run completes.
 
     Transient failures ({!Wire.Errors.Protocol_error},
     {!Wire.Errors.Timeout}, {!Wire.Buf.Parse_error}, [Failure]) trigger
     reconnection with exponential backoff; other exceptions propagate.
     Retries, reconnects and replays are published to {!Obs.Metrics} as
     [session.retries] / [session.reconnects] / [session.replays].
-
-    With [?shard] (a plan with a [state_dir]), checkpointing gains
-    per-bucket granularity: an operation interrupted mid-run resumes at
-    its first unfinished bucket instead of replaying from its first
-    message, via the shard driver's own resume exchange.
 
     @raise Failure (or the last transient error) after [max_attempts]
     failed attempts. *)

@@ -21,31 +21,23 @@ let op_name = function
   | Equijoin _ -> "equijoin"
   | Equijoin_size _ -> "equijoin_size"
 
-type plan = {
-  buckets : int;
-  state_dir : string option;
-  cache : bool;
-  cache_max_entries : int;
-  prefetch : bool;
-}
+type plan = { buckets : int; state_dir : string option }
 
 let max_buckets = 4096
 
-let plan ?state_dir ?(cache = false) ?(cache_max_entries = 65536) ?(prefetch = true)
-    ~buckets () =
+let plan ?state_dir ~buckets () =
   if buckets < 1 || buckets > max_buckets then
     invalid_arg (Printf.sprintf "Shard.plan: buckets must be in 1..%d" max_buckets);
-  if cache && state_dir = None then invalid_arg "Shard.plan: ~cache requires ~state_dir";
-  if cache_max_entries < 1 then invalid_arg "Shard.plan: cache_max_entries >= 1";
-  { buckets; state_dir; cache; cache_max_entries; prefetch }
+  { buckets; state_dir }
 
-let buckets p = p.buckets
-let state_dir p = p.state_dir
+let monolithic = { buckets = 1; state_dir = None }
 
 let with_default_state_dir p dir =
   match p.state_dir with Some _ -> p | None -> { p with state_dir = Some dir }
 
-(* Telemetry: one namespace for the sharded driver. *)
+(* Telemetry: per-op session rollups on every run; the shard namespace
+   only when the plan really partitions (k > 1). *)
+let m_operations = Obs.Metrics.counter "session.operations"
 let m_buckets_run = Obs.Metrics.counter "shard.buckets_run"
 let m_replays = Obs.Metrics.counter "shard.replays"
 let m_resumes = Obs.Metrics.counter "shard.resumes"
@@ -105,8 +97,6 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let remove_if_exists path = try Sys.remove path with Sys_error _ -> ()
-
 (* Stateful-reader-safe List.init: elements read in index order. *)
 let read_list n f =
   let rec go i acc = if i = n then List.rev acc else go (i + 1) (f i :: acc) in
@@ -127,21 +117,27 @@ let decode_record s =
   Buf.expect_end r;
   (v, payload)
 
-(* Merge-walk diff of two sorted unique lists (same walk as the session
-   layer's), tallying (added, removed, unchanged) vs [prev]. *)
-let diff_counts prev cur =
-  let rec go added removed unchanged prev cur =
-    match (prev, cur) with
-    | [], [] -> (added, removed, unchanged)
-    | [], _ :: cs -> go (added + 1) removed unchanged [] cs
-    | _ :: ps, [] -> go added (removed + 1) unchanged ps []
-    | p :: ps, c :: cs ->
-        let cmp = String.compare p c in
-        if cmp = 0 then go added removed (unchanged + 1) ps cs
-        else if cmp < 0 then go added (removed + 1) unchanged ps cur
-        else go (added + 1) removed unchanged prev cs
-  in
-  go 0 0 0 prev cur
+(* Accumulate [src] into the mutable tally [dst]. Field updates are
+   single read-add-store sequences, safe under systhreads. *)
+let add_ops dst (src : Protocol.ops) =
+  dst.Protocol.hashes <- dst.Protocol.hashes + src.Protocol.hashes;
+  dst.Protocol.encryptions <- dst.Protocol.encryptions + src.Protocol.encryptions;
+  dst.Protocol.cipher_ops <- dst.Protocol.cipher_ops + src.Protocol.cipher_ops
+
+(* Route a [(bucket_key, encoded_entry)] stream into buckets via [emit],
+   counting bucket sizes and folding the rolling input fingerprint. *)
+let partition cfg ~buckets ~emit entries =
+  let sizes = Array.make buckets 0 in
+  let ctx = Crypto.Sha256.init () in
+  Seq.iter
+    (fun (key, entry) ->
+      let b = bucket_of cfg ~buckets key in
+      emit b entry;
+      sizes.(b) <- sizes.(b) + 1;
+      Crypto.Sha256.update ctx (string_of_int (String.length entry));
+      Crypto.Sha256.update ctx entry)
+    entries;
+  (sizes, hex (Crypto.Sha256.finalize ctx))
 
 (* ------------------------------------------------------------------ *)
 (* Spill: per-bucket on-disk partitions                                *)
@@ -171,17 +167,21 @@ module Spill = struct
     in
     if n < 0 then invalid_arg "Spill.add_varint: negative" else go n
 
-  (* [write cfg ~dir ~label ~buckets ~kind entries] partitions a
-     [(bucket_key, encoded_entry)] stream into bucket files, computing
-     bucket sizes and the rolling input fingerprint as it goes, then
-     commits them in a meta file (temp + rename, written last, so a
-     torn spill is simply not visible). Returns (sizes, fingerprint). *)
-  let write cfg ~dir ~label ~buckets ~kind entries =
+  (* Meta kind byte: bit 0 is the entry encoding, bit 1 marks a run's
+     own copy of its in-memory inputs — streamed back by that run only,
+     never by a later run with an empty input list. *)
+  let kind_byte ~kind ~committed =
+    (match kind with `Plain -> 0 | `Records -> 1) lor if committed then 0 else 2
+
+  (* [write cfg ~dir ~label ~buckets ~kind ~committed entries] partitions
+     a [(bucket_key, encoded_entry)] stream into bucket files, then
+     commits sizes and fingerprint in a meta file (temp + rename,
+     written last, so a torn spill is simply not visible). Returns
+     (sizes, fingerprint). *)
+  let write cfg ~dir ~label ~buckets ~kind ~committed entries =
     mkdirs dir;
     let bufs = Array.init buckets (fun _ -> Buffer.create 64) in
     let started = Array.make buckets false in
-    let sizes = Array.make buckets 0 in
-    let ctx = Crypto.Sha256.init () in
     let spilled = ref 0 in
     let flush b =
       if Buffer.length bufs.(b) > 0 then begin
@@ -194,17 +194,12 @@ module Spill = struct
         Buffer.clear bufs.(b)
       end
     in
-    Seq.iter
-      (fun (key, entry) ->
-        let b = bucket_of cfg ~buckets key in
-        let buf = bufs.(b) in
-        add_varint buf (String.length entry);
-        Buffer.add_string buf entry;
-        sizes.(b) <- sizes.(b) + 1;
-        Crypto.Sha256.update ctx (string_of_int (String.length entry));
-        Crypto.Sha256.update ctx entry;
-        if Buffer.length buf >= flush_threshold then flush b)
-      entries;
+    let emit b entry =
+      add_varint bufs.(b) (String.length entry);
+      Buffer.add_string bufs.(b) entry;
+      if Buffer.length bufs.(b) >= flush_threshold then flush b
+    in
+    let sizes, fp = partition cfg ~buckets ~emit entries in
     for b = 0 to buckets - 1 do
       flush b;
       (* Drop a stale bucket file left by a previous spill under the
@@ -213,10 +208,9 @@ module Spill = struct
         Sys.remove (bucket_file dir ~label b)
     done;
     Obs.Metrics.incr ~by:!spilled m_spilled_bytes;
-    let fp = hex (Crypto.Sha256.finalize ctx) in
     let w = Buf.writer () in
     Buf.write_raw w meta_magic;
-    Buf.write_u8 w (match kind with `Plain -> 0 | `Records -> 1);
+    Buf.write_u8 w (kind_byte ~kind ~committed);
     Buf.write_varint w buckets;
     Array.iter (Buf.write_varint w) sizes;
     Buf.write_bytes w fp;
@@ -225,7 +219,9 @@ module Spill = struct
     Sys.rename tmp (meta_file dir ~label);
     (sizes, fp)
 
-  let load_meta dir ~label =
+  (* The committed spill under [label]: (kind, sizes, fingerprint), or
+     [None] when there is none — including a run's own copy. *)
+  let load_committed dir ~label =
     let path = meta_file dir ~label in
     if not (Sys.file_exists path) then None
     else
@@ -236,8 +232,9 @@ module Spill = struct
         else begin
           let kind =
             match Buf.read_u8 r with
-            | 0 -> `Plain
-            | 1 -> `Records
+            | 0 -> Some `Plain
+            | 1 -> Some `Records
+            | 2 | 3 -> None
             | _ -> raise (Buf.Parse_error "spill meta kind")
           in
           let buckets = Buf.read_varint r in
@@ -246,7 +243,7 @@ module Spill = struct
             let sizes = Array.of_list (read_list buckets (fun _ -> Buf.read_varint r)) in
             let fp = Buf.read_bytes r in
             Buf.expect_end r;
-            Some (kind, sizes, fp)
+            Option.map (fun kind -> (kind, sizes, fp)) kind
           end
         end
       with
@@ -272,35 +269,21 @@ module Spill = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Own-side partition source                                           *)
+(* Own-side bucket source                                              *)
 (* ------------------------------------------------------------------ *)
 
 let party_name = function `Sender -> "sender" | `Receiver -> "receiver"
 let spill_label ~op_index party = Printf.sprintf "op%d-%s" op_index (party_name party)
 
-type source = {
-  fetch : int -> string list;  (* encoded entries of bucket b *)
-  sizes : int array;
-  input_fp : string;  (* rolling fingerprint of the full input stream *)
-}
-
 let spill_entries cfg p party ~op_index ~kind entries =
   match p.state_dir with
   | None -> invalid_arg "Shard.spill: the plan has no state_dir"
   | Some dir ->
-      let n = ref 0 in
-      let counted =
-        Seq.map
-          (fun e ->
-            incr n;
-            e)
-          entries
+      let sizes, _ =
+        Spill.write cfg ~dir ~label:(spill_label ~op_index party) ~buckets:p.buckets ~kind
+          ~committed:true entries
       in
-      let _ =
-        Spill.write cfg ~dir ~label:(spill_label ~op_index party) ~buckets:p.buckets
-          ~kind counted
-      in
-      !n
+      Array.fold_left ( + ) 0 sizes
 
 let spill_values cfg p party ?(op_index = 0) vs =
   spill_entries cfg p party ~op_index ~kind:`Plain (Seq.map (fun v -> (v, v)) vs)
@@ -309,72 +292,145 @@ let spill_records cfg p party ?(op_index = 0) rs =
   spill_entries cfg p party ~op_index ~kind:`Records
     (Seq.map (fun (v, r) -> (v, encode_record (v, r))) rs)
 
-(* In-memory partition for planless runs: same sizes and fingerprint as
-   the spilled path would produce. *)
-let partition_in_memory cfg ~buckets entries =
-  let parts = Array.make buckets [] in
-  let sizes = Array.make buckets 0 in
-  let ctx = Crypto.Sha256.init () in
-  Seq.iter
-    (fun (key, entry) ->
-      let b = bucket_of cfg ~buckets key in
-      parts.(b) <- entry :: parts.(b);
-      sizes.(b) <- sizes.(b) + 1;
-      Crypto.Sha256.update ctx (string_of_int (String.length entry));
-      Crypto.Sha256.update ctx entry)
-    entries;
-  (Array.map List.rev parts, sizes, hex (Crypto.Sha256.finalize ctx))
+(* One party's side of an op: its entry encoding, its entries as
+   [(bucket_key, encoded_entry)], and how many there are. *)
+let own_entries party op =
+  match (party, op) with
+  | `Sender, Equijoin { s_records; _ } ->
+      ( `Records,
+        Seq.map (fun (v, r) -> (v, encode_record (v, r))) (List.to_seq s_records),
+        List.length s_records )
+  | ( `Sender,
+      ( Intersect { s_values = vs; _ }
+      | Intersect_size { s_values = vs; _ }
+      | Equijoin_size { s_values = vs; _ } ) )
+  | ( `Receiver,
+      ( Intersect { r_values = vs; _ }
+      | Intersect_size { r_values = vs; _ }
+      | Equijoin { r_values = vs; _ }
+      | Equijoin_size { r_values = vs; _ } ) ) ->
+      (`Plain, Seq.map (fun v -> (v, v)) (List.to_seq vs), List.length vs)
 
-(* Build the per-bucket entry source for one party's side of an op. A
-   non-empty input list wins (re-spilled when the plan has a state_dir,
-   so a resumed run streams identical partitions back); an empty list
-   falls back to previously spilled buckets — how the bench pushes a
-   million elements through without materializing them. *)
-let make_source cfg p party ~op_index ~kind ~entries ~have_input =
-  match p.state_dir with
-  | None ->
-      let parts, sizes, input_fp = partition_in_memory cfg ~buckets:p.buckets entries in
-      { fetch = (fun b -> parts.(b)); sizes; input_fp }
-  | Some dir ->
-      let label = spill_label ~op_index party in
-      if have_input || Spill.load_meta dir ~label = None then
-        ignore (Spill.write cfg ~dir ~label ~buckets:p.buckets ~kind entries);
-      let meta_kind, sizes, input_fp =
-        match Spill.load_meta dir ~label with
-        | Some m -> m
-        | None -> failwith "shard: spill meta unreadable"
-      in
+(* [op] with this party's side replaced by one bucket's entries. *)
+let with_own party op entries =
+  match (party, op) with
+  | `Sender, Intersect r -> Intersect { r with s_values = entries }
+  | `Sender, Intersect_size r -> Intersect_size { r with s_values = entries }
+  | `Sender, Equijoin r -> Equijoin { r with s_records = List.map decode_record entries }
+  | `Sender, Equijoin_size r -> Equijoin_size { r with s_values = entries }
+  | `Receiver, Intersect r -> Intersect { r with r_values = entries }
+  | `Receiver, Intersect_size r -> Intersect_size { r with r_values = entries }
+  | `Receiver, Equijoin r -> Equijoin { r with r_values = entries }
+  | `Receiver, Equijoin_size r -> Equijoin_size { r with r_values = entries }
+
+type source = {
+  fetch : int -> op;  (* this party's side of bucket b *)
+  sizes : int array;
+  input_fp : string Lazy.t;  (* rolling fingerprint of the full input stream *)
+}
+
+(* Where one party's buckets come from. A non-empty input list wins: at
+   k = 1 it is the bucket as it stands (no partitioning, no
+   fingerprint unless a checkpoint asks for one); at k > 1 it is
+   partitioned in memory, or re-spilled under the plan's state_dir and
+   streamed back with read-ahead. An empty list stands for a spill
+   committed by {!spill_values}/{!spill_records}, if there is one — how
+   the bench pushes a million elements through without materializing
+   them — and otherwise for the empty set. *)
+let make_source cfg p party ~op_index op =
+  let kind, entries, n = own_entries party op in
+  let label = spill_label ~op_index party in
+  let stream dir sizes fp =
+    let read b = with_own party op (Spill.read_bucket dir ~label b) in
+    let fetch =
+      if p.buckets > 1 then
+        Parallel.Pipeline.next (Parallel.Pipeline.create ~fetch:read ~limit:p.buckets ~start:0)
+      else read
+    in
+    { fetch; sizes; input_fp = Lazy.from_val fp }
+  in
+  let committed =
+    match p.state_dir with
+    | Some dir when n = 0 -> Option.map (fun m -> (dir, m)) (Spill.load_committed dir ~label)
+    | _ -> None
+  in
+  match (committed, p.state_dir) with
+  | Some (dir, (meta_kind, sizes, fp)), _ ->
       if meta_kind <> kind || Array.length sizes <> p.buckets then
         failwith "shard: spilled buckets do not match the plan (bucket count or kind)";
-      let read b = Spill.read_bucket dir ~label b in
-      let fetch =
-        if p.prefetch && p.buckets > 1 then begin
-          let pl = Parallel.Pipeline.create ~fetch:read ~limit:p.buckets ~start:0 in
-          fun b -> Parallel.Pipeline.next pl b
-        end
-        else read
+      stream dir sizes fp
+  | None, _ when p.buckets = 1 ->
+      {
+        fetch = (fun _ -> op);
+        sizes = [| n |];
+        input_fp = lazy (snd (partition cfg ~buckets:1 ~emit:(fun _ _ -> ()) entries));
+      }
+  | None, None ->
+      let parts = Array.make p.buckets [] in
+      let sizes, fp =
+        partition cfg ~buckets:p.buckets ~emit:(fun b e -> parts.(b) <- e :: parts.(b)) entries
       in
-      { fetch; sizes; input_fp }
+      let fetch b = with_own party op (List.rev parts.(b)) in
+      { fetch; sizes; input_fp = Lazy.from_val fp }
+  | None, Some dir ->
+      let sizes, fp =
+        Spill.write cfg ~dir ~label ~buckets:p.buckets ~kind ~committed:false entries
+      in
+      stream dir sizes fp
 
 (* ------------------------------------------------------------------ *)
-(* Per-bucket state files (Wire.Snapshot containers)                   *)
+(* Checkpoints                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let prog_file dir ~op_index party =
-  Filename.concat dir (Printf.sprintf "op%d-%s.prog" op_index (party_name party))
+type checkpoints = {
+  table : (string, Snapshot.t) Hashtbl.t;  (* both party threads share it *)
+  lock : Mutex.t;
+  mutable replays : int;
+  work : Protocol.ops;
+}
 
-let epoch_file dir ~op_index party =
-  Filename.concat dir (Printf.sprintf "op%d-%s.epoch" op_index (party_name party))
+let checkpoints () =
+  { table = Hashtbl.create 16; lock = Mutex.create (); replays = 0; work = Protocol.new_ops () }
 
-let result_file dir ~op_index b =
-  Filename.concat dir (Printf.sprintf "op%d-b%d.result" op_index b)
+let replays ck = ck.replays
 
-let inputs_file dir ~op_index party b =
-  Filename.concat dir (Printf.sprintf "op%d-%s-b%d.inputs" op_index (party_name party) b)
+(* Where a party's checkpoints live: today's files under the plan's
+   state_dir, or (resilient runs without one) a table that outlives the
+   attempts of one run. Plain k > 1 runs without a state_dir keep none. *)
+type store = Files of string | Table of checkpoints
+
+let store_of p ck =
+  match (p.state_dir, ck) with
+  | Some d, _ -> Some (Files d)
+  | None, Some c -> Some (Table c)
+  | None, None -> None
+
+(* The resume frame is exchanged iff the plan partitions or the run is
+   resilient — facts both parties share, unlike their state_dirs. *)
+let exchanges p ck = p.buckets > 1 || Option.is_some ck
+
+let load st name =
+  match st with
+  | Files d -> Snapshot.load ~path:(Filename.concat d name)
+  | Table c -> Mutex.protect c.lock (fun () -> Hashtbl.find_opt c.table name)
+
+let save st name s =
+  match st with
+  | Files d -> Snapshot.save ~path:(Filename.concat d name) s
+  | Table c -> Mutex.protect c.lock (fun () -> Hashtbl.replace c.table name s)
+
+let remove st name =
+  match st with
+  | Files d -> ( try Sys.remove (Filename.concat d name) with Sys_error _ -> ())
+  | Table c -> Mutex.protect c.lock (fun () -> Hashtbl.remove c.table name)
+
+let prog_name ~op_index party = Printf.sprintf "op%d-%s.prog" op_index (party_name party)
+let epoch_name ~op_index party = Printf.sprintf "op%d-%s.epoch" op_index (party_name party)
+let result_name ~op_index b = Printf.sprintf "op%d-b%d.result" op_index b
 
 (* Context fingerprint: which (operation, bucket count, party, input
    stream) a checkpoint belongs to. Purely local — it validates this
-   party's own state files and never crosses the wire (a deterministic
+   party's own state and never crosses the wire (a deterministic
    commitment to the input set would be leakage the monolithic
    protocol does not have). *)
 let ctx_fp ~op ~op_index ~buckets ~party ~input_fp =
@@ -389,26 +445,18 @@ let ctx_fp ~op ~op_index ~buckets ~party ~input_fp =
          input_fp;
        ])
 
-(* Progress: run_id = completed bucket count; the single entry pins the
-   op, the context fingerprint, and the run tokens (own, peer's). *)
-let load_progress ~path ~op ~buckets ~fp =
-  match Snapshot.load ~path with
-  | Some { Snapshot.run_id; entries = [ e ] }
-    when run_id >= 0 && run_id <= buckets
-         && String.equal e.Snapshot.op op
-         && String.equal e.Snapshot.key_fp fp -> (
-      match e.Snapshot.s_elements with
-      | [ token; peer_token ] -> Some (run_id, token, peer_token)
-      | _ -> None)
-  | _ -> None
+(* Checkpoint records: one entry pinning the op and the context
+   fingerprint. Progress has run_id = completed bucket count and the
+   run tokens (own, peer's); a bucket result has run_id = its bucket. *)
+let record ~op ~fp ~run_id s_elements =
+  { Snapshot.run_id; entries = [ { Snapshot.op; key_fp = fp; s_elements; r_elements = [] } ] }
 
-let save_progress ~path ~op ~fp ~done_ ~token ~peer_token =
-  Snapshot.save ~path
-    {
-      Snapshot.run_id = done_;
-      entries =
-        [ { Snapshot.op; key_fp = fp; s_elements = [ token; peer_token ]; r_elements = [] } ];
-    }
+let load_record st name ~op ~fp ~valid =
+  match load st name with
+  | Some { Snapshot.run_id; entries = [ e ] }
+    when valid run_id && String.equal e.Snapshot.op op && String.equal e.Snapshot.key_fp fp ->
+      Some (run_id, e.Snapshot.s_elements)
+  | _ -> None
 
 let encode_result res =
   let w = Buf.writer () in
@@ -457,37 +505,32 @@ let decode_result s =
   | res -> Some res
   | exception Buf.Parse_error _ -> None
 
-let save_result ~path ~op ~fp b res =
-  Snapshot.save ~path
-    {
-      Snapshot.run_id = b;
-      entries =
-        [ { Snapshot.op; key_fp = fp; s_elements = [ encode_result res ]; r_elements = [] } ];
-    }
-
-let load_result ~path ~op ~fp b =
-  match Snapshot.load ~path with
-  | Some { Snapshot.run_id; entries = [ e ] }
-    when run_id = b && String.equal e.Snapshot.op op && String.equal e.Snapshot.key_fp fp
-    -> (
-      match e.Snapshot.s_elements with [ s ] -> decode_result s | _ -> None)
+let load_result st ~op_index ~op ~fp b =
+  match load_record st (result_name ~op_index b) ~op ~fp ~valid:(Int.equal b) with
+  | Some (_, [ s ]) -> decode_result s
   | _ -> None
 
-(* Committed per-bucket inputs, diffed on the next run for per-bucket
-   delta accounting (key_fp is empty: inputs are key-independent). *)
-let save_inputs ~path ~op b elems =
-  Snapshot.save ~path
-    {
-      Snapshot.run_id = b;
-      entries = [ { Snapshot.op; key_fp = ""; s_elements = elems; r_elements = [] } ];
-    }
+(* Epochs count a party's fresh starts of one op (run_id); without a
+   store every start is epoch 0. *)
+let next_epoch st name =
+  Option.fold st ~none:0 ~some:(fun st ->
+      let e = 1 + Option.fold ~none:0 ~some:(fun s -> s.Snapshot.run_id) (load st name) in
+      save st name { Snapshot.run_id = e; entries = [] };
+      e)
 
-let load_inputs ~path ~op b =
-  match Snapshot.load ~path with
-  | Some { Snapshot.run_id; entries = [ e ] }
-    when run_id = b && String.equal e.Snapshot.op op ->
-      Some e.Snapshot.s_elements
-  | _ -> None
+(* A completed run's crash-recovery state is consumed, never reused as
+   a cross-run memo (a later identical run re-executes the protocol;
+   the element cache is what makes it cheap). *)
+let consume p ck ~op_index ~party =
+  if exchanges p ck then
+    Option.iter
+      (fun st ->
+        remove st (prog_name ~op_index party);
+        if party = `Receiver then
+          for b = 0 to p.buckets - 1 do
+            remove st (result_name ~op_index b)
+          done)
+      (store_of p ck)
 
 (* ------------------------------------------------------------------ *)
 (* Resume exchange                                                     *)
@@ -510,18 +553,6 @@ let mint_token drbg ~op_index ~fp ~epoch =
           [ "psi:shard-token:v1"; bytes; fp; string_of_int epoch ])
        0 16)
 
-let next_epoch path =
-  let prev =
-    if Sys.file_exists path then
-      match int_of_string_opt (String.trim (read_file path)) with
-      | Some n when n >= 0 -> n
-      | _ -> 0
-    else 0
-  in
-  let e = prev + 1 in
-  write_file path (string_of_int e);
-  e
-
 type hello = { done_ : int; token : string; peer_token : string }
 
 let resume_tag = "shard/resume"
@@ -539,166 +570,45 @@ let recv_hello cfg ep =
       | _ -> failwith "shard resume failed: malformed bucket count")
   | _ -> failwith "shard resume failed: unexpected message"
 
-(* ------------------------------------------------------------------ *)
-(* Per-bucket sub-protocol plumbing                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* (own entry encoding, protocol kind) of one party's side of an op. *)
-let side_of party op =
-  match (party, op) with
-  | `Sender, Intersect { s_values; _ } -> (`Plain, `K_intersect, s_values)
-  | `Sender, Intersect_size { s_values; _ } -> (`Plain, `K_size, s_values)
-  | `Sender, Equijoin_size { s_values; _ } -> (`Plain, `K_join_size, s_values)
-  | `Receiver, Intersect { r_values; _ } -> (`Plain, `K_intersect, r_values)
-  | `Receiver, Intersect_size { r_values; _ } -> (`Plain, `K_size, r_values)
-  | `Receiver, Equijoin { r_values; _ } -> (`Plain, `K_join, r_values)
-  | `Receiver, Equijoin_size { r_values; _ } -> (`Plain, `K_join_size, r_values)
-  (* Unreachable: entry_seq_of intercepts the equijoin sender before
-     dispatching here. *)
-  | `Sender, Equijoin _ -> invalid_arg "Shard.side_of: equijoin sender"
-
-let entry_seq_of party op =
-  match (party, op) with
-  | `Sender, Equijoin { s_records; _ } ->
-      (`Records, `K_join,
-       List.to_seq s_records |> Seq.map (fun (v, r) -> (v, encode_record (v, r))),
-       s_records <> [])
-  | _ ->
-      let kind, pkind, values = side_of party op in
-      (kind, pkind, List.to_seq values |> Seq.map (fun v -> (v, v)), values <> [])
-
-(* The deduplicated join-attribute values of one bucket — what the
-   incremental layer snapshots and diffs (mirrors Session.op_elements). *)
-let bucket_elements ~kind entries =
-  match kind with
-  | `Plain -> Protocol.dedup entries
-  | `Records -> Protocol.dedup (List.map (fun e -> fst (decode_record e)) entries)
-
-(* Bucket config: tags move into the bucket's namespace ("b<i>", frames
-   are bucket-tagged on the wire); with plan cache, the element cache is
-   a dedicated per-bucket store opened for just this bucket's lifetime. *)
-let bucket_cache_dir dir ~op_index party b =
-  List.fold_left Filename.concat dir
-    [ "cache"; Printf.sprintf "op%d-%s" op_index (party_name party); Printf.sprintf "b%d" b ]
-
-let with_bucket_cfg cfg p ~party ~op_index b f =
-  let cfg = Protocol.with_scope cfg (Protocol.scoped cfg (Printf.sprintf "b%d" b)) in
-  match (p.cache, p.state_dir) with
-  | true, Some dir ->
-      let cdir = bucket_cache_dir dir ~op_index party b in
-      mkdirs cdir;
-      let c = Ecache.open_ ~max_entries:p.cache_max_entries ~dir:cdir () in
-      Fun.protect
-        ~finally:(fun () -> Ecache.close c)
-        (fun () ->
-          let r = f { cfg with Protocol.ecache = Some c } in
-          let st = Ecache.stats c in
-          (r, st.Ecache.hits, st.Ecache.misses))
-  | _ ->
-      let r = f cfg in
-      (r, 0, 0)
-
-let run_sender_bucket cfg ~rng ep ~pkind entries =
-  match pkind with
-  | `K_intersect -> (Intersection.sender cfg ~rng ~values:entries ep).Intersection.ops
-  | `K_size -> (Intersection_size.sender cfg ~rng ~values:entries ep).Intersection_size.ops
-  | `K_join ->
-      (Equijoin.sender cfg ~rng ~records:(List.map decode_record entries) ep).Equijoin.ops
-  | `K_join_size ->
-      (Equijoin_size.sender cfg ~rng ~values:entries ep).Equijoin_size.ops
-
-let run_receiver_bucket cfg ~rng ep ~pkind entries =
-  match pkind with
-  | `K_intersect ->
-      let r = Intersection.receiver cfg ~rng ~values:entries ep in
-      (r.Intersection.ops, Values r.Intersection.intersection)
-  | `K_size ->
-      let r = Intersection_size.receiver cfg ~rng ~values:entries ep in
-      (r.Intersection_size.ops, Size r.Intersection_size.size)
-  | `K_join ->
-      let r = Equijoin.receiver cfg ~rng ~values:entries ep in
-      (r.Equijoin.ops, Matches r.Equijoin.matches)
-  | `K_join_size ->
-      let r = Equijoin_size.receiver cfg ~rng ~values:entries ep in
-      (r.Equijoin_size.ops, Size r.Equijoin_size.join_size)
-
-let add_ops dst (src : Protocol.ops) =
-  dst.Protocol.hashes <- dst.Protocol.hashes + src.Protocol.hashes;
-  dst.Protocol.encryptions <- dst.Protocol.encryptions + src.Protocol.encryptions;
-  dst.Protocol.cipher_ops <- dst.Protocol.cipher_ops + src.Protocol.cipher_ops
-
-(* ------------------------------------------------------------------ *)
-(* The driver                                                          *)
-(* ------------------------------------------------------------------ *)
-
-type stats = {
-  buckets : int;
-  sizes : int list;
-  start : int;
-  replayed : int;
-  restored : int;
-  cache_hits : int;
-  cache_misses : int;
-  cold_buckets : int;
-  added : int;
-  removed : int;
-  unchanged : int;
-}
-
-let drive cfg (p : plan) ~drbg ~op_index ~party ep op =
-  let name = op_name op in
-  Obs.Span.with_ ("shard/" ^ name)
-    ~attrs:[ ("buckets", string_of_int p.buckets) ]
-  @@ fun () ->
-  Obs.Metrics.set (Obs.Metrics.gauge "shard.buckets") (float_of_int p.buckets);
-  let dir = p.state_dir in
-  Option.iter mkdirs dir;
-  let kind, pkind, entries, have_input = entry_seq_of party op in
-  let src = make_source cfg p party ~op_index ~kind ~entries ~have_input in
-  let fp = ctx_fp ~op:name ~op_index ~buckets:p.buckets ~party ~input_fp:src.input_fp in
-  (* Own checkpointed progress, valid only for this exact context. *)
+(* Where this party's run of one op starts: its own valid progress,
+   the receiver's restored bucket results, and the frame exchange
+   (receiver first, mirroring the handshake direction) that reveals
+   only bucket-completion counts and opaque run tokens. Returns
+   (start, own completed count, own token, peer's token). *)
+let negotiate cfg p ~st ~drbg ~op_index ~party ~name ~fp ~restored ep =
+  let progress =
+    Option.bind st (fun st ->
+        load_record st (prog_name ~op_index party) ~op:name ~fp ~valid:(fun n ->
+            n >= 0 && n <= p.buckets))
+  in
   let raw_done, own_token, stored_peer =
-    match
-      Option.bind dir (fun d ->
-          load_progress ~path:(prog_file d ~op_index party) ~op:name ~buckets:p.buckets
-            ~fp)
-    with
-    | Some (d, tok, ptok) -> (d, Some tok, ptok)
-    | None -> (0, None, "")
+    match progress with
+    | Some (d, [ tok; ptok ]) -> (d, Some tok, ptok)
+    | _ -> (0, None, "")
   in
   (* The receiver only trusts progress it can back with decodable
      result checkpoints: announce the longest valid prefix. *)
-  let restored_results = Hashtbl.create 8 in
   let raw_done =
-    match (party, dir) with
-    | `Receiver, Some d when raw_done > 0 ->
+    match (party, st) with
+    | `Receiver, Some st ->
         let rec go b =
           if b >= raw_done then b
           else
-            match load_result ~path:(result_file d ~op_index b) ~op:name ~fp b with
+            match load_result st ~op_index ~op:name ~fp b with
             | Some res ->
-                Hashtbl.add restored_results b res;
+                Hashtbl.replace restored b res;
                 go (b + 1)
             | None -> b
         in
         go 0
     | `Receiver, None -> 0
-    | _ -> raw_done
+    | `Sender, _ -> raw_done
   in
   let token =
     match own_token with
     | Some t when raw_done > 0 -> t
-    | _ ->
-        let epoch =
-          match dir with
-          | Some d -> next_epoch (epoch_file d ~op_index party)
-          | None -> 0
-        in
-        mint_token drbg ~op_index ~fp ~epoch
+    | _ -> mint_token drbg ~op_index ~fp ~epoch:(next_epoch st (epoch_name ~op_index party))
   in
-  (* Resume exchange (receiver sends first, mirroring the session
-     handshake direction). Reveals only bucket-completion counts and
-     opaque run tokens. *)
   let mine = { done_ = raw_done; token; peer_token = stored_peer } in
   let theirs =
     match party with
@@ -715,111 +625,49 @@ let drive cfg (p : plan) ~drbg ~op_index ~party ep op =
      my current run. Both sides compute both, symmetrically. *)
   let mine_eff = if String.equal theirs.token stored_peer then raw_done else 0 in
   let theirs_eff = if String.equal theirs.peer_token token then theirs.done_ else 0 in
-  let start = min mine_eff theirs_eff in
-  if start > 0 then Obs.Metrics.incr m_resumes;
-  let acc = Protocol.new_ops () in
-  let results = Array.make (max p.buckets 1) None in
-  for b = 0 to mine_eff - 1 do
-    results.(b) <- Hashtbl.find_opt restored_results b
-  done;
-  if party = `Receiver && mine_eff > 0 then Obs.Metrics.incr ~by:mine_eff m_restored;
-  let replayed = ref 0 in
-  let cache_hits = ref 0 and cache_misses = ref 0 in
-  let cold_buckets = ref 0 in
-  let added = ref 0 and removed = ref 0 and unchanged = ref 0 in
-  for b = 0 to p.buckets - 1 do
-    let entries = src.fetch b in
-    let elems = bucket_elements ~kind entries in
-    (* Per-bucket delta vs the last committed inputs. *)
-    (match dir with
-    | Some d -> (
-        match load_inputs ~path:(inputs_file d ~op_index party b) ~op:name b with
-        | Some prev ->
-            let a, r, u = diff_counts prev elems in
-            added := !added + a;
-            removed := !removed + r;
-            unchanged := !unchanged + u
-        | None ->
-            incr cold_buckets;
-            added := !added + List.length elems)
-    | None ->
-        incr cold_buckets;
-        added := !added + List.length elems);
-    if b >= start then begin
-      let is_replay = b < mine_eff in
-      if is_replay then begin
-        incr replayed;
-        Obs.Metrics.incr m_replays
-      end;
-      let (res : result option), h, m =
-        with_bucket_cfg cfg p ~party ~op_index b @@ fun bcfg ->
-        Obs.Span.with_
-          (Printf.sprintf "shard/b%d" b)
-          ~attrs:[ ("n", string_of_int (List.length entries)) ]
-        @@ fun () ->
-        let rng =
-          Drbg.to_rng (Drbg.fork drbg ~label:(Printf.sprintf "shard/op%d/b%d" op_index b))
-        in
-        match party with
-        | `Sender ->
-            add_ops acc (run_sender_bucket bcfg ~rng ep ~pkind entries);
-            None
-        | `Receiver ->
-            let o, res = run_receiver_bucket bcfg ~rng ep ~pkind entries in
-            add_ops acc o;
-            Some res
-      in
-      cache_hits := !cache_hits + h;
-      cache_misses := !cache_misses + m;
-      Obs.Metrics.incr m_buckets_run;
-      (match res with
-      | Some r when not is_replay ->
-          (* Idempotent replay: the first completed result wins. *)
-          results.(b) <- Some r;
-          Option.iter
-            (fun d -> save_result ~path:(result_file d ~op_index b) ~op:name ~fp b r)
-            dir
-      | _ -> ());
-      Option.iter
-        (fun d ->
-          save_progress
-            ~path:(prog_file d ~op_index party)
-            ~op:name ~fp
-            ~done_:(max mine_eff (b + 1))
-            ~token ~peer_token:theirs.token)
-        dir
-    end;
-    Option.iter
-      (fun d -> save_inputs ~path:(inputs_file d ~op_index party b) ~op:name b elems)
-      dir
-  done;
-  (* The op completed: crash-recovery state is consumed, never reused
-     as a cross-run memo (a later identical run re-executes the
-     protocol; the element cache is what makes it cheap). *)
-  Option.iter
-    (fun d ->
-      remove_if_exists (prog_file d ~op_index party);
-      if party = `Receiver then
-        for b = 0 to p.buckets - 1 do
-          remove_if_exists (result_file d ~op_index b)
-        done)
-    dir;
-  let stats =
-    {
-      buckets = p.buckets;
-      sizes = Array.to_list src.sizes;
-      start;
-      replayed = !replayed;
-      restored = (if party = `Receiver then mine_eff else 0);
-      cache_hits = !cache_hits;
-      cache_misses = !cache_misses;
-      cold_buckets = !cold_buckets;
-      added = !added;
-      removed = !removed;
-      unchanged = !unchanged;
-    }
-  in
-  (acc, results, stats)
+  (min mine_eff theirs_eff, mine_eff, token, theirs.token)
+
+(* ------------------------------------------------------------------ *)
+(* The executor                                                        *)
+(* ------------------------------------------------------------------ *)
+
+type stats = { buckets : int; sizes : int list; start : int; peer : int }
+
+(* The one dispatch: this party's side of [op] onto its protocol module.
+   Returns the tallies, the receiver's output, and the peer's set size
+   as this party's transcript reveals it. *)
+let dispatch cfg ~rng ep party op =
+  match (party, op) with
+  | `Sender, Intersect { s_values; _ } ->
+      let r = Intersection.sender cfg ~rng ~values:s_values ep in
+      (r.Intersection.ops, None, r.Intersection.v_r_count)
+  | `Sender, Intersect_size { s_values; _ } ->
+      let r = Intersection_size.sender cfg ~rng ~values:s_values ep in
+      (r.Intersection_size.ops, None, r.Intersection_size.v_r_count)
+  | `Sender, Equijoin { s_records; _ } ->
+      let r = Equijoin.sender cfg ~rng ~records:s_records ep in
+      (r.Equijoin.ops, None, r.Equijoin.v_r_count)
+  | `Sender, Equijoin_size { s_values; _ } ->
+      let r = Equijoin_size.sender cfg ~rng ~values:s_values ep in
+      (r.Equijoin_size.ops, None, r.Equijoin_size.v_r_multiset_size)
+  | `Receiver, Intersect { r_values; _ } ->
+      let r = Intersection.receiver cfg ~rng ~values:r_values ep in
+      ( r.Intersection.ops,
+        Some (Values r.Intersection.intersection),
+        r.Intersection.v_s_count )
+  | `Receiver, Intersect_size { r_values; _ } ->
+      let r = Intersection_size.receiver cfg ~rng ~values:r_values ep in
+      ( r.Intersection_size.ops,
+        Some (Size r.Intersection_size.size),
+        r.Intersection_size.v_s_count )
+  | `Receiver, Equijoin { r_values; _ } ->
+      let r = Equijoin.receiver cfg ~rng ~values:r_values ep in
+      (r.Equijoin.ops, Some (Matches r.Equijoin.matches), r.Equijoin.v_s_count)
+  | `Receiver, Equijoin_size { r_values; _ } ->
+      let r = Equijoin_size.receiver cfg ~rng ~values:r_values ep in
+      ( r.Equijoin_size.ops,
+        Some (Size r.Equijoin_size.join_size),
+        r.Equijoin_size.v_s_multiset_size )
 
 let merge op results =
   let shape_error () = failwith "shard: per-bucket result shape mismatch" in
@@ -827,26 +675,137 @@ let merge op results =
     List.map (function Some r -> r | None -> failwith "shard: missing bucket result")
       (Array.to_list results)
   in
-  match op with
-  | Intersect _ ->
+  match (all, op) with
+  | [ r ], _ -> r
+  | _, Intersect _ ->
       Values
         (List.concat_map (function Values vs -> vs | _ -> shape_error ()) all
         |> List.sort String.compare)
-  | Intersect_size _ | Equijoin_size _ ->
+  | _, (Intersect_size _ | Equijoin_size _) ->
       Size (List.fold_left (fun n -> function Size s -> n + s | _ -> shape_error ()) 0 all)
-  | Equijoin _ ->
+  | _, Equijoin _ ->
       Matches
         (List.concat_map (function Matches ms -> ms | _ -> shape_error ()) all
         |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
+(* One party's run of one op: the bucket loop every entry point goes
+   through. k = 1 without [ck] is the monolithic run — scope [""], no
+   resume frame, keys straight from the party's stream (so consecutive
+   ops continue it). k > 1 runs bucket b under scope ["b<b>"] with keys
+   forked per bucket, after the resume exchange. *)
+let drive cfg (p : plan) ?ck ~drbg ~op_index ~party ep op =
+  let name = op_name op in
+  let sharded = p.buckets > 1 in
+  if party = `Receiver then begin
+    Obs.Metrics.incr m_operations;
+    Obs.Metrics.incr (Obs.Metrics.counter ("session." ^ name ^ ".runs"))
+  end;
+  Obs.Span.with_ ("session/" ^ name) @@ fun () ->
+  let in_span label attrs f = if sharded then Obs.Span.with_ label ~attrs f else f () in
+  in_span ("shard/" ^ name) [ ("buckets", string_of_int p.buckets) ] @@ fun () ->
+  if sharded then
+    Obs.Metrics.set (Obs.Metrics.gauge "shard.buckets") (float_of_int p.buckets);
+  let st = if exchanges p ck then store_of p ck else None in
+  Option.iter (fun _ -> Option.iter mkdirs p.state_dir) st;
+  let src = make_source cfg p party ~op_index op in
+  let fp =
+    lazy
+      (ctx_fp ~op:name ~op_index ~buckets:p.buckets ~party
+         ~input_fp:(Lazy.force src.input_fp))
+  in
+  let restored = Hashtbl.create 8 in
+  let start, mine_eff, token, peer_token =
+    if exchanges p ck then
+      negotiate cfg p ~st ~drbg ~op_index ~party ~name ~fp:(Lazy.force fp) ~restored ep
+    else (0, 0, "", "")
+  in
+  if sharded && start > 0 then Obs.Metrics.incr m_resumes;
+  let acc = Protocol.new_ops () in
+  let results =
+    Array.init p.buckets (fun b -> if b < mine_eff then Hashtbl.find_opt restored b else None)
+  in
+  if sharded && party = `Receiver && mine_eff > 0 then Obs.Metrics.incr ~by:mine_eff m_restored;
+  let peer = ref 0 in
+  for b = start to p.buckets - 1 do
+    let bucket = src.fetch b in
+    let is_replay = b < mine_eff in
+    if is_replay then begin
+      if sharded then Obs.Metrics.incr m_replays;
+      Option.iter (fun c -> c.replays <- c.replays + 1) ck
+    end;
+    let o, res, n =
+      if sharded then
+        let _, _, n = own_entries party bucket in
+        Obs.Span.with_ (Printf.sprintf "shard/b%d" b) ~attrs:[ ("n", string_of_int n) ]
+        @@ fun () ->
+        let bcfg = Protocol.with_scope cfg (Protocol.scoped cfg (Printf.sprintf "b%d" b)) in
+        let rng =
+          Drbg.to_rng (Drbg.fork drbg ~label:(Printf.sprintf "shard/op%d/b%d" op_index b))
+        in
+        dispatch bcfg ~rng ep party bucket
+      else dispatch cfg ~rng:(Drbg.to_rng drbg) ep party bucket
+    in
+    add_ops acc o;
+    peer := !peer + n;
+    if sharded then Obs.Metrics.incr m_buckets_run;
+    (* Idempotent replay: the first completed result wins. *)
+    if not is_replay then results.(b) <- res;
+    Option.iter
+      (fun st ->
+        let fp = Lazy.force fp in
+        (match res with
+        | Some r when not is_replay ->
+            save st (result_name ~op_index b) (record ~op:name ~fp ~run_id:b [ encode_result r ])
+        | _ -> ());
+        save st (prog_name ~op_index party)
+          (record ~op:name ~fp ~run_id:(max mine_eff (b + 1)) [ token; peer_token ]))
+      st
+  done;
+  let stats = { buckets = p.buckets; sizes = Array.to_list src.sizes; start; peer = !peer } in
+  let result = match party with `Sender -> None | `Receiver -> Some (merge op results) in
+  (acc, result, stats)
+
 let sender_op cfg p ~drbg ?(op_index = 0) ep op =
   let ops, _, stats = drive cfg p ~drbg ~op_index ~party:`Sender ep op in
+  consume p None ~op_index ~party:`Sender;
   (ops, stats)
 
-let receiver_op cfg (p : plan) ~drbg ?(op_index = 0) ep op =
-  let ops, results, stats = drive cfg p ~drbg ~op_index ~party:`Receiver ep op in
-  let results = Array.sub results 0 p.buckets in
-  (ops, merge op results, stats)
+let expect_result = function
+  | Some r -> r
+  | None -> failwith "shard: operation completed without a result"
+
+let receiver_op cfg p ~drbg ?(op_index = 0) ep op =
+  let ops, result, stats = drive cfg p ~drbg ~op_index ~party:`Receiver ep op in
+  consume p None ~op_index ~party:`Receiver;
+  (ops, expect_result result, stats)
+
+(* The in-process runner behind Session.run, run_resilient and {!run}:
+   both parties' streams from [drbg], the config handshake, every op in
+   order through {!drive}, and checkpoints consumed once both parties
+   have returned. With [ck], tallies accumulate into [ck.work]. *)
+let execute cfg p ?ck ?endpoints ?attempt drbg ops =
+  let tally = match ck with Some c -> c.work | None -> Protocol.new_ops () in
+  let play party handshake pick d ep =
+    handshake cfg ep;
+    List.mapi
+      (fun op_index op ->
+        let o, res, stats = drive cfg p ?ck ~drbg:d ~op_index ~party ep op in
+        add_ops tally o;
+        pick res stats)
+      ops
+  in
+  let o =
+    Protocol.launch ?endpoints ?attempt drbg
+      ~sender:(play `Sender Handshake.respond (fun _ stats -> stats))
+      ~receiver:
+        (play `Receiver Handshake.initiate (fun res stats -> (expect_result res, stats)))
+  in
+  List.iteri
+    (fun op_index _ ->
+      consume p ck ~op_index ~party:`Sender;
+      consume p ck ~op_index ~party:`Receiver)
+    ops;
+  (o, tally)
 
 type report = {
   result : result;
@@ -857,29 +816,11 @@ type report = {
 }
 
 let run cfg ?(seed = "shard") ?(record_views = true) p op =
-  let drbg = Drbg.create ~seed in
-  let s_drbg = Drbg.split drbg ~label:"sender" in
-  let r_drbg = Drbg.split drbg ~label:"receiver" in
   let s_ep, r_ep = Channel.create () in
-  if not record_views then begin
-    Channel.set_record_views s_ep false;
-    Channel.set_record_views r_ep false
-  end;
-  let o =
-    Wire.Runner.run_on (s_ep, r_ep)
-      ~sender:(fun ep ->
-        Handshake.respond cfg ep;
-        sender_op cfg p ~drbg:s_drbg ep op)
-      ~receiver:(fun ep ->
-        Handshake.initiate cfg ep;
-        receiver_op cfg p ~drbg:r_drbg ep op)
-  in
-  let s_ops, s_stats = o.Wire.Runner.sender_result in
-  let r_ops, result, r_stats = o.Wire.Runner.receiver_result in
-  {
-    result;
-    total_bytes = o.Wire.Runner.total_bytes;
-    ops = Protocol.total s_ops r_ops;
-    sender_stats = s_stats;
-    receiver_stats = r_stats;
-  }
+  Channel.set_record_views s_ep record_views;
+  Channel.set_record_views r_ep record_views;
+  let o, ops = execute cfg p ~endpoints:(s_ep, r_ep) (Drbg.create ~seed) [ op ] in
+  match (o.Wire.Runner.sender_result, o.Wire.Runner.receiver_result) with
+  | [ sender_stats ], [ (result, receiver_stats) ] ->
+      { result; total_bytes = o.Wire.Runner.total_bytes; ops; sender_stats; receiver_stats }
+  | _ -> failwith "shard: one operation, one result"

@@ -1,17 +1,22 @@
-(** Sharded, streaming execution of the four protocols.
+(** The protocol executor: every run of the four protocols — monolithic
+    or sharded, in-process or one-sided, plain or resilient — goes
+    through this module's per-party bucket loop.
 
-    [Hash_to_group] output is uniform over the group (§3.1 random-oracle
-    assumption), so splitting each party's set into [k] buckets by a
-    prefix of [h(v)] partitions the protocol itself: element [v] lands
-    in the same bucket on both sides (the assignment is a function of
-    the element alone — stable under set order, pool size, and party),
-    hence every intersection/join pair meets inside exactly one bucket
-    and the union of the [k] sub-results equals the monolithic result.
-    Hash collisions land in the same bucket by construction, so the
-    per-bucket §3.2.2 collision check is exactly as strong as the
-    global one.
+    A {!plan} with [k] buckets splits each party's set by a prefix of
+    [h(v)]. [Hash_to_group] output is uniform over the group (§3.1
+    random-oracle assumption), so element [v] lands in the same bucket
+    on both sides (the assignment is a function of the element alone —
+    stable under set order, pool size, and party), hence every
+    intersection/join pair meets inside exactly one bucket and the union
+    of the [k] sub-results equals the monolithic result. Hash collisions
+    land in the same bucket by construction, so the per-bucket §3.2.2
+    collision check is exactly as strong as the global one.
 
-    What sharding buys, at a precisely characterizable price:
+    [k = 1] {e is} the monolithic run: tag scope [""], keys drawn from
+    the party's DRBG stream (continued across operations), no
+    partitioning, no resume frame — byte-identical to the protocol
+    modules' own [run]. What [k > 1] buys, at a precisely
+    characterizable price:
     {ul
     {- {b Bounded peak memory.} Buckets stream from an on-disk spill
        format ({!spill_values}) through encrypt → exchange → match while
@@ -19,14 +24,16 @@
        residency is O(n/k), not O(n).}
     {- {b Per-bucket checkpoints.} With a [state_dir], each completed
        bucket commits a {!Wire.Snapshot}; a killed run resumes at the
-       first unfinished bucket instead of restarting, and committed
-       per-bucket input snapshots give per-bucket delta accounting for
-       incremental reruns.}
+       first unfinished bucket instead of restarting.}
     {- {b Leakage delta.} The receiver's transcript additionally reveals
        the [k] bucket sizes of the peer's set (≈ n/k each by hash
-       uniformity) and one constant-shape resume frame per party — and
-       nothing else beyond the monolithic §5 leakage shape. See
-       docs/PROTOCOLS.md, "Sharding and leakage".}} *)
+       uniformity) and one constant-shape resume frame per party per
+       operation — and nothing else beyond the monolithic §5 leakage
+       shape. See docs/PROTOCOLS.md, "Sharding and leakage".}}
+
+    The resume frame is exchanged iff [k > 1] or the run is resilient
+    (both parties know both facts); resilient runs use the same
+    checkpoints at op × bucket granularity. *)
 
 (** One private-database operation — the same shape [Session] exposes
     (and re-exports from here). *)
@@ -51,36 +58,19 @@ type plan
 (** Upper bound on [buckets] (4096). *)
 val max_buckets : int
 
-(** [plan ~buckets ()] describes how to shard a run.
+(** [plan ~buckets ()] describes how to shard a run; [buckets = 1] is
+    the monolithic run.
 
     [state_dir] roots the on-disk state: bucket spill files, per-bucket
-    checkpoints ([op<i>-*.prog] / [.result]), committed per-bucket input
-    snapshots ([.inputs]), and per-bucket element caches. Without it the
-    run is sharded purely in memory and cannot resume.
+    checkpoints ([op<i>-*.prog] / [.result]) and epoch counters.
+    Without it a [k > 1] run is sharded purely in memory and cannot
+    resume across calls.
 
-    [cache] (default [false], requires [state_dir]) opens a dedicated
-    {!Ecache} per bucket under [state_dir]/cache, bounded to
-    [cache_max_entries] (default 65536) entries each and closed as soon
-    as its bucket finishes — the memory-bounded warm path at 1M scale.
-    When [false], buckets share whatever [config.ecache] the caller
-    configured.
+    @raise Invalid_argument on [buckets] outside [1 .. max_buckets]. *)
+val plan : ?state_dir:string -> buckets:int -> unit -> plan
 
-    [prefetch] (default [true]) reads bucket [b+1] from the spill on a
-    background thread while bucket [b] runs.
-
-    @raise Invalid_argument on [buckets] outside [1 .. max_buckets],
-    [cache] without [state_dir], or [cache_max_entries < 1]. *)
-val plan :
-  ?state_dir:string ->
-  ?cache:bool ->
-  ?cache_max_entries:int ->
-  ?prefetch:bool ->
-  buckets:int ->
-  unit ->
-  plan
-
-val buckets : plan -> int
-val state_dir : plan -> string option
+(** The 1-bucket plan without a state_dir. *)
+val monolithic : plan
 
 (** [with_default_state_dir plan dir] is [plan] with [state_dir = dir]
     when the plan has none (how [Session.run_incremental] roots shard
@@ -95,10 +85,13 @@ val bucket_of : Protocol.config -> buckets:int -> string -> int
 (** {1 Spilling}
 
     Pre-partition a party's input stream into the plan's on-disk bucket
-    files without ever materializing the whole set. A later
-    {!sender_op}/{!receiver_op} whose own-side list is [[]] runs against
-    the spilled buckets (streaming them back one at a time); a non-empty
-    list always re-spills. Requires a plan with [state_dir]. *)
+    files without ever materializing the whole set. A later run whose
+    own-side list is [[]] runs against this committed spill (streaming
+    the buckets back one at a time). Only these two functions commit a
+    spill: a [k > 1] run that re-spills its own non-empty list marks the
+    copy as its own, and an empty list never stands in for it — with no
+    committed spill, [[]] is the empty set. Requires a plan with
+    [state_dir]. *)
 
 (** [spill_values cfg plan party ?op_index vs] partitions a value
     stream; returns the number of elements spilled. *)
@@ -120,31 +113,30 @@ val spill_records :
   (string * string) Seq.t ->
   int
 
-(** {1 Driving a sharded operation} *)
+(** {1 Running operations} *)
 
-(** What one party's sharded run did — resumes, replays, per-bucket
-    cache traffic, and the committed-input delta. *)
+(** What one party's run of an operation did. *)
 type stats = {
   buckets : int;
   sizes : int list;  (** own-partition bucket sizes, in bucket order *)
   start : int;
       (** first bucket executed on the wire this call; [> 0] means the
           run resumed from per-bucket checkpoints *)
-  replayed : int;  (** buckets re-run only to bring the peer forward *)
-  restored : int;  (** receiver: results restored from checkpoint files *)
-  cache_hits : int;  (** per-bucket cache hits (plan [cache] only) *)
-  cache_misses : int;
-  cold_buckets : int;  (** buckets with no usable committed inputs *)
-  added : int;  (** elements new since the committed bucket inputs *)
-  removed : int;
-  unchanged : int;
+  peer : int;
+      (** the peer's set size as this party's transcript reveals it
+          ([|V_S|] at the receiver, [|V_R|] at the sender; multiset
+          sizes for the equijoin size), summed over the buckets executed
+          this call *)
 }
 
 (** [sender_op cfg plan ~drbg ?op_index ep op] plays S for all [k]
-    buckets of [op] (resume exchange, then bucket [start .. k-1] in
-    order, each under tag scope ["b<i>"] with keys forked from [drbg]
-    per bucket). [op_index] (default 0) separates the state and key
-    derivations of multiple operations in one session. *)
+    buckets of [op]: at [k = 1] one protocol run with keys from
+    [Crypto.Drbg.to_rng drbg]; at [k > 1] the resume exchange, then
+    buckets [start .. k-1] in order, each under tag scope ["b<i>"] with
+    keys forked from [drbg] per bucket. [op_index] (default 0)
+    separates the state and key derivations of multiple operations in
+    one session. This party's checkpoints are consumed when the op
+    completes. *)
 val sender_op :
   Protocol.config ->
   plan ->
@@ -167,6 +159,37 @@ val receiver_op :
   op ->
   Protocol.ops * result * stats
 
+(** Checkpoints of one resilient run: progress, run tokens and receiver
+    results per op × bucket, kept across attempts — on disk when the
+    plan has a [state_dir], in this value otherwise (no element data is
+    written) — plus the run's replay count and accumulated tallies. *)
+type checkpoints
+
+val checkpoints : unit -> checkpoints
+
+(** Buckets (op × bucket units) re-executed by a party that had already
+    completed them, across all attempts so far. *)
+val replays : checkpoints -> int
+
+(** [execute cfg plan ?ck ?endpoints ?attempt drbg ops] runs both
+    parties in-process ({!Protocol.launch}, over a fresh memory channel
+    unless [endpoints] are given): config handshake, then every op in
+    order (op index = list position). Passing [ck] makes the run
+    resilient — a resume frame per party per op, and tallies
+    accumulated into [ck] — and [attempt] picks the attempt's DRBG
+    split. Checkpoints are consumed once both parties return. Returns
+    the outcome (sender stats per op; receiver result and stats per op)
+    and the combined tallies. *)
+val execute :
+  Protocol.config ->
+  plan ->
+  ?ck:checkpoints ->
+  ?endpoints:Wire.Channel.endpoint * Wire.Channel.endpoint ->
+  ?attempt:int ->
+  Crypto.Drbg.t ->
+  op list ->
+  (stats list, (result * stats) list) Wire.Runner.outcome * Protocol.ops
+
 type report = {
   result : result;
   total_bytes : int;
@@ -175,12 +198,10 @@ type report = {
   receiver_stats : stats;
 }
 
-(** [run cfg ?seed plan op] executes one sharded operation in-process
-    (config handshake, then both parties threaded over a memory
-    channel), like [Session.run] but returning shard statistics.
-    [record_views] (default [true]) is passed to
-    {!Wire.Channel.set_record_views}: [false] drops the transcript logs
-    so a million-element run is not re-materialized in memory by its
-    own channel. *)
+(** [run cfg ?seed plan op] executes one operation in-process through
+    {!execute}, returning shard statistics. [record_views] (default
+    [true]) is passed to {!Wire.Channel.set_record_views}: [false] drops
+    the transcript logs so a million-element run is not re-materialized
+    in memory by its own channel. *)
 val run :
   Protocol.config -> ?seed:string -> ?record_views:bool -> plan -> op -> report

@@ -2,7 +2,7 @@ type t = {
   ep : Wire.Channel.endpoint;
   fd : Unix.file_descr;
   cfg : Psi.Protocol.config;
-  rng : Bignum.Nat_rand.rng;
+  drbg : Crypto.Drbg.t;
   session_id : string;
   closed : bool Atomic.t;
 }
@@ -40,9 +40,8 @@ let connect ?(cipher = Crypto.Perfect_cipher.Stream_cipher) ?(workers = 1)
       Psi.Protocol.config ~domain:("csv:" ^ attr) ~cipher ~workers group
     in
     Psi.Handshake.initiate cfg ep;
-    let drbg = Crypto.Drbg.create ~seed in
-    let rng = Crypto.Drbg.to_rng (Crypto.Drbg.split drbg ~label:"receiver") in
-    { ep; fd; cfg; rng; session_id; closed = Atomic.make false }
+    let drbg = Crypto.Drbg.split (Crypto.Drbg.create ~seed) ~label:"receiver" in
+    { ep; fd; cfg; drbg; session_id; closed = Atomic.make false }
   with
   | t -> t
   | exception e ->
@@ -54,7 +53,9 @@ let session_id t = t.session_id
 let run t op =
   Wire.Channel.send t.ep (Proto.op ~name:(Psi.Session.op_name op));
   Proto.parse_go (Wire.Channel.recv t.ep);
-  let _ops, result = Psi.Session.receiver_op t.cfg ~rng:t.rng t.ep op in
+  let _ops, result, _stats =
+    Psi.Shard.receiver_op t.cfg Psi.Shard.monolithic ~drbg:t.drbg t.ep op
+  in
   (result, Proto.parse_done (Wire.Channel.recv t.ep))
 
 let stats t = Wire.Channel.stats t.ep

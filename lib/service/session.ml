@@ -84,8 +84,7 @@ let session_loop cfg tenants ep tenant ~attr ~client_nonce =
     Proto.derive ~seed:cfg.seed ~label:"psid:session:v1"
       [ tenant.Tenant.id; attr; client_nonce ]
   in
-  let drbg = Crypto.Drbg.create ~seed:session_seed in
-  let rng = Crypto.Drbg.to_rng (Crypto.Drbg.split drbg ~label:"sender") in
+  let drbg = Crypto.Drbg.split (Crypto.Drbg.create ~seed:session_seed) ~label:"sender" in
   Tenant.count_session tenants tenant;
   Obs.Metrics.incr m_sessions;
   let ops_served = ref 0 in
@@ -107,7 +106,7 @@ let session_loop cfg tenants ep tenant ~attr ~client_nonce =
       let name = Proto.parse_op m in
       let op = op_for tenant ~attr name in
       Wire.Channel.send ep (Proto.go ());
-      let ops = Psi.Session.sender_op pcfg ~rng ep op in
+      let ops, _stats = Psi.Shard.sender_op pcfg Psi.Shard.monolithic ~drbg ep op in
       incr ops_served;
       Obs.Metrics.incr m_ops;
       Tenant.count_ops tenants tenant 1;

@@ -3,7 +3,7 @@
     Runs the {!Proto} state machine over an accepted connection:
     admission, challenge-response authentication, the {!Psi.Handshake}
     config check, then an operation loop in which the daemon plays the
-    paper's party S ({!Psi.Session.sender_op}) against the remote
+    paper's party S ({!Psi.Shard.sender_op}) against the remote
     party R. One call serves one connection on the calling thread; the
     daemon runs one such call per connection thread.
 

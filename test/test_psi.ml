@@ -363,6 +363,56 @@ let test_golden_transcripts () =
         golden actual)
     golden_views
 
+(* The executor's 1-bucket plan is the monolithic run: its one-sided
+   ops, driven without a handshake, reproduce the golden digests above
+   byte for byte — with or without a state_dir, which a 1-bucket run
+   never touches. *)
+let test_golden_one_bucket () =
+  let vs = vs1 and vr = vr1 in
+  let records = List.mapi (fun i v -> (v, Printf.sprintf "%s#%d" v i)) vs in
+  let ops =
+    [
+      ("intersection", Psi.Shard.Intersect { s_values = vs; r_values = vr });
+      ("equijoin", Psi.Shard.Equijoin { s_records = records; r_values = vr });
+      ("intersection_size", Psi.Shard.Intersect_size { s_values = vs; r_values = vr });
+      ("equijoin_size", Psi.Shard.Equijoin_size { s_values = vs; r_values = vr });
+    ]
+  in
+  let state_dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "psi-one-bucket-%d" (Unix.getpid ()))
+  in
+  List.iter
+    (fun (label, plan) ->
+      List.iter
+        (fun (spec, golden) ->
+          let cfg = P.config (Group.named spec) in
+          List.iter2
+            (fun (name, sv, rv) (name', op) ->
+              assert (name = name');
+              let drbg = Crypto.Drbg.create ~seed:"kern" in
+              let s_drbg = Crypto.Drbg.split drbg ~label:"sender" in
+              let r_drbg = Crypto.Drbg.split drbg ~label:"receiver" in
+              let o =
+                Runner.run
+                  ~sender:(fun ep -> ignore (Psi.Shard.sender_op cfg plan ~drbg:s_drbg ep op))
+                  ~receiver:(fun ep ->
+                    ignore (Psi.Shard.receiver_op cfg plan ~drbg:r_drbg ep op))
+              in
+              let side s =
+                Printf.sprintf "%s %s %s %s" label (Group.name_to_string spec) name s
+              in
+              Alcotest.(check string) (side "sender") sv (view_digest o.Runner.sender_view);
+              Alcotest.(check string) (side "receiver") rv
+                (view_digest o.Runner.receiver_view))
+            golden ops)
+        golden_views)
+    [
+      ("monolithic", Psi.Shard.monolithic);
+      ("state_dir", Psi.Shard.plan ~state_dir ~buckets:1 ());
+    ];
+  Alcotest.(check bool) "state_dir untouched" false (Sys.file_exists state_dir)
+
 (* ------------------------------------------------------------------ *)
 (* Equijoin                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1323,6 +1373,7 @@ let () =
           Alcotest.test_case "worker validation" `Quick test_parallel_workers_validated;
           prop_pool_size_invariance;
           Alcotest.test_case "golden transcript digests" `Quick test_golden_transcripts;
+          Alcotest.test_case "1-bucket plan = golden digests" `Quick test_golden_one_bucket;
         ] );
       ( "equijoin",
         [

@@ -1,10 +1,12 @@
-(* Sharded driver suite: the bucket partition is stable and uniform
-   enough, the sharded result is identical to the monolithic one for
-   all four protocols across bucket counts (deterministic and
-   property-based), spilled inputs stream back to the same answer, a
-   killed run resumes at per-bucket granularity, and the sharded
-   transcript leaks only bucket sizes and a constant-shape resume frame
-   beyond the monolithic shape. *)
+(* Executor suite: the bucket partition is stable and uniform enough,
+   the sharded result is identical to the monolithic one for all four
+   protocols across bucket counts (deterministic and property-based),
+   k > 1 transcripts match golden digests, spilled inputs stream back
+   to the same answer while an empty list never reuses a run's own
+   re-spill, a killed run resumes at per-bucket granularity (with or
+   without a state_dir), and the sharded transcript leaks only bucket
+   sizes and a constant-shape resume frame beyond the monolithic
+   shape. *)
 
 module Session = Psi.Session
 module Shard = Psi.Shard
@@ -149,6 +151,62 @@ let test_shard_run_report () =
     (List.fold_left ( + ) 0 st.Shard.sizes);
   Alcotest.(check int) "cold run starts at 0" 0 st.Shard.start
 
+(* Golden transcripts at k = 4: SHA-256 of the encoded sender and
+   receiver views of all four ops through the one-sided executor ops,
+   in memory and with a fresh spilled state_dir (whose epoch counter
+   starts at 1, so its resume tokens differ). Taken before the session
+   and shard engines merged into one executor. *)
+let view_digest msgs = Crypto.Sha256.hexdigest (String.concat "" (List.map Message.encode msgs))
+
+let golden_k4 =
+  [
+    ( "in memory",
+      (fun () -> Shard.plan ~buckets:4 ()),
+      [
+        ( "c2ccb9bdeb728b44b140d61abfee5502a379644cad43b3527cf417c2f20cde13",
+          "971356d0fe26cfdf71f3a57a559854f9c95a8e9aacbf3b11ea04ee9a4574ef51" );
+        ( "30f7cce1fa6531ee5bb5c11b88ae67b34999b49dfa0441b42d8968fbddb8117b",
+          "aaa350013c2d0b6e192ab256e8d44a64cb21ae0561f5109bdf26f85a71ccfacf" );
+        ( "accc7a6e9742773bd7e214cf47d33aa26f97f07dc3bbee9fe0e1c0fbec8ea5b9",
+          "208d2c66c651bafa0321866a3fc24ae1ce4643688a96c01416b89b69158e69bb" );
+        ( "a80651c7168e65d8e64ad0d20a13cdf7852acd44a9ea33600de5c7a88ad16c45",
+          "5d4c611d11349e371149cf10218c14a42055d7975f3ca534b86d95528a7f4266" );
+      ] );
+    ( "spilled",
+      (fun () -> Shard.plan ~state_dir:(fresh_dir ()) ~buckets:4 ()),
+      [
+        ( "6a9f93d9e1349c4c453d159d80c3f044f43bb5db67403c86791f61b4d395820e",
+          "426716934f61e43acfa8f1d96eca5d35320ddc413065c48870bf7e130aedfa77" );
+        ( "2cba8bb1a66dcfa0e59acbfbbb1adb08d0968f24a8b4bd41f4095ed2bc5e3bf8",
+          "d47bd5a3c8ddb98e13f00018316f6f49cd5a13137f06fc8c35bd625f0621de39" );
+        ( "cfde9703180f2fa972a36e81a1868c134d313e864589935ec25b47a7590a5d1c",
+          "eb7cea5681c5b8d654f37f877f66ceed2fd6a5c609451a4eb7590e7ce17c3a4a" );
+        ( "d7d165108ba887766639d9972b30c7c54467aec525d90d9dc0c790e897f809d2",
+          "cbd3bf1960f383a9855bad40f3597ba6f5942f931a054992b80e9ef47c2e7721" );
+      ] );
+  ]
+
+let test_golden_k4 () =
+  List.iter
+    (fun (label, plan_of, digests) ->
+      List.iter2
+        (fun op (s_digest, r_digest) ->
+          let plan = plan_of () in
+          let drbg = Crypto.Drbg.create ~seed:"shard-golden" in
+          let s_drbg = Crypto.Drbg.split drbg ~label:"sender" in
+          let r_drbg = Crypto.Drbg.split drbg ~label:"receiver" in
+          let o =
+            Runner.run
+              ~sender:(fun ep -> ignore (Shard.sender_op cfg plan ~drbg:s_drbg ep op))
+              ~receiver:(fun ep -> ignore (Shard.receiver_op cfg plan ~drbg:r_drbg ep op))
+          in
+          let name side = Printf.sprintf "%s %s %s" label (Shard.op_name op) side in
+          Alcotest.(check string) (name "sender") s_digest (view_digest o.Runner.sender_view);
+          Alcotest.(check string) (name "receiver") r_digest
+            (view_digest o.Runner.receiver_view))
+        all_ops digests)
+    golden_k4
+
 (* Property: for random sets and bucket counts, the sharded
    intersection equals the plaintext oracle (hence also the monolithic
    protocol, which the psi suite pins to the oracle). *)
@@ -211,7 +269,8 @@ let test_spill_then_stream () =
   Alcotest.(check result_t) "result from spill"
     (Shard.Values [ "banana"; "cherry"; "fig" ])
     rep.Shard.result;
-  (* And a run with explicit lists over the same plan re-spills. *)
+  (* And a run with explicit lists over the same plan re-spills them as
+     its own copy. *)
   let rep2 = Shard.run cfg ~seed:"spill" plan (Shard.Intersect { s_values; r_values }) in
   Alcotest.(check result_t) "result re-spilled" rep.Shard.result rep2.Shard.result
 
@@ -231,6 +290,35 @@ let test_spill_records () =
           Alcotest.(check (list string)) ("rows of " ^ v) [ "row:" ^ v ] rows)
         ms
   | _ -> Alcotest.fail "expected Matches"
+
+(* An empty list stands only for a spill committed by spill_values /
+   spill_records — never for the previous run's inputs. *)
+let test_empty_input_is_empty () =
+  let s_values = [ "a"; "b"; "c" ] in
+  let values = function
+    | [ Session.Values vs ] -> vs
+    | _ -> Alcotest.fail "expected one Values result"
+  in
+  let dir = fresh_dir () in
+  let incremental r_values =
+    (Session.run_incremental cfg ~seed:"stale" ~cache_dir:dir
+       ~shard:(Shard.plan ~buckets:4 ())
+       [ Session.Intersect { s_values; r_values } ]
+       ())
+      .Session.report
+      .Session.results
+    |> values
+  in
+  Alcotest.(check (list string)) "incremental R=[b;c]" [ "b"; "c" ] (incremental [ "b"; "c" ]);
+  Alcotest.(check (list string)) "incremental R=[]" [] (incremental []);
+  let shard = Shard.plan ~state_dir:(fresh_dir ()) ~buckets:4 () in
+  let run r_values =
+    (Session.run cfg ~seed:"stale" ~shard [ Session.Intersect { s_values; r_values } ] ())
+      .Session.results
+    |> values
+  in
+  Alcotest.(check (list string)) "spilled R=[a]" [ "a" ] (run [ "a" ]);
+  Alcotest.(check (list string)) "spilled R=[]" [] (run [])
 
 (* ------------------------------------------------------------------ *)
 (* Incremental sessions over shards                                    *)
@@ -255,19 +343,6 @@ let test_incremental_sharded_warm () =
     true
     (warm.Session.incremental.Session.hits > 0
     && warm.Session.incremental.Session.misses = 0)
-
-let test_incremental_per_bucket_cache () =
-  let dir = fresh_dir () in
-  let shard = Shard.plan ~buckets:4 ~state_dir:(Filename.concat dir "st") ~cache:true () in
-  let run () =
-    Session.run_incremental cfg ~seed:"inc-shard-pb" ~cache_dir:dir ~shard
-      [ Session.Intersect { s_values; r_values } ]
-      ()
-  in
-  let cold = run () in
-  let warm = run () in
-  Alcotest.(check (list result_t)) "warm = cold" cold.Session.report.Session.results
-    warm.Session.report.Session.results
 
 (* ------------------------------------------------------------------ *)
 (* Kill mid-bucket, resume from per-bucket checkpoints                 *)
@@ -314,6 +389,76 @@ let test_killed_mid_bucket_resumes () =
     true
     (ran < 8 * r.Session.attempts)
 
+(* Without a state_dir the resilient run keeps its per-bucket
+   checkpoints in memory across attempts, so it too resumes past
+   bucket 0 instead of replaying the op. *)
+let test_killed_in_memory_resumes () =
+  let shard = Shard.plan ~buckets:4 () in
+  let plain = Session.run cfg ~seed:"shard-kill-mem" [ List.hd all_ops ] () in
+  let resumes = Obs.Metrics.counter "shard.resumes" in
+  let before = Obs.Metrics.counter_value resumes in
+  let r =
+    Obs.Runtime.with_enabled @@ fun () ->
+    Session.run_resilient ~resilience cfg ~seed:"shard-kill-mem" ~shard
+      ~connect:
+        (faulty_connect (fun attempt ->
+             Fault.plan ~cut_after:(4 + (3 * attempt)) ~seed:"kill-in-memory" ()))
+      [ List.hd all_ops ]
+  in
+  Alcotest.(check (list result_t)) "results" plain.Session.results
+    r.Session.report.Session.results;
+  Alcotest.(check bool) "reconnected at least once" true (r.Session.attempts >= 2);
+  Alcotest.(check bool) "resumed past bucket 0" true
+    (Obs.Metrics.counter_value resumes > before)
+
+(* The resilient transcript: one three-field shard/resume frame per
+   party per op on a fault-free run, and nothing else the monolithic
+   session does not send. *)
+let test_resilient_resume_frames () =
+  let eps = ref [] in
+  let connect ~attempt:_ =
+    let s_ep, r_ep = Channel.create () in
+    eps := [ ("sender", s_ep); ("receiver", r_ep) ];
+    (s_ep, r_ep)
+  in
+  let r =
+    Session.run_resilient ~resilience cfg ~seed:"resume-frames" ~connect all_ops
+  in
+  Alcotest.(check int) "one attempt" 1 r.Session.attempts;
+  let plain = Session.run cfg ~seed:"resume-frames" all_ops () in
+  Alcotest.(check (list result_t)) "results" plain.Session.results
+    r.Session.report.Session.results;
+  List.iter
+    (fun (who, ep) ->
+      let view = Channel.received ep in
+      let resume = List.filter (fun m -> m.Message.tag = "shard/resume") view in
+      Alcotest.(check int) (who ^ ": one resume frame per op") (List.length all_ops)
+        (List.length resume);
+      List.iter
+        (fun m -> Alcotest.(check int) (who ^ ": three fields") 3 (Message.element_count m))
+        resume;
+      Alcotest.(check bool) (who ^ ": no session/resume") false
+        (List.exists (fun m -> m.Message.tag = "session/resume") view))
+    !eps
+
+(* Checkpoints outlive the attempt: an op both parties finished before
+   the cut is skipped on reconnect (its result restored), not re-run. *)
+let test_finished_ops_skipped () =
+  let ops = [ List.nth all_ops 0; List.nth all_ops 1 ] in
+  let connect ~attempt =
+    faulty_connect
+      (fun _ -> Fault.plan ?cut_after:(if attempt = 1 then Some 5 else None) ~seed:"skip" ())
+      ~attempt
+  in
+  let r = Session.run_resilient ~resilience cfg ~seed:"skip" ~connect ops in
+  let plain = Session.run cfg ~seed:"skip" ops () in
+  Alcotest.(check (list result_t)) "results" plain.Session.results
+    r.Session.report.Session.results;
+  Alcotest.(check int) "two attempts" 2 r.Session.attempts;
+  let last = List.nth r.Session.receiver_views 1 in
+  Alcotest.(check bool) "op 0 not re-run" false
+    (List.exists (fun m -> String.starts_with ~prefix:"intersection/" m.Message.tag) last)
+
 let test_killed_state_is_consumed () =
   (* After a completed run, no progress or result checkpoints remain:
      crash-recovery state must never act as a cross-run memo. *)
@@ -356,13 +501,11 @@ let test_leakage_shape () =
     Runner.run
       ~sender:(fun ep ->
         Psi.Handshake.respond cfg ep;
-        Session.sender_op cfg
-          ~rng:(Crypto.Drbg.to_rng (Crypto.Drbg.create ~seed:"leak-mono-s"))
-          ep op)
+        Shard.sender_op cfg Shard.monolithic ~drbg:(Crypto.Drbg.create ~seed:"leak-mono-s") ep
+          op)
       ~receiver:(fun ep ->
         Psi.Handshake.initiate cfg ep;
-        Session.receiver_op cfg
-          ~rng:(Crypto.Drbg.to_rng (Crypto.Drbg.create ~seed:"leak-mono-r"))
+        Shard.receiver_op cfg Shard.monolithic ~drbg:(Crypto.Drbg.create ~seed:"leak-mono-r")
           ep op)
   in
   let mono_tags =
@@ -450,6 +593,7 @@ let () =
             test_parity_all_protocols;
           Alcotest.test_case "with spill state_dir" `Quick test_parity_with_state_dir;
           Alcotest.test_case "shard report" `Quick test_shard_run_report;
+          Alcotest.test_case "golden transcript digests, k=4" `Quick test_golden_k4;
           QCheck_alcotest.to_alcotest prop_sharded_intersection;
           QCheck_alcotest.to_alcotest prop_sharded_join_size;
         ] );
@@ -457,16 +601,23 @@ let () =
         [
           Alcotest.test_case "spill then stream" `Quick test_spill_then_stream;
           Alcotest.test_case "spill records" `Quick test_spill_records;
+          Alcotest.test_case "empty input never reuses a run's spill" `Quick
+            test_empty_input_is_empty;
         ] );
       ( "incremental",
         [
           Alcotest.test_case "sharded warm run" `Quick test_incremental_sharded_warm;
-          Alcotest.test_case "per-bucket caches" `Quick test_incremental_per_bucket_cache;
         ] );
       ( "resume",
         [
           Alcotest.test_case "killed mid-bucket resumes" `Quick
             test_killed_mid_bucket_resumes;
+          Alcotest.test_case "killed in-memory run resumes" `Quick
+            test_killed_in_memory_resumes;
+          Alcotest.test_case "one resume frame per party per op" `Quick
+            test_resilient_resume_frames;
+          Alcotest.test_case "finished ops skipped on reconnect" `Quick
+            test_finished_ops_skipped;
           Alcotest.test_case "checkpoints are consumed" `Quick test_killed_state_is_consumed;
         ] );
       ( "leakage",
