@@ -679,15 +679,12 @@ let run_service group seed connect tenant secret csv attr op timeout trace
       ~attr (Crypto.Group.named group)
   with
   | exception Service.Busy reason ->
-      (* psi-lint: allow SEC01 — the busy reason is a server-sent policy string (capacity/draining), not key material *)
       Printf.eprintf "service: busy: %s\n" reason;
       exit 3
   | exception Service.Denied reason ->
-      (* psi-lint: allow SEC01 — the denial reason is the server's fixed refusal string, not key material *)
       Printf.eprintf "service: denied: %s\n" reason;
       exit 4
   | c ->
-      (* psi-lint: allow SEC01 — the client record carries the session DRBG by design; everything printed is the protocol result, which R is entitled to by the paper's Statements 2/4/6 *)
       service_session c ~csv ~attr ~op
 
 let service_cmd =

@@ -12,13 +12,12 @@
    finding of that rule on that line, and every finding must be
    expected — the corpus is the executable spec of the rules.
 
-   --bench-out / --check-bench write and verify BENCH_lint.json
-   (per-phase and per-rule wall times plus counts); the @bench-gate
-   alias uses the latter so analysis runtime is regression-gated. *)
+   The bench harness (bench/main.exe) times the same Driver run and
+   gates its per-rule counts and wall time. *)
 
 let usage =
   "psi_lint [--root DIR] [--baseline FILE] [--json FILE] [--update-baseline] \
-   [--list-rules] [--selfcheck DIR] [--bench-out FILE] [--check-bench FILE] [DIR...]"
+   [--list-rules] [--selfcheck DIR] [DIR...]"
 
 let root = ref "."
 let baseline_path = ref "tools/lint_baseline.txt"
@@ -26,8 +25,6 @@ let json_out = ref ""
 let update_baseline = ref false
 let list_rules = ref false
 let selfcheck_root = ref ""
-let bench_out = ref ""
-let check_bench = ref ""
 let dirs = ref []
 
 let spec =
@@ -47,49 +44,13 @@ let spec =
     ( "--selfcheck",
       Arg.Set_string selfcheck_root,
       "DIR verify every lint-expect annotation in the fixture corpus at DIR fires" );
-    ( "--bench-out",
-      Arg.Set_string bench_out,
-      "FILE write BENCH_lint.json-style timing/counts to FILE" );
-    ( "--check-bench",
-      Arg.Set_string check_bench,
-      "FILE compare this run's counts and wall time against a committed \
-       BENCH_lint.json" );
   ]
-
-(* Collect RULE.ml files under [dir] (repo-relative), skipping build and
-   hidden directories. Deterministic order. *)
-let rec collect acc dir =
-  let entries = try Sys.readdir (Filename.concat !root dir) with Sys_error _ -> [||] in
-  Array.sort String.compare entries;
-  Array.fold_left
-    (fun acc name ->
-      if String.length name = 0 || name.[0] = '.' || name.[0] = '_' then acc
-      else begin
-        let rel = if String.equal dir "" then name else dir ^ "/" ^ name in
-        let full = Filename.concat !root rel in
-        if Sys.is_directory full then collect acc rel
-        else if Filename.check_suffix name ".ml" then rel :: acc
-        else acc
-      end)
-    acc entries
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let write_file path content =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc content)
-
-let sources_of files =
-  List.map
-    (fun rel ->
-      { Analysis.Driver.path = rel; content = read_file (Filename.concat !root rel) })
-    files
 
 (* ------------------------------------------------------------------ *)
 (* --list-rules                                                        *)
@@ -146,13 +107,11 @@ let expectations_of ~path content =
         toks
 
 let selfcheck dir =
-  root := dir;
-  let files = List.rev (collect [] "") in
-  if files = [] then begin
+  let sources = Analysis.Driver.sources ~root:dir [ "" ] in
+  if sources = [] then begin
     Printf.eprintf "psi_lint: selfcheck: no fixture files under %s\n" dir;
     exit 2
   end;
-  let sources = sources_of files in
   let expected =
     List.concat_map
       (fun (s : Analysis.Driver.source) -> expectations_of ~path:s.path s.content)
@@ -198,87 +157,6 @@ let selfcheck dir =
   exit (if !failures = 0 then 0 else 1)
 
 (* ------------------------------------------------------------------ *)
-(* --check-bench                                                       *)
-(* ------------------------------------------------------------------ *)
-
-module Json = Obs.Export.Json
-
-let bench_compare path (outcome : Analysis.Driver.outcome) =
-  let j =
-    match Json.of_string (read_file path) with
-    | j -> j
-    | exception Json.Parse_error msg ->
-        Printf.eprintf "psi_lint: %s: %s\n" path msg;
-        exit 2
-  in
-  let failures = ref 0 in
-  let check label ok detail =
-    Printf.printf "%s %-40s %s\n" (if ok then "ok  " else "FAIL") label detail;
-    if not ok then incr failures
-  in
-  (match Option.bind (Json.member "version" j) Json.to_i with
-  | Some v ->
-      check "bench schema version"
-        (v = Analysis.Report.json_version)
-        (Printf.sprintf "%d = %d" v Analysis.Report.json_version)
-  | None -> check "bench schema version" false "missing");
-  (* Counts are box-independent: a fresh run must reproduce them
-     exactly, per rule. *)
-  let committed_rules =
-    match Json.member "rules" j with Some (Json.Obj o) -> o | _ -> []
-  in
-  List.iter
-    (fun (id, n, b, s) ->
-      match List.assoc_opt id committed_rules with
-      | None ->
-          check (id ^ " counts") false
-            "not in committed file (regenerate with --bench-out)"
-      | Some r ->
-          let f field = Option.bind (Json.member field r) Json.to_i in
-          let ok =
-            f "new" = Some n && f "baselined" = Some b && f "suppressed" = Some s
-          in
-          check (id ^ " counts") ok
-            (Printf.sprintf "new=%d baselined=%d suppressed=%d" n b s))
-    (Analysis.Report.tally outcome);
-  (* Wall clock is box-dependent: compare total analysis time within a
-     slack factor plus a small absolute grace (single runs of a
-     millisecond-scale tool are noisy), and only on a box with the same
-     core count as the committed file — same convention as
-     bench/regress.ml. *)
-  let fresh_total = List.fold_left (fun acc (_, dt) -> acc +. dt) 0. outcome.phases in
-  (match Option.bind (Json.member "cores" j) Json.to_i with
-  | Some c when c = Domain.recommended_domain_count () ->
-      let committed_total =
-        match Json.member "phases" j with
-        | Some (Json.Obj ps) ->
-            List.fold_left
-              (fun acc (_, v) -> acc +. Option.value ~default:0. (Json.to_f v))
-              0. ps
-        | _ -> 0.
-      in
-      let slack =
-        match Option.bind (Sys.getenv_opt "PSI_BENCH_SLACK") float_of_string_opt with
-        | Some v when v >= 1.0 -> v
-        | _ -> 1.6
-      in
-      let grace_ms = 50. in
-      let ceiling = (committed_total *. slack) +. grace_ms in
-      check "analysis wall time" (fresh_total <= ceiling)
-        (Printf.sprintf "%.1fms <= %.1fms (committed %.1fms * slack %.2f + %.0fms)"
-           fresh_total ceiling committed_total slack grace_ms)
-  | Some c ->
-      Printf.printf
-        "skip analysis wall time: committed on a %d-core box, this one has %d\n" c
-        (Domain.recommended_domain_count ())
-  | None -> check "analysis wall time" false "committed file has no box profile");
-  if !failures > 0 then begin
-    Printf.printf "psi_lint: bench check: %d FAILED\n" !failures;
-    exit 1
-  end;
-  Printf.printf "psi_lint: bench check: all passed\n"
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Arg.parse spec (fun d -> dirs := d :: !dirs) usage;
@@ -288,24 +166,21 @@ let () =
   end;
   if not (String.equal !selfcheck_root "") then selfcheck !selfcheck_root;
   let scan_dirs = match List.rev !dirs with [] -> [ "lib"; "bin" ] | ds -> ds in
-  let files = List.concat_map (fun d -> List.rev (collect [] d)) scan_dirs in
-  let sources = sources_of files in
-  let baseline_file = Filename.concat !root !baseline_path in
   let baseline =
-    if Sys.file_exists baseline_file then
-      match Analysis.Suppress.Baseline.parse (read_file baseline_file) with
-      | Ok b -> b
-      | Error e ->
-          Printf.eprintf "psi_lint: %s: %s\n" !baseline_path e;
-          exit 2
-    else Analysis.Suppress.Baseline.empty
+    match Analysis.Driver.baseline ~root:!root !baseline_path with
+    | Ok b -> b
+    | Error e ->
+        Printf.eprintf "psi_lint: %s: %s\n" !baseline_path e;
+        exit 2
   in
   let outcome =
-    Analysis.Driver.analyze ~sem_rules:Analysis.Registry.sem_rules ~baseline sources
+    Analysis.Driver.analyze ~sem_rules:Analysis.Registry.sem_rules ~baseline
+      (Analysis.Driver.sources ~root:!root scan_dirs)
   in
   if !update_baseline then begin
     let entries = Analysis.Driver.updated_baseline outcome in
-    write_file baseline_file (Analysis.Suppress.Baseline.render entries);
+    write_file (Filename.concat !root !baseline_path)
+      (Analysis.Suppress.Baseline.render entries);
     Printf.printf "psi_lint: wrote %d entr%s to %s\n" (List.length entries)
       (if List.length entries = 1 then "y" else "ies")
       !baseline_path;
@@ -315,9 +190,5 @@ let () =
   | "" -> ()
   | "-" -> print_string (Analysis.Report.jsonl outcome)
   | path -> write_file path (Analysis.Report.jsonl outcome));
-  (match !bench_out with
-  | "" -> ()
-  | path -> write_file path (Json.to_string (Analysis.Report.bench_json outcome) ^ "\n"));
-  if not (String.equal !check_bench "") then bench_compare !check_bench outcome;
   Format.printf "%a@?" Analysis.Report.pp_console outcome;
   exit (if Analysis.Driver.clean outcome then 0 else 1)

@@ -2,8 +2,8 @@
    rules, then (when semantic rules are requested) parse the whole
    tree, build the resolver and taint summaries, and run the semantic
    rules over the program at once. Findings from both kinds feed the
-   same suppression/baseline pipeline. Pure — callers (the psi_lint
-   binary, the tests) do all IO. *)
+   same suppression/baseline pipeline. [analyze] is pure; [sources] and
+   [baseline] are the file reads psi_lint and the bench harness share. *)
 
 type source = { path : string; content : string }
 
@@ -27,6 +27,37 @@ let rules = Registry.token_rules
 let rule_ids = Registry.rule_ids
 
 let now_ms () = Int64.to_float (Obs.Clock.now_ns ()) /. 1e6
+
+(* ------------------------------------------------------------------ *)
+(* Inputs                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Every .ml file under [dirs] (relative to [root]; [""] is [root]
+   itself), skipping build and hidden directories, with root-relative
+   paths in a deterministic order. *)
+let sources ~root dirs =
+  let rec collect acc dir =
+    let entries = try Sys.readdir (Filename.concat root dir) with Sys_error _ -> [||] in
+    Array.sort String.compare entries;
+    Array.fold_left
+      (fun acc name ->
+        let rel = if String.equal dir "" then name else dir ^ "/" ^ name in
+        if String.length name = 0 || name.[0] = '.' || name.[0] = '_' then acc
+        else if Sys.is_directory (Filename.concat root rel) then collect acc rel
+        else if Filename.check_suffix name ".ml" then rel :: acc
+        else acc)
+      acc entries
+  in
+  List.concat_map (fun d -> List.rev (collect [] d)) dirs
+  |> List.map (fun path -> { path; content = read_file (Filename.concat root path) })
+
+(* The baseline at [root]/[path]; a missing file is the empty baseline. *)
+let baseline ~root path =
+  let file = Filename.concat root path in
+  if Sys.file_exists file then Suppress.Baseline.parse (read_file file)
+  else Ok Suppress.Baseline.empty
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints                                                        *)
@@ -213,6 +244,7 @@ let analyze ?(rules = rules) ?(sem_rules = []) ?(spec = Registry.taint_spec)
   (* Classify per file, in scan order. *)
   let results = ref [] in
   let used_baseline : (Suppress.Baseline.entry, unit) Hashtbl.t = Hashtbl.create 16 in
+  let used_anns : (string * int, unit) Hashtbl.t = Hashtbl.create 16 in
   timed "classify" (fun () ->
       List.iter
         (fun l ->
@@ -227,7 +259,9 @@ let analyze ?(rules = rules) ?(sem_rules = []) ?(spec = Registry.taint_spec)
             (fun ((f : Rule.finding), fingerprint) ->
               let status =
                 match Suppress.covering l.l_anns f with
-                | Some reason -> `Suppressed reason
+                | Some a ->
+                    Hashtbl.replace used_anns (l.l_path, a.line) ();
+                    `Suppressed a.reason
                 | None -> (
                     match
                       List.find_opt
@@ -253,6 +287,29 @@ let analyze ?(rules = rules) ?(sem_rules = []) ?(spec = Registry.taint_spec)
               results := { finding = f; fingerprint; status } :: !results)
             (fingerprints l.l_sig findings))
         lexed);
+  (* Inline annotations that suppressed nothing are stale, unless one
+     of their rules did not run (a token-only analysis cannot vouch for
+     a SEC01 annotation). *)
+  let ran =
+    List.map (fun (r : Rule.t) -> r.id) rules
+    @ List.map (fun (s : Rule.sem) -> s.s_id) sem_rules
+  in
+  List.iter
+    (fun l ->
+      List.iter
+        (fun (a : Suppress.annotation) ->
+          if
+            (not (Hashtbl.mem used_anns (l.l_path, a.line)))
+            && List.for_all (fun r -> List.mem r ran) a.rules
+          then
+            errors :=
+              Printf.sprintf
+                "%s:%d: stale psi-lint annotation for %s: it suppresses no finding; \
+                 delete it"
+                l.l_path a.line (String.concat "," a.rules)
+              :: !errors)
+        l.l_anns)
+    lexed;
   (* Baseline entries that matched nothing are stale. *)
   List.iter
     (fun (e : Suppress.Baseline.entry) ->

@@ -1,14 +1,13 @@
 (* Rendering: a human console report and machine-readable JSON in the
    lib/obs JSONL conventions (a versioned header object first — the
    trace-header pattern from Obs.Export — then one object per finding,
-   a summary object last; BENCH_lint.json is [bench_json] alone). This
-   module only builds strings/formatters — the binary owns the
-   channels. *)
+   a summary object last). This module only builds strings/formatters —
+   the binary owns the channels. *)
 
 module Json = Obs.Export.Json
 
-(* Bump when the shape of the header/summary objects changes; consumers
-   (tools/lint_selfcheck.sh, the bench gate) check it. *)
+(* Bump when the shape of the header/summary objects changes;
+   tools/lint_selfcheck.sh checks it. *)
 let json_version = 1
 
 let status_label = function
@@ -144,18 +143,3 @@ let jsonl (o : Driver.outcome) =
       (List.map (fun c -> Json.to_string (json_of_classified c) ^ "\n") o.results)
   ^ Json.to_string (summary_json o)
   ^ "\n"
-
-(* BENCH_lint.json: the box profile (cores/git-rev/...) plus the
-   summary counts and per-phase/per-rule wall times; the @bench-gate
-   lint check compares a fresh run against this. *)
-let bench_json (o : Driver.outcome) =
-  Json.Obj
-    ([ ("type", Json.Str "lint_bench"); ("version", Json.of_int json_version) ]
-    @ Obs.Export.box_profile ()
-    @ [
-        ("files_scanned", Json.of_int o.files_scanned);
-        ("phases", phases_json o);
-        ("rules", rules_json o);
-        ("errors", Json.of_int (List.length o.errors));
-        ("clean", Json.Bool (Driver.clean o));
-      ])

@@ -8,7 +8,8 @@
    The annotation covers its own line and the line directly below it
    (so it can sit at the end of the offending line or alone above it).
    The justification after the dash is mandatory: an annotation without
-   one is itself reported as an error.
+   one is itself reported as an error, and so is a stale one that
+   suppresses no finding.
 
    The baseline (tools/lint_baseline.txt) freezes pre-existing findings
    so that only *new* findings fail the build. One tab-separated entry
@@ -90,39 +91,39 @@ let scan ~file tokens =
   List.fold_left
     (fun (anns, errs) (t : Lexer.token) ->
       match t.kind with
-      | Lexer.Comment -> (
-          match find_sub t.text marker with
-          | None -> (anns, errs)
-          | Some i ->
-              let after = String.sub t.text (i + String.length marker)
-                            (String.length t.text - i - String.length marker) in
-              (* Drop the comment closer. *)
-              let after =
-                match find_sub after "*)" with
-                | Some j -> String.sub after 0 j
-                | None -> after
-              in
-              (* Anchor coverage at the comment's last line, so a
-                 multi-line justification still covers the next line. *)
-              let end_line =
-                t.line + String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 t.text
-              in
-              (match parse_body ~file ~line:end_line after with
-              | Ok a -> (a :: anns, errs)
-              | Error e -> (anns, e :: errs)))
+      | Lexer.Comment ->
+          (* Only a comment that opens with the marker is an annotation;
+             prose that mentions one is not. *)
+          let body = String.trim (String.sub t.text 2 (String.length t.text - 2)) in
+          if not (String.starts_with ~prefix:marker body) then (anns, errs)
+          else begin
+            let m = String.length marker in
+            let after = String.sub body m (String.length body - m) in
+            (* Drop the comment closer. *)
+            let after =
+              match find_sub after "*)" with
+              | Some j -> String.sub after 0 j
+              | None -> after
+            in
+            (* Anchor coverage at the comment's last line, so a
+               multi-line justification still covers the next line. *)
+            let end_line =
+              t.line + String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 t.text
+            in
+            match parse_body ~file ~line:end_line after with
+            | Ok a -> (a :: anns, errs)
+            | Error e -> (anns, e :: errs)
+          end
       | _ -> (anns, errs))
     ([], []) tokens
   |> fun (anns, errs) -> (List.rev anns, List.rev errs)
 
-(* [covering anns f] is the reason of an annotation covering finding
-   [f], if any. *)
+(* [covering anns f] is the annotation covering finding [f], if any. *)
 let covering anns (f : Rule.finding) =
-  List.find_map
+  List.find_opt
     (fun a ->
-      if (a.line = f.line || a.line + 1 = f.line)
-         && List.exists (String.equal f.rule) a.rules
-      then Some a.reason
-      else None)
+      (a.line = f.line || a.line + 1 = f.line)
+      && List.exists (String.equal f.rule) a.rules)
     anns
 
 (* ------------------------------------------------------------------ *)

@@ -154,5 +154,4 @@ let run cfg ?(seed = "aggregate-seed") ?key_bits ~sender_records ~receiver_value
   Protocol.launch (Crypto.Drbg.create ~seed)
     (* psi-lint: allow SEC01 — rng feeds Paillier keygen/encryption inside the party; only public keys and ciphertexts reach the channel *)
     ~sender:(fun d ep -> sender cfg ~rng:(Crypto.Drbg.to_rng d) ?key_bits ~records:sender_records ep)
-    (* psi-lint: allow SEC01 — rng feeds Paillier encryption inside the party; only ciphertexts reach the channel *)
     ~receiver:(fun d ep -> receiver cfg ~rng:(Crypto.Drbg.to_rng d) ~values:receiver_values ep)

@@ -80,17 +80,6 @@ let speedup_table ?(processors = [ 1; 2; 4 ]) ?(measured = []) params op
       })
     processors
 
-let pp_speedup fmt rows =
-  Format.fprintf fmt "  P   modeled wall  modeled x  measured wall  measured x@\n";
-  List.iter
-    (fun r ->
-      let opt f = function Some v -> Printf.sprintf f v | None -> "-" in
-      Format.fprintf fmt "  %-3d %11.3fs  %8.2fx  %13s  %10s@\n" r.processors
-        r.modeled_seconds r.modeled_speedup
-        (opt "%.3fs" r.measured_seconds)
-        (opt "%.2fx" r.measured_speedup))
-    rows
-
 (* ------------------------------------------------------------------ *)
 (* Amortized cost: a warm (cached) re-run pays Ce·|Δ| instead of Ce·n. *)
 (* ------------------------------------------------------------------ *)
@@ -124,55 +113,3 @@ let amortized_row params op ~v_s ~v_r ~delta_s ~delta_r ?measured_encryptions
     modeled_seconds = at_delta.Cost_model.comp_seconds +. at_full.Cost_model.comm_seconds;
     measured_seconds;
   }
-
-let pp_amortized fmt rows =
-  Format.fprintf fmt
-    "  delta      |Δ_S|  |Δ_R|  modeled Ce·|Δ|  measured Ce  modeled wall  measured \
-     wall@\n";
-  List.iter
-    (fun r ->
-      let opt f = function Some v -> Printf.sprintf f v | None -> "-" in
-      Format.fprintf fmt "  %5.1f%%  %7d  %5d  %14.0f  %11s  %11.3fs  %13s@\n"
-        (100. *. r.delta_fraction) r.delta_s r.delta_r r.modeled_encryptions
-        (opt "%.0f" r.measured_encryptions)
-        r.modeled_seconds
-        (opt "%.3fs" r.measured_seconds))
-    rows
-
-let amortized_to_json rows =
-  let opt = function
-    | Some v -> Obs.Export.Json.of_float v
-    | None -> Obs.Export.Json.Null
-  in
-  Obs.Export.Json.Arr
-    (List.map
-       (fun r ->
-         Obs.Export.Json.Obj
-           [
-             ("delta_fraction", Obs.Export.Json.of_float r.delta_fraction);
-             ("delta_s", Obs.Export.Json.of_int r.delta_s);
-             ("delta_r", Obs.Export.Json.of_int r.delta_r);
-             ("modeled_encryptions", Obs.Export.Json.of_float r.modeled_encryptions);
-             ("measured_encryptions", opt r.measured_encryptions);
-             ("modeled_seconds", Obs.Export.Json.of_float r.modeled_seconds);
-             ("measured_seconds", opt r.measured_seconds);
-           ])
-       rows)
-
-let speedup_to_json rows =
-  let opt = function
-    | Some v -> Obs.Export.Json.of_float v
-    | None -> Obs.Export.Json.Null
-  in
-  Obs.Export.Json.Arr
-    (List.map
-       (fun r ->
-         Obs.Export.Json.Obj
-           [
-             ("processors", Obs.Export.Json.of_int r.processors);
-             ("modeled_seconds", Obs.Export.Json.of_float r.modeled_seconds);
-             ("modeled_speedup", Obs.Export.Json.of_float r.modeled_speedup);
-             ("measured_seconds", opt r.measured_seconds);
-             ("measured_speedup", opt r.measured_speedup);
-           ])
-       rows)

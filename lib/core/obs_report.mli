@@ -31,7 +31,8 @@ val model_vs_measured :
     [P] processors. These rows check that claim: the modeled wall-clock
     is [comp_seconds(P) + comm_seconds] from {!Cost_model.estimate} at
     the snapshot's input sizes; measured times (if supplied, keyed by
-    pool size) come from an actual run such as [bench/parallel_bench]. *)
+    pool size) come from an actual run such as the bench harness's pool
+    sweep. *)
 
 type speedup_row = {
   processors : int;
@@ -54,9 +55,6 @@ val speedup_table :
   Obs.Metrics.snapshot ->
   speedup_row list
 
-val pp_speedup : Format.formatter -> speedup_row list -> unit
-val speedup_to_json : speedup_row list -> Obs.Export.Json.t
-
 (** {1 Amortized cost}
 
     With the persistent element cache ({!Ecache} via
@@ -65,7 +63,7 @@ val speedup_to_json : speedup_row list -> Obs.Export.Json.t
     [Ce·|Δ|] — while the communication term still covers the full sets
     (the warm transcript is byte-identical to a cold one). Each row
     pairs that model against a measurement, e.g. from
-    [bench/incremental_bench]. *)
+    the bench harness's incremental churn curve. *)
 
 type amortized_row = {
   delta_fraction : float;  (** (|Δ_S| + |Δ_R|) / (|V_S| + |V_R|) *)
@@ -92,6 +90,3 @@ val amortized_row :
   ?measured_seconds:float ->
   unit ->
   amortized_row
-
-val pp_amortized : Format.formatter -> amortized_row list -> unit
-val amortized_to_json : amortized_row list -> Obs.Export.Json.t

@@ -102,7 +102,6 @@ let run ?(seed = "pir-seed") ?key_bits ~records ~index () =
   let s_rng = Crypto.Drbg.to_rng (Crypto.Drbg.split drbg ~label:"sender") in
   let r_rng = Crypto.Drbg.to_rng (Crypto.Drbg.split drbg ~label:"receiver") in
   Wire.Runner.run
-    (* psi-lint: allow SEC01 — rng feeds Paillier reply encryption inside the party; only ciphertexts cross the wire *)
     ~sender:(fun ep -> sender ~rng:s_rng ~records ep)
     ~receiver:(fun ep ->
       (* psi-lint: allow SEC01 — rng feeds Paillier query keygen/encryption; only the public key and ciphertexts cross the wire *)

@@ -39,17 +39,3 @@ let pp fmt c =
     (100. *. c.bits_rel_error)
     (if c.within_tolerance then "OK"
      else Printf.sprintf "DIVERGED (tolerance %.0f%%)" (100. *. c.tolerance))
-
-let to_json c =
-  Export.Json.Obj
-    [
-      ("protocol", Export.Json.Str c.label);
-      ("predicted_ce", Export.Json.of_float c.predicted_ce);
-      ("observed_ce", Export.Json.of_float c.observed_ce);
-      ("ce_rel_error", Export.Json.of_float c.ce_rel_error);
-      ("predicted_bits", Export.Json.of_float c.predicted_bits);
-      ("observed_bits", Export.Json.of_float c.observed_bits);
-      ("bits_rel_error", Export.Json.of_float c.bits_rel_error);
-      ("tolerance", Export.Json.of_float c.tolerance);
-      ("within_tolerance", Export.Json.Bool c.within_tolerance);
-    ]

@@ -29,4 +29,3 @@ val compare :
   comparison
 
 val pp : Format.formatter -> comparison -> unit
-val to_json : comparison -> Export.Json.t

@@ -289,8 +289,13 @@ module Socket = struct
                       let close = close
                     end), c)
 
+  (* [send] writes the length prefix and the payload separately; with
+     Nagle on, every small frame would wait out the peer's delayed ACK. *)
   let of_fd fd =
     Lazy.force ignore_sigpipe;
+    (match Unix.getsockname fd with
+    | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
+    | Unix.ADDR_UNIX _ -> ());
     pack { fd; fin_sent = false }
 
   let pair () =

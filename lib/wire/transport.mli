@@ -97,9 +97,10 @@ end
 module Socket : sig
   include S
 
-  (** [of_fd fd] wraps an already-connected stream socket. The caller
-      keeps ownership of [fd] (transport {!S.close} only shuts down the
-      sending direction; [Unix.close] it yourself when finished). *)
+  (** [of_fd fd] wraps an already-connected stream socket, turning on
+      [TCP_NODELAY] when it is a TCP socket. The caller keeps ownership
+      of [fd] (transport {!S.close} only shuts down the sending
+      direction; [Unix.close] it yourself when finished). *)
   val of_fd : Unix.file_descr -> t
 
   (** [pair ()] is a connected [Unix.socketpair] — real fd-based framing

@@ -356,6 +356,22 @@ let test_annotation_multi_rule () =
   check_rules "both suppressed" [] (new_rules o);
   Alcotest.(check int) "two suppressions" 2 (List.length (suppressed_rules o))
 
+let test_annotation_stale () =
+  (* An annotation that suppresses nothing is an error, like a stale
+     baseline entry: it would silently cover a future finding. *)
+  let src = "(* psi-lint: allow DBG01 — fixture: nothing below *)\nlet g () = ()" in
+  let o = analyze ~path:"lib/core/fixture.ml" src in
+  Alcotest.(check bool) "stale annotation fails the run" false (Driver.clean o);
+  Alcotest.(check int) "one error" 1 (List.length o.errors);
+  (* A token-only run cannot judge a semantic rule's annotation. *)
+  let src = "(* psi-lint: allow SEC01 — fixture: SEC01 did not run *)\nlet g () = ()" in
+  Alcotest.(check bool) "unjudged rule is not stale" true
+    (Driver.clean (analyze ~path:"lib/core/fixture.ml" src));
+  (* Prose that mentions the marker is not an annotation. *)
+  let src = "(* write psi-lint: allow DBG01 to suppress *)\nlet g () = ()" in
+  Alcotest.(check bool) "prose is not an annotation" true
+    (Driver.clean (analyze ~path:"lib/core/fixture.ml" src))
+
 (* ------------------------------------------------------------------ *)
 (* Baseline                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -601,6 +617,7 @@ let () =
           tc "range" `Quick test_annotation_range;
           tc "wrong rule" `Quick test_annotation_wrong_rule;
           tc "multi-rule" `Quick test_annotation_multi_rule;
+          tc "stale" `Quick test_annotation_stale;
         ] );
       ( "sec01",
         [

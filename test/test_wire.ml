@@ -431,6 +431,28 @@ let test_socket_peer_vanishes_mid_frame () =
      with Wire.Protocol_error _ -> true);
   Unix.close fd_a
 
+let test_socket_tcp_nodelay () =
+  (* Every TCP stream wrapped by [of_fd] disables Nagle: a frame is a
+     length prefix and a payload written separately, and a small frame
+     must not wait out the peer's delayed ACK. *)
+  let lfd, port = Transport.Socket.listen ~port:0 () in
+  let client = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect client (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let server, _ = Unix.accept lfd in
+  List.iter
+    (fun fd ->
+      Alcotest.(check bool) "Nagle on before wrapping" false
+        (Unix.getsockopt fd Unix.TCP_NODELAY);
+      ignore (Transport.Socket.of_fd fd : Transport.t);
+      Alcotest.(check bool) "TCP_NODELAY after of_fd" true
+        (Unix.getsockopt fd Unix.TCP_NODELAY))
+    [ client; server ];
+  List.iter Unix.close [ client; server; lfd ];
+  (* A Unix-domain socketpair has no Nagle to turn off. *)
+  let a, b = Transport.Socket.pair () in
+  Transport.close a;
+  Transport.close b
+
 (* ------------------------------------------------------------------ *)
 (* Streaming sends                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -748,6 +770,7 @@ let () =
             test_socket_deadline_mid_frame;
           Alcotest.test_case "socket EOF mid-frame" `Quick
             test_socket_peer_vanishes_mid_frame;
+          Alcotest.test_case "socket TCP_NODELAY" `Quick test_socket_tcp_nodelay;
         ] );
       ( "stream",
         [

@@ -2,8 +2,7 @@
 # Tier-1 gate: everything builds, every test passes, no build artifacts
 # are tracked, the telemetry, two-process network, and cross-party
 # tracing smoke tests run end to end, psi_lint reports no new findings,
-# and fresh benchmarks stay within tolerance of the committed
-# BENCH_*.json files.
+# and the gated rows of the committed BENCH.json hold on a fresh run.
 set -eu
 cd "$(dirname "$0")/.."
 
