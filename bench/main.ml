@@ -226,14 +226,18 @@ let paper ~check:_ =
               ~receiver_values:vr ())
       in
       let ours =
-        Psi.Intersection.run cfg64 ~sender_values:(List.map string_of_int vs)
-          ~receiver_values:(List.map string_of_int vr) ()
+        Session.run cfg64
+          [
+            Session.Intersect
+              { s_values = List.map string_of_int vs; r_values = List.map string_of_int vr };
+          ]
+          ()
       in
       let n_at m = at m (Printf.sprintf "n=%d" n) in
       emit "circuit" (n_at "yao.gates") "gates" (float_of_int yao.gates);
       emit "circuit" (n_at "yao.wall") "ms" (ms dt);
       emit "wire" (n_at "yao.bytes") "bytes" (float_of_int yao.total_bytes);
-      emit "wire" (n_at "ours.bytes") "bytes" (float_of_int ours.Wire.Runner.total_bytes))
+      emit "wire" (n_at "ours.bytes") "bytes" (float_of_int ours.total_bytes))
     [ 4; 8; 16; 32 ];
   (* Extensions past the paper's four protocols (Test128, Paillier-256). *)
   let ext = Psi.Protocol.config ~domain:"bench-ext" test128 in
@@ -307,18 +311,14 @@ let model ~check =
       let records = List.map (fun v -> (v, "record-of-" ^ v)) vs in
       List.iter
         (fun op ->
-          let run () =
+          let session_op =
             match op with
-            | Cost_model.Intersection ->
-                ignore (Psi.Intersection.run cfg ~sender_values:vs ~receiver_values:vr ())
-            | Equijoin ->
-                ignore (Psi.Equijoin.run cfg ~sender_records:records ~receiver_values:vr ())
-            | Intersection_size ->
-                ignore
-                  (Psi.Intersection_size.run cfg ~sender_values:vs ~receiver_values:vr ())
-            | Equijoin_size ->
-                ignore (Psi.Equijoin_size.run cfg ~sender_values:vs ~receiver_values:vr ())
+            | Cost_model.Intersection -> Session.Intersect { s_values = vs; r_values = vr }
+            | Equijoin -> Session.Equijoin { s_records = records; r_values = vr }
+            | Intersection_size -> Session.Intersect_size { s_values = vs; r_values = vr }
+            | Equijoin_size -> Session.Equijoin_size { s_values = vs; r_values = vr }
           in
+          let run () = ignore (Session.run cfg [ session_op ] ()) in
           let dt, snap =
             Obs.Runtime.with_enabled (fun () ->
                 Obs.Metrics.reset ();
@@ -392,7 +392,7 @@ let modexps f =
 
 let encrypt_batch jobs =
   let key, xs, _, _ = Lazy.force batch in
-  let pool = if jobs = 1 then None else Some (Psi.Pool.get jobs) in
+  let pool = if jobs = 1 then None else Some (Parallel.Pool.get jobs) in
   emit "kernel"
     ?gate:(if jobs = 1 then Some Rows.Floor else None)
     "pool" (at "encrypt_batch" (Printf.sprintf "jobs=%d" jobs)) "modexps/s"
@@ -476,8 +476,10 @@ let pool ~check:_ =
     Obs.Runtime.with_enabled (fun () ->
         Obs.Metrics.reset ();
         ignore
-          (Psi.Intersection.run (Psi.Protocol.config ~domain:"parallel-bench" test256)
-             ~sender_values:vs ~receiver_values:vr ());
+          (Session.run
+             (Psi.Protocol.config ~domain:"parallel-bench" test256)
+             [ Session.Intersect { s_values = vs; r_values = vr } ]
+             ());
         Obs.Metrics.snapshot ())
   in
   List.iter

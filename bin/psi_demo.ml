@@ -35,7 +35,7 @@ let jobs_conv =
 
 let jobs_arg =
   Arg.(value
-       & opt jobs_conv (Psi.Pool.default_jobs ())
+       & opt jobs_conv (Parallel.Pool.default_jobs ())
        & info [ "jobs" ] ~docv:"N"
            ~doc:"Worker domains for the bulk hash/encryption steps (defaults to \
                  the machine's available cores; minimum 1). Results are identical \
@@ -125,7 +125,7 @@ let trace_out_arg =
    box is explainable rather than mistaken for a regression. *)
 let report_workers ~trace jobs =
   if trace then begin
-    let cores = Psi.Pool.default_jobs () in
+    let cores = Parallel.Pool.default_jobs () in
     let effective = if jobs <= 1 || cores <= 1 then 1 else jobs in
     Printf.eprintf "workers: requested %d, effective %d (%d core%s available)%s\n%!" jobs
       effective cores
@@ -237,86 +237,50 @@ let attr_arg =
 
 let report_traffic (o_total : int) = Printf.printf "wire traffic: %d bytes\n" o_total
 
-(* --cache DIR: route the operation through Session.run_incremental so
-   repeat runs against slowly-changing CSVs only pay crypto for the
-   delta. stdout is byte-identical to what the cold path would print
-   for the same session (asserted by tools/cache_smoke.sh); the cache
-   diagnostics go to stderr behind --delta. *)
-(* The session-shaped form of a CSV operation plus its stdout printer —
-   shared by the cached path, the sharded path, and their combination.
-   The printed formats match the direct (uncached) branches exactly, so
-   every execution engine is byte-identical on stdout (asserted by
-   tools/cache_smoke.sh and tools/shard_smoke.sh). *)
-let session_op_and_printer op csv_s csv_r attr =
+(* The executor op for a CSV operation; the side whose table this
+   process does not hold ([None]) is empty. *)
+let csv_op op ~csv_s ~csv_r attr =
+  let side load = function Some csv -> load csv attr | None -> [] in
   match op with
-    | Op_intersection ->
-        let vs = values_of_csv csv_s attr and vr = values_of_csv csv_r attr in
-        ( Psi.Session.Intersect { s_values = vs; r_values = vr },
-          function
-          | Psi.Session.Values inter ->
-              Printf.printf "|V_S| = %d, |V_R| = %d, |V_S ∩ V_R| = %d\n" (List.length vs)
-                (List.length vr) (List.length inter);
-              List.iter (Printf.printf "%s\n") inter
-          | _ -> failwith "psi_demo: unexpected session result shape" )
-    | Op_size ->
-        let vs = values_of_csv csv_s attr and vr = values_of_csv csv_r attr in
-        ( Psi.Session.Intersect_size { s_values = vs; r_values = vr },
-          function
-          | Psi.Session.Size sz ->
-              Printf.printf "|V_S ∩ V_R| = %d (|V_S| = %d, |V_R| = %d)\n" sz
-                (List.length vs) (List.length vr)
-          | _ -> failwith "psi_demo: unexpected session result shape" )
-    | Op_join ->
-        let records = records_of_csv csv_s attr in
-        let vr = values_of_csv csv_r attr in
-        let v_s_count =
-          List.length (List.sort_uniq String.compare (List.map fst records))
-        in
-        ( Psi.Session.Equijoin { s_records = records; r_values = vr },
-          function
-          | Psi.Session.Matches matches ->
-              List.iter
-                (fun (v, recs) ->
-                  Printf.printf "%s:\n" v;
-                  List.iter (Printf.printf "  %s\n") recs)
-                matches;
-              Printf.printf "%d joining value(s); |V_S| = %d\n" (List.length matches)
-                v_s_count
-          | _ -> failwith "psi_demo: unexpected session result shape" )
-    | Op_join_size ->
-        let vs = multiset_of_csv csv_s attr and vr = multiset_of_csv csv_r attr in
-        ( Psi.Session.Equijoin_size { s_values = vs; r_values = vr },
-          function
-          | Psi.Session.Size sz -> Printf.printf "|T_S >< T_R| = %d\n" sz
-          | _ -> failwith "psi_demo: unexpected session result shape" )
+  | Op_intersection ->
+      Psi.Shard.Intersect
+        { s_values = side values_of_csv csv_s; r_values = side values_of_csv csv_r }
+  | Op_size ->
+      Psi.Shard.Intersect_size
+        { s_values = side values_of_csv csv_s; r_values = side values_of_csv csv_r }
+  | Op_join ->
+      Psi.Shard.Equijoin
+        { s_records = side records_of_csv csv_s; r_values = side values_of_csv csv_r }
+  | Op_join_size ->
+      Psi.Shard.Equijoin_size
+        { s_values = side multiset_of_csv csv_s; r_values = side multiset_of_csv csv_r }
 
-let run_cached cfg ~seed ~keys ~dir ~delta ~shard op csv_s csv_r attr =
-  let session_op, print_result = session_op_and_printer op csv_s csv_r attr in
-  let r =
-    Psi.Session.run_incremental cfg ~seed ~keys ~shard ~cache_dir:dir [ session_op ] ()
-  in
-  (match r.Psi.Session.report.Psi.Session.results with
-  | [ res ] -> print_result res
-  | _ -> failwith "psi_demo: unexpected session result count");
-  report_traffic r.Psi.Session.report.Psi.Session.total_bytes;
-  if delta then begin
-    let i = r.Psi.Session.incremental in
-    Printf.eprintf "ecache: run=%d cold=%b hits=%d misses=%d added=%d removed=%d unchanged=%d\n"
-      i.Psi.Session.run_id i.Psi.Session.cold i.Psi.Session.hits i.Psi.Session.misses
-      i.Psi.Session.added i.Psi.Session.removed i.Psi.Session.unchanged
-  end
+(* The one result printer, fed the receiver's result with |V_S| as R
+   learned it and |V_R| as S learned it: every execution path (cached,
+   sharded, monolithic, networked) is byte-identical on stdout
+   (asserted by tools/cache_smoke.sh, shard_smoke.sh and net_smoke.sh). *)
+let print_result op (result, v_s, v_r) =
+  match (op, result) with
+  | Op_intersection, Psi.Shard.Values inter ->
+      Printf.printf "|V_S| = %d, |V_R| = %d, |V_S ∩ V_R| = %d\n" v_s v_r (List.length inter);
+      List.iter (Printf.printf "%s\n") inter
+  | Op_size, Psi.Shard.Size sz ->
+      Printf.printf "|V_S ∩ V_R| = %d (|V_S| = %d, |V_R| = %d)\n" sz v_s v_r
+  | Op_join, Psi.Shard.Matches matches ->
+      List.iter
+        (fun (v, recs) ->
+          Printf.printf "%s:\n" v;
+          List.iter (Printf.printf "  %s\n") recs)
+        matches;
+      Printf.printf "%d joining value(s); |V_S| = %d\n" (List.length matches) v_s
+  | Op_join_size, Psi.Shard.Size sz -> Printf.printf "|T_S >< T_R| = %d\n" sz
+  | _ -> failwith "psi_demo: unexpected result shape"
 
-(* --buckets K > 1: the sharded run without a cache — Session.run with
-   the shard plan, printing through the same formats as every other
-   path. *)
-let run_sharded cfg ~seed ~shard op csv_s csv_r attr =
-  let session_op, print_result = session_op_and_printer op csv_s csv_r attr in
-  let r = Psi.Session.run cfg ~seed ~shard [ session_op ] () in
-  (match r.Psi.Session.results with
-  | [ res ] -> print_result res
-  | _ -> failwith "psi_demo: unexpected session result count");
-  report_traffic r.Psi.Session.total_bytes
-
+(* One session over both tables: with --cache DIR through
+   Session.run_incremental, so repeat runs against slowly-changing CSVs
+   only pay crypto for the delta (the cache diagnostics go to stderr
+   behind --delta); otherwise Session.run. --buckets picks the shard
+   plan either way. *)
 let run_intersect group seed jobs buckets spill_dir op csv_s csv_r attr cache delta
     fresh_keys trace trace_out =
   let cfg = Psi.Protocol.config ~workers:jobs ~domain:("csv:" ^ attr) (Crypto.Group.named group) in
@@ -325,64 +289,26 @@ let run_intersect group seed jobs buckets spill_dir op csv_s csv_r attr cache de
   report_buckets ~trace buckets spill_dir;
   with_trace ?out:trace_out trace @@ fun () ->
   let shard = Psi.Shard.plan ?state_dir:spill_dir ~buckets () in
-  match cache with
-  | Some dir ->
-      run_cached cfg ~seed
-        ~keys:(if fresh_keys then `Fresh else `Cached)
-        ~dir ~delta ~shard op csv_s csv_r attr
-  | None when buckets > 1 -> run_sharded cfg ~seed ~shard op csv_s csv_r attr
-  | None -> (
-      match op with
-  | Op_intersection ->
-      let vs = values_of_csv csv_s attr and vr = values_of_csv csv_r attr in
-      let o = Psi.Intersection.run cfg ~seed ~sender_values:vs ~receiver_values:vr () in
-      let r = o.Wire.Runner.receiver_result in
-      Printf.printf "|V_S| = %d, |V_R| = %d, |V_S ∩ V_R| = %d\n" r.Psi.Intersection.v_s_count
-        (List.length vr)
-        (List.length r.Psi.Intersection.intersection);
-      List.iter (Printf.printf "%s\n") r.Psi.Intersection.intersection;
-      report_traffic o.Wire.Runner.total_bytes
-  | Op_size ->
-      let vs = values_of_csv csv_s attr and vr = values_of_csv csv_r attr in
-      let o = Psi.Intersection_size.run cfg ~seed ~sender_values:vs ~receiver_values:vr () in
-      Printf.printf "|V_S ∩ V_R| = %d (|V_S| = %d, |V_R| = %d)\n"
-        o.Wire.Runner.receiver_result.Psi.Intersection_size.size
-        o.Wire.Runner.receiver_result.Psi.Intersection_size.v_s_count
-        (List.length vr);
-      report_traffic o.Wire.Runner.total_bytes
-  | Op_join ->
-      let t_s = Minidb.Csv.load csv_s in
-      let records =
-        List.filter_map
-          (fun row ->
-            let v = Minidb.Table.get t_s row attr in
-            if v = Minidb.Value.Null then None
-            else begin
-              let payload =
-                String.concat ","
-                  (Array.to_list (Array.map Minidb.Value.to_string row))
-              in
-              Some (Minidb.Value.key v, payload)
-            end)
-          (Minidb.Table.rows t_s)
-      in
-      let vr = values_of_csv csv_r attr in
-      let o = Psi.Equijoin.run cfg ~seed ~sender_records:records ~receiver_values:vr () in
-      let r = o.Wire.Runner.receiver_result in
-      List.iter
-        (fun (v, recs) ->
-          Printf.printf "%s:\n" v;
-          List.iter (Printf.printf "  %s\n") recs)
-        r.Psi.Equijoin.matches;
-      Printf.printf "%d joining value(s); |V_S| = %d\n"
-        (List.length r.Psi.Equijoin.matches)
-        r.Psi.Equijoin.v_s_count;
-      report_traffic o.Wire.Runner.total_bytes
-  | Op_join_size ->
-      let vs = multiset_of_csv csv_s attr and vr = multiset_of_csv csv_r attr in
-      let o = Psi.Equijoin_size.run cfg ~seed ~sender_values:vs ~receiver_values:vr () in
-      Printf.printf "|T_S >< T_R| = %d\n" o.Wire.Runner.receiver_result.Psi.Equijoin_size.join_size;
-      report_traffic o.Wire.Runner.total_bytes)
+  let ops = [ csv_op op ~csv_s:(Some csv_s) ~csv_r:(Some csv_r) attr ] in
+  let report, incremental =
+    match cache with
+    | Some dir ->
+        let keys = if fresh_keys then `Fresh else `Cached in
+        let r = Psi.Session.run_incremental cfg ~seed ~keys ~shard ~cache_dir:dir ops () in
+        (r.Psi.Session.report, Some r.Psi.Session.incremental)
+    | None -> (Psi.Session.run cfg ~seed ~shard ops (), None)
+  in
+  (match report with
+  | { Psi.Session.results = [ res ]; peer_sizes = [ (v_s, v_r) ]; total_bytes; _ } ->
+      print_result op (res, v_s, v_r);
+      report_traffic total_bytes
+  | _ -> failwith "psi_demo: unexpected session result count");
+  match incremental with
+  | Some i when delta ->
+      Printf.eprintf "ecache: run=%d cold=%b hits=%d misses=%d added=%d removed=%d unchanged=%d\n"
+        i.Psi.Session.run_id i.Psi.Session.cold i.Psi.Session.hits i.Psi.Session.misses
+        i.Psi.Session.added i.Psi.Session.removed i.Psi.Session.unchanged
+  | _ -> ()
 
 let cache_arg =
   Arg.(value & opt (some string) None
@@ -438,25 +364,6 @@ let report_net_stats ep =
    the executor's bucket loop (K = 1 is the monolithic protocol). Each
    process roots its own spill/checkpoint state: the peers never share a
    disk. *)
-let net_op ~party ~csv ~attr ~op =
-  match (party, op) with
-  | `Sender, Op_intersection ->
-      Psi.Shard.Intersect { s_values = values_of_csv csv attr; r_values = [] }
-  | `Sender, Op_size ->
-      Psi.Shard.Intersect_size { s_values = values_of_csv csv attr; r_values = [] }
-  | `Sender, Op_join ->
-      Psi.Shard.Equijoin { s_records = records_of_csv csv attr; r_values = [] }
-  | `Sender, Op_join_size ->
-      Psi.Shard.Equijoin_size { s_values = multiset_of_csv csv attr; r_values = [] }
-  | `Receiver, Op_intersection ->
-      Psi.Shard.Intersect { s_values = []; r_values = values_of_csv csv attr }
-  | `Receiver, Op_size ->
-      Psi.Shard.Intersect_size { s_values = []; r_values = values_of_csv csv attr }
-  | `Receiver, Op_join ->
-      Psi.Shard.Equijoin { s_records = []; r_values = values_of_csv csv attr }
-  | `Receiver, Op_join_size ->
-      Psi.Shard.Equijoin_size { s_values = []; r_values = multiset_of_csv csv attr }
-
 let resumed_note st =
   if st.Psi.Shard.start > 0 then
     Printf.sprintf ", resumed at bucket %d" st.Psi.Shard.start
@@ -468,7 +375,9 @@ let net_sender cfg shard ~seed ~csv ~attr ~op ep =
   Obs.Span.with_ "party:sender" @@ fun () ->
   let drbg = Crypto.Drbg.split (Crypto.Drbg.create ~seed) ~label:"sender" in
   Psi.Handshake.respond cfg ep;
-  let _ops, st = Psi.Shard.sender_op cfg shard ~drbg ep (net_op ~party:`Sender ~csv ~attr ~op) in
+  let _ops, st =
+    Psi.Shard.sender_op cfg shard ~drbg ep (csv_op op ~csv_s:(Some csv) ~csv_r:None attr)
+  in
   Printf.printf "sender: run done — %d element(s) over %d bucket(s); peer holds %d%s\n"
     (List.fold_left ( + ) 0 st.Psi.Shard.sizes)
     st.Psi.Shard.buckets st.Psi.Shard.peer (resumed_note st)
@@ -478,28 +387,13 @@ let net_receiver cfg shard ~seed ~csv ~attr ~op ep =
   let drbg = Crypto.Drbg.split (Crypto.Drbg.create ~seed) ~label:"receiver" in
   Psi.Handshake.initiate cfg ep;
   let _ops, result, st =
-    Psi.Shard.receiver_op cfg shard ~drbg ep (net_op ~party:`Receiver ~csv ~attr ~op)
+    Psi.Shard.receiver_op cfg shard ~drbg ep (csv_op op ~csv_s:None ~csv_r:(Some csv) attr)
   in
   (* A resumed run saw only the peer's remaining buckets. *)
   if st.Psi.Shard.start > 0 then
     Printf.eprintf "receiver: |V_S| counts buckets %d..%d only%s\n%!" st.Psi.Shard.start
       (st.Psi.Shard.buckets - 1) (resumed_note st);
-  let n_s = st.Psi.Shard.peer and n_r = List.fold_left ( + ) 0 st.Psi.Shard.sizes in
-  match result with
-  | Psi.Shard.Values inter ->
-      Printf.printf "|V_S| = %d, |V_R| = %d, |V_S ∩ V_R| = %d\n" n_s n_r (List.length inter);
-      List.iter (Printf.printf "%s\n") inter
-  | Psi.Shard.Size sz -> (
-      match op with
-      | Op_size -> Printf.printf "|V_S ∩ V_R| = %d (|V_S| = %d, |V_R| = %d)\n" sz n_s n_r
-      | _ -> Printf.printf "|T_S >< T_R| = %d\n" sz)
-  | Psi.Shard.Matches matches ->
-      List.iter
-        (fun (v, recs) ->
-          Printf.printf "%s:\n" v;
-          List.iter (Printf.printf "  %s\n") recs)
-        matches;
-      Printf.printf "%d joining value(s); |V_S| = %d\n" (List.length matches) n_s
+  print_result op (result, st.Psi.Shard.peer, List.fold_left ( + ) 0 st.Psi.Shard.sizes)
 
 (* Give a just-started listener a moment to bind before giving up. *)
 let connect_with_retry ~host ~port =
@@ -635,20 +529,9 @@ let net_cmd =
    parameter: one call site below supplies the DRBG-bearing client, so
    the taint analysis anchors every flow there. *)
 let service_session c ~csv ~attr ~op =
-  let session_op =
-    match op with
-    | Op_intersection ->
-        Psi.Session.Intersect { s_values = []; r_values = values_of_csv csv attr }
-    | Op_size ->
-        Psi.Session.Intersect_size
-          { s_values = []; r_values = values_of_csv csv attr }
-    | Op_join ->
-        Psi.Session.Equijoin { s_records = []; r_values = values_of_csv csv attr }
-    | Op_join_size ->
-        Psi.Session.Equijoin_size
-          { s_values = []; r_values = multiset_of_csv csv attr }
+  let result, _sender_encryptions =
+    Service.Client.run c (csv_op op ~csv_s:None ~csv_r:(Some csv) attr)
   in
-  let result, _sender_encryptions = Service.Client.run c session_op in
   (match result with
   | Psi.Session.Values inter ->
       Printf.printf "|V_R| = %d, |V_S ∩ V_R| = %d\n"

@@ -15,11 +15,24 @@ let show_case name ~s_values ~r_values =
   Printf.printf "=== %s ===\n" name;
   Printf.printf "S multiset: %s\n" (String.concat " " s_values);
   Printf.printf "R multiset: %s\n" (String.concat " " r_values);
-  let o = Psi.Equijoin_size.run cfg ~sender_values:s_values ~receiver_values:r_values () in
+  (match
+     (Psi.Session.run cfg [ Psi.Session.Equijoin_size { s_values; r_values } ] ())
+       .Psi.Session.results
+   with
+  | [ Psi.Session.Size n ] ->
+      Printf.printf "join size (R learns): %d  [ground truth %d]\n" n
+        (Psi.Leakage.join_size ~r_values ~s_values)
+  | _ -> failwith "equijoin_size_leakage: unexpected result");
+  (* What else R reconstructs from its transcript: R's own party
+     function reports it. *)
+  let o =
+    Psi.Protocol.launch (Crypto.Drbg.create ~seed:"leakage-demo")
+      ~sender:(fun d ->
+        Psi.Equijoin_size.sender cfg ~rng:(Crypto.Drbg.to_rng d) ~values:s_values)
+      ~receiver:(fun d ->
+        Psi.Equijoin_size.receiver cfg ~rng:(Crypto.Drbg.to_rng d) ~values:r_values)
+  in
   let r = o.Wire.Runner.receiver_result in
-  Printf.printf "join size (R learns): %d  [ground truth %d]\n"
-    r.Psi.Equijoin_size.join_size
-    (Psi.Leakage.join_size ~r_values ~s_values);
   Printf.printf "R also sees S's duplicate distribution: %s\n"
     (String.concat ", "
        (List.map

@@ -16,31 +16,35 @@ let () =
     [ "bob@example.com"; "cleo@example.com"; "eve@example.com" ]
   in
 
-  (* 3. Run the intersection protocol. The two parties execute in
+  (* 3. Run the intersection protocol as a one-operation session: a
+     config handshake, then the protocol. The two parties execute in
      separate threads and exchange serialized messages over a metered
      channel. *)
-  let outcome =
-    Psi.Intersection.run cfg ~seed:"quickstart-demo" ~sender_values:s_customers
-      ~receiver_values:r_customers ()
+  let report =
+    Psi.Session.run cfg ~seed:"quickstart-demo"
+      [ Psi.Session.Intersect { s_values = s_customers; r_values = r_customers } ]
+      ()
   in
 
   (* 4. What each side learned. *)
-  let r = outcome.Wire.Runner.receiver_result in
-  Printf.printf "R learned the intersection (%d values):\n" (List.length r.Psi.Intersection.intersection);
-  List.iter (Printf.printf "  - %s\n") r.Psi.Intersection.intersection;
-  Printf.printf "R also learned |V_S| = %d (and nothing else)\n" r.Psi.Intersection.v_s_count;
-  Printf.printf "S learned |V_R| = %d (and nothing else)\n"
-    outcome.Wire.Runner.sender_result.Psi.Intersection.v_r_count;
+  (match report with
+  | { Psi.Session.results = [ Psi.Session.Values inter ]; peer_sizes = [ (v_s, v_r) ]; _ } ->
+      Printf.printf "R learned the intersection (%d values):\n" (List.length inter);
+      List.iter (Printf.printf "  - %s\n") inter;
+      Printf.printf "R also learned |V_S| = %d (and nothing else)\n" v_s;
+      Printf.printf "S learned |V_R| = %d (and nothing else)\n" v_r
+  | _ -> failwith "quickstart: unexpected result");
 
   (* 5. The communication cost is measured, not estimated. *)
-  Printf.printf "wire traffic: %d bytes in %d messages\n" outcome.Wire.Runner.total_bytes
-    (outcome.Wire.Runner.sender_stats.Wire.Channel.messages_sent
-    + outcome.Wire.Runner.receiver_stats.Wire.Channel.messages_sent);
+  Printf.printf "wire traffic: %d bytes (handshake included)\n" report.Psi.Session.total_bytes;
 
   (* 6. An intersection *size* query reveals even less. *)
-  let size_outcome =
-    Psi.Intersection_size.run cfg ~seed:"quickstart-demo-2" ~sender_values:s_customers
-      ~receiver_values:r_customers ()
-  in
-  Printf.printf "\nIntersection size protocol: R learns only |V_S ∩ V_R| = %d\n"
-    size_outcome.Wire.Runner.receiver_result.Psi.Intersection_size.size
+  match
+    (Psi.Session.run cfg ~seed:"quickstart-demo-2"
+       [ Psi.Session.Intersect_size { s_values = s_customers; r_values = r_customers } ]
+       ())
+      .Psi.Session.results
+  with
+  | [ Psi.Session.Size size ] ->
+      Printf.printf "\nIntersection size protocol: R learns only |V_S ∩ V_R| = %d\n" size
+  | _ -> failwith "quickstart: unexpected result"

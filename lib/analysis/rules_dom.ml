@@ -1,6 +1,6 @@
 (* DOM01 — no raw domains outside the pool.
 
-   All parallelism flows through [Psi.Pool] (lib/parallel): a fixed-size
+   All parallelism flows through [Parallel.Pool] (lib/parallel): a fixed-size
    pool whose chunking is a pure function of input length, so results
    and DRBG consumption are independent of scheduling. A stray
    [Domain.spawn]/[Domain.join] bypasses that discipline — unbounded
@@ -26,7 +26,7 @@ let check ~file (toks : Lexer.token array) =
            findings :=
              Rule.finding ~rule:id ~file t
                (Printf.sprintf
-                  "%s spawns or joins a raw domain; use Psi.Pool (lib/parallel) so \
+                  "%s spawns or joins a raw domain; use Parallel.Pool (lib/parallel) so \
                    parallelism stays bounded, deterministic and instrumented"
                   (Rule.path_string path))
              :: !findings
@@ -38,11 +38,11 @@ let check ~file (toks : Lexer.token array) =
 let rule : Rule.t =
   {
     id;
-    summary = "no Domain.spawn/Domain.join outside lib/parallel/ — use Psi.Pool";
+    summary = "no Domain.spawn/Domain.join outside lib/parallel/ — use Parallel.Pool";
     description =
       "Raw domains outside the pool break the bounded-domain-count invariant, \
        make chunking nondeterministic, and hide work from pool.* telemetry. \
-       All parallelism flows through Psi.Pool.";
+       All parallelism flows through Parallel.Pool.";
     scope = "everywhere except lib/parallel/";
     applies = (fun path -> not (Rule.in_dir "lib/parallel/" path));
     check;

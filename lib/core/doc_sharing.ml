@@ -19,24 +19,23 @@ let similarity_default ~overlap ~r_size ~s_size =
 
 let run cfg ?(seed = "doc-sharing") ?(similarity = similarity_default) ~docs_r ~docs_s
     ~threshold () =
-  let total_bytes = ref 0 in
-  let ops = ref (Protocol.new_ops ()) in
-  let all_pairs =
+  let pairs =
     List.concat_map
-      (fun (dr : Workload.document) ->
-        List.map
-          (fun (ds : Workload.document) ->
-            let outcome =
-              Intersection_size.run cfg
-                ~seed:(Printf.sprintf "%s/%s/%s" seed dr.doc_id ds.doc_id)
-                ~sender_values:ds.words ~receiver_values:dr.words ()
-            in
-            total_bytes := !total_bytes + outcome.Wire.Runner.total_bytes;
-            ops :=
-              Protocol.total !ops
-                (Protocol.total outcome.Wire.Runner.sender_result.Intersection_size.ops
-                   outcome.Wire.Runner.receiver_result.Intersection_size.ops);
-            let overlap = outcome.Wire.Runner.receiver_result.Intersection_size.size in
+      (fun (dr : Workload.document) -> List.map (fun ds -> (dr, ds)) docs_s)
+      docs_r
+  in
+  let report =
+    Session.run cfg ~seed
+      (List.map
+         (fun ((dr : Workload.document), (ds : Workload.document)) ->
+           Session.Intersect_size { s_values = ds.words; r_values = dr.words })
+         pairs)
+      ()
+  in
+  let all_pairs =
+    List.map2
+      (fun ((dr : Workload.document), (ds : Workload.document)) -> function
+        | Session.Size overlap ->
             let r_size = List.length (Protocol.dedup dr.words) in
             let s_size = List.length (Protocol.dedup ds.words) in
             {
@@ -46,15 +45,16 @@ let run cfg ?(seed = "doc-sharing") ?(similarity = similarity_default) ~docs_r ~
               r_size;
               s_size;
               similarity = similarity ~overlap ~r_size ~s_size;
-            })
-          docs_s)
-      docs_r
+            }
+        | Session.Values _ | Session.Matches _ ->
+            failwith "doc_sharing: intersection size returned another shape")
+      pairs report.Session.results
   in
   {
     matches = List.filter (fun p -> p.similarity > threshold) all_pairs;
     all_pairs;
-    total_bytes = !total_bytes;
-    ops = !ops;
+    total_bytes = report.Session.total_bytes;
+    ops = report.Session.ops;
   }
 
 let plaintext_matches ?(similarity = similarity_default) ~docs_r ~docs_s ~threshold () =

@@ -27,7 +27,8 @@ type report = {
 val similarity_default : overlap:int -> r_size:int -> s_size:int -> float
 
 (** [run cfg ~docs_r ~docs_s ~threshold ()] executes the §6.2.1
-    implementation: one intersection-size protocol per document pair. *)
+    implementation: one session ({!Session.run}) running one
+    intersection-size protocol per document pair. *)
 val run :
   Protocol.config ->
   ?seed:string ->

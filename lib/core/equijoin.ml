@@ -118,7 +118,7 @@ let sender cfg ~rng ~records ep =
         in
         match Protocol.pool_of cfg with
         | None -> List.map k_cipher tasks
-        | Some pool -> Pool.map pool k_cipher tasks)
+        | Some pool -> Parallel.Pool.map pool k_cipher tasks)
     |> fun ps ->
     Obs.Span.with_ "reorder" (fun () ->
         List.sort (fun (a, _) (b, _) -> String.compare a b) ps)
@@ -191,12 +191,3 @@ let receiver cfg ~rng ~values ep =
       ops;
     }
   end
-
-let run cfg ?(seed = "equijoin-seed") ~sender_records ~receiver_values () =
-  Protocol.launch (Crypto.Drbg.create ~seed)
-    ~record:
-      ( "equijoin",
-        fun (s : sender_report) (r : receiver_report) ->
-          (r.v_s_count, s.v_r_count, Protocol.total s.ops r.ops) )
-    ~sender:(fun d ep -> sender cfg ~rng:(Crypto.Drbg.to_rng d) ~records:sender_records ep)
-    ~receiver:(fun d ep -> receiver cfg ~rng:(Crypto.Drbg.to_rng d) ~values:receiver_values ep)

@@ -47,11 +47,3 @@ val receiver :
   values:string list ->
   Wire.Channel.endpoint ->
   receiver_report
-
-val run :
-  Protocol.config ->
-  ?seed:string ->
-  sender_records:(string * string) list ->
-  receiver_values:string list ->
-  unit ->
-  (sender_report, receiver_report) Wire.Runner.outcome

@@ -115,12 +115,3 @@ let receiver cfg ~rng ~values ep =
     class_intersections;
     ops;
   }
-
-let run cfg ?(seed = "equijoin-size-seed") ~sender_values ~receiver_values () =
-  Protocol.launch (Crypto.Drbg.create ~seed)
-    ~record:
-      ( "equijoin_size",
-        fun (s : sender_report) (r : receiver_report) ->
-          (r.v_s_multiset_size, s.v_r_multiset_size, Protocol.total s.ops r.ops) )
-    ~sender:(fun d ep -> sender cfg ~rng:(Crypto.Drbg.to_rng d) ~values:sender_values ep)
-    ~receiver:(fun d ep -> receiver cfg ~rng:(Crypto.Drbg.to_rng d) ~values:receiver_values ep)

@@ -90,12 +90,3 @@ let receiver cfg ~rng ~values ep =
     in
     { intersection; v_s_count = List.length y_s; ops }
   end
-
-let run cfg ?(seed = "intersection-seed") ~sender_values ~receiver_values () =
-  Protocol.launch (Crypto.Drbg.create ~seed)
-    ~record:
-      ( "intersection",
-        fun (s : sender_report) (r : receiver_report) ->
-          (r.v_s_count, s.v_r_count, Protocol.total s.ops r.ops) )
-    ~sender:(fun d ep -> sender cfg ~rng:(Crypto.Drbg.to_rng d) ~values:sender_values ep)
-    ~receiver:(fun d ep -> receiver cfg ~rng:(Crypto.Drbg.to_rng d) ~values:receiver_values ep)

@@ -40,13 +40,3 @@ val receiver :
   values:string list ->
   Wire.Channel.endpoint ->
   receiver_report
-
-(** [run cfg ~seed ~sender_values ~receiver_values ()] wires both parties
-    over a fresh channel with per-party DRBGs derived from [seed]. *)
-val run :
-  Protocol.config ->
-  ?seed:string ->
-  sender_values:string list ->
-  receiver_values:string list ->
-  unit ->
-  (sender_report, receiver_report) Wire.Runner.outcome

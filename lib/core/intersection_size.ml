@@ -61,15 +61,6 @@ let receiver cfg ~rng ~values ep =
   in
   { size; v_s_count = List.length y_s; ops }
 
-let run cfg ?(seed = "intersection-size-seed") ~sender_values ~receiver_values () =
-  Protocol.launch (Crypto.Drbg.create ~seed)
-    ~record:
-      ( "intersection_size",
-        fun (s : sender_report) (r : receiver_report) ->
-          (r.v_s_count, s.v_r_count, Protocol.total s.ops r.ops) )
-    ~sender:(fun d ep -> sender cfg ~rng:(Crypto.Drbg.to_rng d) ~values:sender_values ep)
-    ~receiver:(fun d ep -> receiver cfg ~rng:(Crypto.Drbg.to_rng d) ~values:receiver_values ep)
-
 (* ------------------------------------------------------------------ *)
 (* Figure 2 variant: Z_R and Z_S go to the researcher T.               *)
 (* ------------------------------------------------------------------ *)
@@ -129,6 +120,7 @@ let run_to_third_party cfg ?(seed = "intersection-size-3p") ~sender_values ~rece
   (* Distinct op name: the third-party variant ships Z_R and Z_S to T on
      top of the two-party traffic, so its comm bits are (2|V_S| +
      2|V_R|) k rather than the §6.1 two-party figure. *)
-  Protocol.record_run ~op:"intersection_size_3p"
-    ~v_s:(List.length z_s) ~v_r:(List.length z_r) ~ops ~wire_bytes:total_bytes;
+  let op = "intersection_size_3p" in
+  Protocol.record_run ~op ~ops:r_ops (`Receiver (List.length z_s, total_bytes));
+  Protocol.record_run ~op ~ops:s_ops (`Sender (List.length z_r));
   { size; total_bytes; ops }

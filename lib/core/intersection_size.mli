@@ -34,14 +34,6 @@ val receiver :
   Wire.Channel.endpoint ->
   receiver_report
 
-val run :
-  Protocol.config ->
-  ?seed:string ->
-  sender_values:string list ->
-  receiver_values:string list ->
-  unit ->
-  (sender_report, receiver_report) Wire.Runner.outcome
-
 (** {1 Third-party variant (Figure 2)}
 
     "A slightly modified version of the intersection size protocol where

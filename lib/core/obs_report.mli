@@ -1,8 +1,11 @@
 (** Live §6.1 model-vs-measured comparison.
 
-    Every protocol [run] publishes [psi.<op>.{v_s,v_r}] gauges and
+    The executor ({!Shard}) publishes every operation's
+    [psi.<op>.{v_s,v_r}] gauges and
     [psi.<op>.{runs,encryptions,wire_bytes}] counters through
-    {!Protocol.record_run}. Given a snapshot of those metrics, this
+    {!Protocol.record_run}, so any {!Session} run feeds it; the wire
+    bytes exclude the config handshake. Given a snapshot of those
+    metrics, this
     module recomputes the paper's §6.1 predictions for the observed
     input sizes and reports relative errors via {!Obs.Report}.
 

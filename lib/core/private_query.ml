@@ -86,76 +86,38 @@ let result_size_of = function
 
 let execute cfg ~seed spec ~sender ~receiver =
   let attr = attr_of spec in
-  match spec with
-  | Intersect _ ->
-      let o =
-        Intersection.run cfg ~seed ~sender_values:(values_of sender attr)
-          ~receiver_values:(values_of receiver attr) ()
+  let op =
+    match spec with
+    | Intersect _ ->
+        Session.Intersect { s_values = values_of sender attr; r_values = values_of receiver attr }
+    | Intersect_size _ ->
+        Session.Intersect_size
+          { s_values = values_of sender attr; r_values = values_of receiver attr }
+    | Equijoin_size _ ->
+        Session.Equijoin_size
+          { s_values = multiset_of sender attr; r_values = multiset_of receiver attr }
+    | Equijoin { payload; _ } ->
+        let records =
+          List.filter_map
+            (fun row ->
+              let v = Table.get sender row attr in
+              if v = Value.Null then None
+              else Some (Value.key v, encode_row sender payload row))
+            (Table.rows sender)
+        in
+        Session.Equijoin { s_records = records; r_values = values_of receiver attr }
+  in
+  match Session.run cfg ~seed [ op ] () with
+  | { Session.results = [ result ]; peer_sizes = [ (v_s, v_r) ]; total_bytes; ops } ->
+      let answer =
+        match result with
+        | Session.Values vs -> Values (List.sort Value.compare (List.map Value.of_key vs))
+        | Session.Size n -> Size n
+        | Session.Matches ms ->
+            Rows (List.map (fun (v, recs) -> (Value.of_key v, List.map decode_row recs)) ms)
       in
-      let r = o.Wire.Runner.receiver_result in
-      {
-        answer =
-          Values
-            (List.sort Value.compare (List.map Value.of_key r.Intersection.intersection));
-        v_s = r.Intersection.v_s_count;
-        v_r = o.Wire.Runner.sender_result.Intersection.v_r_count;
-        total_bytes = o.Wire.Runner.total_bytes;
-        ops = Protocol.total r.Intersection.ops o.Wire.Runner.sender_result.Intersection.ops;
-      }
-  | Intersect_size _ ->
-      let o =
-        Intersection_size.run cfg ~seed ~sender_values:(values_of sender attr)
-          ~receiver_values:(values_of receiver attr) ()
-      in
-      let r = o.Wire.Runner.receiver_result in
-      {
-        answer = Size r.Intersection_size.size;
-        v_s = r.Intersection_size.v_s_count;
-        v_r = o.Wire.Runner.sender_result.Intersection_size.v_r_count;
-        total_bytes = o.Wire.Runner.total_bytes;
-        ops =
-          Protocol.total r.Intersection_size.ops
-            o.Wire.Runner.sender_result.Intersection_size.ops;
-      }
-  | Equijoin_size _ ->
-      let o =
-        Equijoin_size.run cfg ~seed ~sender_values:(multiset_of sender attr)
-          ~receiver_values:(multiset_of receiver attr) ()
-      in
-      let r = o.Wire.Runner.receiver_result in
-      {
-        answer = Size r.Equijoin_size.join_size;
-        v_s = r.Equijoin_size.v_s_multiset_size;
-        v_r = o.Wire.Runner.sender_result.Equijoin_size.v_r_multiset_size;
-        total_bytes = o.Wire.Runner.total_bytes;
-        ops =
-          Protocol.total r.Equijoin_size.ops o.Wire.Runner.sender_result.Equijoin_size.ops;
-      }
-  | Equijoin { payload; _ } ->
-      let records =
-        List.filter_map
-          (fun row ->
-            let v = Table.get sender row attr in
-            if v = Value.Null then None
-            else Some (Value.key v, encode_row sender payload row))
-          (Table.rows sender)
-      in
-      let o =
-        Equijoin.run cfg ~seed ~sender_records:records
-          ~receiver_values:(values_of receiver attr) ()
-      in
-      let r = o.Wire.Runner.receiver_result in
-      {
-        answer =
-          Rows
-            (List.map
-               (fun (v, recs) -> (Value.of_key v, List.map decode_row recs))
-               r.Equijoin.matches);
-        v_s = r.Equijoin.v_s_count;
-        v_r = o.Wire.Runner.sender_result.Equijoin.v_r_count;
-        total_bytes = o.Wire.Runner.total_bytes;
-        ops = Protocol.total r.Equijoin.ops o.Wire.Runner.sender_result.Equijoin.ops;
-      }
+      { answer; v_s; v_r; total_bytes; ops }
+  | _ -> failwith "private_query: one operation, one result"
 
 let run cfg ?(seed = "private-query") ?audit ?(peer = "receiver") spec ~sender ~receiver
     () =

@@ -25,7 +25,7 @@ let scoped cfg tag = if cfg.scope = "" then tag else cfg.scope ^ "/" ^ tag
 (* [pool cfg] is the shared domain pool for [cfg.workers] — [None] for
    the sequential default, which keeps single-worker runs on the exact
    pre-pool code path. *)
-let pool_of cfg = if cfg.workers <= 1 then None else Some (Pool.get cfg.workers)
+let pool_of cfg = if cfg.workers <= 1 then None else Some (Parallel.Pool.get cfg.workers)
 
 type ops = { mutable hashes : int; mutable encryptions : int; mutable cipher_ops : int }
 
@@ -38,42 +38,37 @@ let total a b =
     cipher_ops = a.cipher_ops + b.cipher_ops;
   }
 
-(* Per-protocol telemetry rollup, written by each protocol's [run]:
-   gauges [psi.<op>.v_s]/[.v_r] (set sizes of the latest run) and
-   counters [psi.<op>.{runs,encryptions,hashes,cipher_ops,wire_bytes}].
-   [Obs_report.model_vs_measured] reads these back from a snapshot. *)
-let record_run ~op ~v_s ~v_r ~(ops : ops) ~wire_bytes =
+(* Per-op telemetry rollup, written by the executor from each party's
+   own tallies: gauges [psi.<op>.v_s]/[.v_r] (set sizes of the latest
+   run) and counters [psi.<op>.{runs,encryptions,hashes,cipher_ops,
+   wire_bytes}]. [Obs_report.model_vs_measured] reads these back from
+   a snapshot. *)
+let record_run ~op ~(ops : ops) share =
   if Obs.Runtime.is_enabled () then begin
     let c name = Obs.Metrics.counter (Printf.sprintf "psi.%s.%s" op name) in
     let g name = Obs.Metrics.gauge (Printf.sprintf "psi.%s.%s" op name) in
-    Obs.Metrics.set (g "v_s") (float_of_int v_s);
-    Obs.Metrics.set (g "v_r") (float_of_int v_r);
-    Obs.Metrics.incr (c "runs");
+    (match share with
+    | `Receiver (v_s, wire_bytes) ->
+        Obs.Metrics.set (g "v_s") (float_of_int v_s);
+        Obs.Metrics.incr (c "runs");
+        Obs.Metrics.incr ~by:wire_bytes (c "wire_bytes")
+    | `Sender v_r -> Obs.Metrics.set (g "v_r") (float_of_int v_r));
     Obs.Metrics.incr ~by:ops.encryptions (c "encryptions");
     Obs.Metrics.incr ~by:ops.hashes (c "hashes");
-    Obs.Metrics.incr ~by:ops.cipher_ops (c "cipher_ops");
-    Obs.Metrics.incr ~by:wire_bytes (c "wire_bytes")
+    Obs.Metrics.incr ~by:ops.cipher_ops (c "cipher_ops")
   end
 
 (* Both parties' streams come from one seeded generator, split sender
    first; a retry's labels carry its attempt number so a replay never
    reuses the keys an interrupted attempt derived. *)
-let launch ?endpoints ?attempt ?record drbg ~sender ~receiver =
+let launch ?endpoints ?attempt drbg ~sender ~receiver =
   let label party =
     match attempt with None -> party | Some a -> Printf.sprintf "%s#%d" party a
   in
   let s_drbg = Crypto.Drbg.split drbg ~label:(label "sender") in
   let r_drbg = Crypto.Drbg.split drbg ~label:(label "receiver") in
   let endpoints = match endpoints with Some eps -> eps | None -> Wire.Channel.create () in
-  let o =
-    Wire.Runner.run_on endpoints ~sender:(sender s_drbg) ~receiver:(receiver r_drbg)
-  in
-  Option.iter
-    (fun (op, tally) ->
-      let v_s, v_r, ops = tally o.Wire.Runner.sender_result o.Wire.Runner.receiver_result in
-      record_run ~op ~v_s ~v_r ~ops ~wire_bytes:o.Wire.Runner.total_bytes)
-    record;
-  o
+  Wire.Runner.run_on endpoints ~sender:(sender s_drbg) ~receiver:(receiver r_drbg)
 
 let dedup values = List.sort_uniq String.compare values
 

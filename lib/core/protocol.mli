@@ -59,7 +59,7 @@ val scoped : config -> string -> string
 
 (** [pool_of cfg] is the shared domain pool for [cfg.workers], or
     [None] for a single worker (every map then runs on the caller). *)
-val pool_of : config -> Pool.t option
+val pool_of : config -> Parallel.Pool.t option
 
 (** {1 Operation counters}
 
@@ -72,25 +72,26 @@ type ops = { mutable hashes : int; mutable encryptions : int; mutable cipher_ops
 val new_ops : unit -> ops
 val total : ops -> ops -> ops
 
-(** [record_run ~op ~v_s ~v_r ~ops ~wire_bytes] publishes a finished
-    run's tallies to the default {!Obs.Metrics} registry (no-op when
-    telemetry is disabled): gauges [psi.<op>.v_s] / [psi.<op>.v_r] and
-    counters [psi.<op>.{runs,encryptions,hashes,cipher_ops,wire_bytes}].
-    Every protocol's [run] calls this; [Obs_report.model_vs_measured]
-    consumes it. *)
-val record_run : op:string -> v_s:int -> v_r:int -> ops:ops -> wire_bytes:int -> unit
+(** [record_run ~op ~ops share] publishes one party's share of a
+    finished run of [op] to the default {!Obs.Metrics} registry (no-op
+    when telemetry is disabled). Both parties add their [ops] to the
+    counters [psi.<op>.{encryptions,hashes,cipher_ops}]. The receiver's
+    [`Receiver (v_s, wire_bytes)] also counts one [psi.<op>.runs], sets
+    the gauge [psi.<op>.v_s] and adds [wire_bytes]; the sender's
+    [`Sender v_r] sets the gauge [psi.<op>.v_r]. The executor
+    ({!Shard}) publishes every operation this way, each party from its
+    own tallies; [Obs_report.model_vs_measured] consumes them. *)
+val record_run : op:string -> ops:ops -> [ `Receiver of int * int | `Sender of int ] -> unit
 
 (** [launch drbg ~sender ~receiver] runs both parties in-process
     ({!Wire.Runner.run_on}) with their own streams split from [drbg]:
     ["sender"] first, then ["receiver"] (["sender#<a>"]/["receiver#<a>"]
     with [~attempt:a]). [endpoints] defaults to a fresh memory channel.
-    With [~record:(op, tally)], the finished run is published through
-    {!record_run}, [tally] giving [(v_s, v_r, ops)] from the two party
-    results. Every protocol's [run] and the session executor use it. *)
+    The session executor uses it, as do the entry points that stay
+    outside it ([Aggregate.run], [Intersection_size.run_to_third_party]). *)
 val launch :
   ?endpoints:Wire.Channel.endpoint * Wire.Channel.endpoint ->
   ?attempt:int ->
-  ?record:string * ('s -> 'r -> int * int * ops) ->
   Crypto.Drbg.t ->
   sender:(Crypto.Drbg.t -> Wire.Channel.endpoint -> 's) ->
   receiver:(Crypto.Drbg.t -> Wire.Channel.endpoint -> 'r) ->

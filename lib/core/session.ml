@@ -12,23 +12,37 @@ type result = Shard.result =
   | Size of int
   | Matches of (string * string list) list
 
-type report = { results : result list; total_bytes : int; ops : Protocol.ops }
+type report = {
+  results : result list;
+  peer_sizes : (int * int) list;
+  total_bytes : int;
+  ops : Protocol.ops;
+}
 
 let op_name = Shard.op_name
 let m_retries = Obs.Metrics.counter "session.retries"
 let m_reconnects = Obs.Metrics.counter "session.reconnects"
 let m_replays = Obs.Metrics.counter "session.replays"
 
-(* A finished run's report, published to the session rollup counters. *)
-let report_of ~total_bytes ~ops results =
+(* A finished run's report, published to the session rollup counters:
+   per op, the receiver's result and both parties' view of the peer's
+   set size. *)
+let report_of ~total_bytes ~ops (o : (_, _) Wire.Runner.outcome) =
   Obs.Metrics.incr ~by:ops.Protocol.encryptions (Obs.Metrics.counter "session.encryptions");
   Obs.Metrics.incr ~by:total_bytes (Obs.Metrics.counter "session.wire_bytes");
-  { results; total_bytes; ops }
+  {
+    results = List.map fst o.receiver_result;
+    peer_sizes =
+      List.map2
+        (fun (_, (r : Shard.stats)) (s : Shard.stats) -> (r.peer, s.peer))
+        o.receiver_result o.sender_result;
+    total_bytes;
+    ops;
+  }
 
 let run cfg ?(seed = "session") ?(shard = Shard.monolithic) operations () =
   let o, ops = Shard.execute cfg shard (Crypto.Drbg.create ~seed) operations in
-  report_of ~total_bytes:o.Wire.Runner.total_bytes ~ops
-    (List.map fst o.Wire.Runner.receiver_result)
+  report_of ~total_bytes:o.Wire.Runner.total_bytes ~ops o
 
 (* ------------------------------------------------------------------ *)
 (* Incremental sessions: persistent cache + snapshot diffing           *)
@@ -269,8 +283,7 @@ let run_resilient ?(resilience = default_resilience) cfg ?(seed = "session")
   let o, ops = attempt () in
   Obs.Metrics.incr ~by:(Shard.replays ck) m_replays;
   {
-    report =
-      report_of ~total_bytes:!total_bytes ~ops (List.map fst o.Wire.Runner.receiver_result);
+    report = report_of ~total_bytes:!total_bytes ~ops o;
     attempts = !attempts;
     replays = Shard.replays ck;
     receiver_views = List.rev !views;

@@ -36,7 +36,11 @@ type result = Shard.result =
 
 type report = {
   results : result list;  (** one per op, in order — the receiver's outputs *)
-  total_bytes : int;
+  peer_sizes : (int * int) list;
+      (** one per op, in order: [|V_S|] as R learned it and [|V_R|] as S
+          learned it (multiset sizes for the equijoin size), from each
+          party's [Shard.stats.peer] *)
+  total_bytes : int;  (** both directions, the config handshake included *)
   ops : Protocol.ops;  (** both parties combined *)
 }
 

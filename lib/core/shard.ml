@@ -21,6 +21,14 @@ let op_name = function
   | Equijoin _ -> "equijoin"
   | Equijoin_size _ -> "equijoin_size"
 
+(* The §6.1 model's name for the op: its run tallies are published as
+   [psi.<name>.*], the keys [Obs_report.model_vs_measured] reads. *)
+let model_name = function
+  | Intersect _ -> "intersection"
+  | Intersect_size _ -> "intersection_size"
+  | Equijoin _ -> "equijoin"
+  | Equijoin_size _ -> "equijoin_size"
+
 type plan = { buckets : int; state_dir : string option }
 
 let max_buckets = 4096
@@ -35,8 +43,9 @@ let monolithic = { buckets = 1; state_dir = None }
 let with_default_state_dir p dir =
   match p.state_dir with Some _ -> p | None -> { p with state_dir = Some dir }
 
-(* Telemetry: per-op session rollups on every run; the shard namespace
-   only when the plan really partitions (k > 1). *)
+(* Telemetry: the session op count and each op's psi.<op>.* run tallies
+   on every run; the shard namespace only when the plan really
+   partitions (k > 1). *)
 let m_operations = Obs.Metrics.counter "session.operations"
 let m_buckets_run = Obs.Metrics.counter "shard.buckets_run"
 let m_replays = Obs.Metrics.counter "shard.replays"
@@ -688,18 +697,24 @@ let merge op results =
         (List.concat_map (function Matches ms -> ms | _ -> shape_error ()) all
         |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
+(* Payload bytes this endpoint has moved in both directions. *)
+let traffic ep =
+  let s = Channel.stats ep in
+  s.Channel.bytes_sent + s.Channel.bytes_received
+
 (* One party's run of one op: the bucket loop every entry point goes
    through. k = 1 without [ck] is the monolithic run — scope [""], no
    resume frame, keys straight from the party's stream (so consecutive
    ops continue it). k > 1 runs bucket b under scope ["b<b>"] with keys
-   forked per bucket, after the resume exchange. *)
+   forked per bucket, after the resume exchange. Each party publishes
+   its own share of the op's run tallies ({!Protocol.record_run}); the
+   receiver's wire bytes are the op's traffic on its endpoint, resume
+   frame included, handshake excluded. *)
 let drive cfg (p : plan) ?ck ~drbg ~op_index ~party ep op =
   let name = op_name op in
   let sharded = p.buckets > 1 in
-  if party = `Receiver then begin
-    Obs.Metrics.incr m_operations;
-    Obs.Metrics.incr (Obs.Metrics.counter ("session." ^ name ^ ".runs"))
-  end;
+  let wire_before = traffic ep in
+  if party = `Receiver then Obs.Metrics.incr m_operations;
   Obs.Span.with_ ("session/" ^ name) @@ fun () ->
   let in_span label attrs f = if sharded then Obs.Span.with_ label ~attrs f else f () in
   in_span ("shard/" ^ name) [ ("buckets", string_of_int p.buckets) ] @@ fun () ->
@@ -761,6 +776,10 @@ let drive cfg (p : plan) ?ck ~drbg ~op_index ~party ep op =
           (record ~op:name ~fp ~run_id:(max mine_eff (b + 1)) [ token; peer_token ]))
       st
   done;
+  Protocol.record_run ~op:(model_name op) ~ops:acc
+    (match party with
+    | `Receiver -> `Receiver (!peer, traffic ep - wire_before)
+    | `Sender -> `Sender !peer);
   let stats = { buckets = p.buckets; sizes = Array.to_list src.sizes; start; peer = !peer } in
   let result = match party with `Sender -> None | `Receiver -> Some (merge op results) in
   (acc, result, stats)

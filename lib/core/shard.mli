@@ -14,8 +14,8 @@
 
     [k = 1] {e is} the monolithic run: tag scope [""], keys drawn from
     the party's DRBG stream (continued across operations), no
-    partitioning, no resume frame — byte-identical to the protocol
-    modules' own [run]. What [k > 1] buys, at a precisely
+    partitioning, no resume frame — byte-identical to the protocol's
+    party functions run directly. What [k > 1] buys, at a precisely
     characterizable price:
     {ul
     {- {b Bounded peak memory.} Buckets stream from an on-disk spill
@@ -113,7 +113,13 @@ val spill_records :
   (string * string) Seq.t ->
   int
 
-(** {1 Running operations} *)
+(** {1 Running operations}
+
+    Each party's run of an op publishes its share of the op's §6.1
+    tallies through {!Protocol.record_run} under the model's name
+    ([psi.intersection.*], …): both parties their operation counts, the
+    receiver the run, [|V_S|] and the op's wire bytes on its endpoint
+    (resume frame included, handshake excluded), the sender [|V_R|]. *)
 
 (** What one party's run of an operation did. *)
 type stats = {

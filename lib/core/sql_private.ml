@@ -323,6 +323,13 @@ let shape_name = function
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* One protocol run through the session executor: the receiver's
+   result, the session's wire bytes and both parties' tallies. *)
+let run_op cfg ~seed op =
+  match Session.run cfg ~seed [ op ] () with
+  | { Session.results = [ result ]; total_bytes; ops; _ } -> (result, total_bytes, ops)
+  | _ -> failwith "sql_private: one operation, one result"
+
 let execute cfg ~seed a ~t_s ~t_r shape =
   let t_r = apply_filters t_r a.r_filters in
   let t_s = apply_filters t_s a.s_filters in
@@ -330,13 +337,15 @@ let execute cfg ~seed a ~t_s ~t_r shape =
   let s_col_ty c = Schema.column_type (Table.schema t_s) c in
   match shape with
   | Sh_intersect { out_names; idxs } ->
-      let o =
-        Intersection.run cfg ~seed
-          ~sender_values:(values_of t_s a.s_join_cols)
-          ~receiver_values:(values_of t_r a.r_join_cols)
-          ()
+      let inter, total_bytes, ops =
+        match
+          run_op cfg ~seed
+            (Session.Intersect
+               { s_values = values_of t_s a.s_join_cols; r_values = values_of t_r a.r_join_cols })
+        with
+        | Session.Values vs, bytes, ops -> (vs, bytes, ops)
+        | _ -> failwith "sql_private: intersection returned another shape"
       in
-      let r = o.Wire.Runner.receiver_result in
       let cols =
         List.map2
           (fun name i -> Schema.col ~nullable:true name (r_col_ty (List.nth a.r_join_cols i)))
@@ -347,28 +356,26 @@ let execute cfg ~seed a ~t_s ~t_r shape =
           (fun key ->
             let tuple = decode_key a.r_join_cols key in
             Array.of_list (List.map (fun i -> List.nth tuple i) idxs))
-          r.Intersection.intersection
+          inter
       in
-      {
-        table = Table.create (Schema.make cols) rows;
-        total_bytes = o.Wire.Runner.total_bytes;
-        ops = Protocol.total r.Intersection.ops o.Wire.Runner.sender_result.Intersection.ops;
-      }
+      { table = Table.create (Schema.make cols) rows; total_bytes; ops }
   | Sh_join_size out ->
-      let o =
-        Equijoin_size.run cfg ~seed
-          ~sender_values:(multiset_of t_s a.s_join_cols)
-          ~receiver_values:(multiset_of t_r a.r_join_cols)
-          ()
+      let size, total_bytes, ops =
+        match
+          run_op cfg ~seed
+            (Session.Equijoin_size
+               {
+                 s_values = multiset_of t_s a.s_join_cols;
+                 r_values = multiset_of t_r a.r_join_cols;
+               })
+        with
+        | Session.Size n, bytes, ops -> (n, bytes, ops)
+        | _ -> failwith "sql_private: equijoin size returned another shape"
       in
-      let r = o.Wire.Runner.receiver_result in
       {
-        table =
-          Table.create
-            (Schema.make [ Schema.col out Value.TInt ])
-            [ [| Value.Int r.Equijoin_size.join_size |] ];
-        total_bytes = o.Wire.Runner.total_bytes;
-        ops = Protocol.total r.Equijoin_size.ops o.Wire.Runner.sender_result.Equijoin_size.ops;
+        table = Table.create (Schema.make [ Schema.col out Value.TInt ]) [ [| Value.Int size |] ];
+        total_bytes;
+        ops;
       }
   | Sh_sum { s_col; out } ->
       (match s_col_ty s_col with
@@ -421,12 +428,14 @@ let execute cfg ~seed a ~t_s ~t_r shape =
             Option.map (fun k -> (k, encode_payload row)) (key_of_row t_s a.s_join_cols row))
           (Table.rows t_s)
       in
-      let o =
-        Equijoin.run cfg ~seed ~sender_records:records
-          ~receiver_values:(values_of t_r a.r_join_cols)
-          ()
+      let matches, total_bytes, ops =
+        match
+          run_op cfg ~seed
+            (Session.Equijoin { s_records = records; r_values = values_of t_r a.r_join_cols })
+        with
+        | Session.Matches ms, bytes, ops -> (ms, bytes, ops)
+        | _ -> failwith "sql_private: equijoin returned another shape"
       in
-      let r = o.Wire.Runner.receiver_result in
       let cols =
         List.map2
           (fun f name ->
@@ -454,13 +463,9 @@ let execute cfg ~seed a ~t_s ~t_r shape =
                      (function Key i -> List.nth tuple i | Pay _ -> pay_at ())
                      fields))
               recs)
-          r.Equijoin.matches
+          matches
       in
-      {
-        table = Table.create (Schema.make cols) rows;
-        total_bytes = o.Wire.Runner.total_bytes;
-        ops = Protocol.total r.Equijoin.ops o.Wire.Runner.sender_result.Equijoin.ops;
-      }
+      { table = Table.create (Schema.make cols) rows; total_bytes; ops }
   | Sh_group_by { r_class; s_class; names = rn, sn, cn } ->
       let r_key = List.hd a.r_join_cols and s_key = List.hd a.s_join_cols in
       let g = Group_by.run cfg ~seed ~t_r ~r_key ~r_class ~t_s ~s_key ~s_class () in

@@ -24,17 +24,33 @@ let plain_intersection a b =
 let vs1 = [ "apple"; "beet"; "corn"; "dill"; "endive" ]
 let vr1 = [ "beet"; "corn"; "fig"; "grape" ]
 
+(* One operation through the front door: the receiver's result and
+   (|V_S| as R learned it, |V_R| as S learned it). *)
+let session ?(cfg = cfg) ?(seed = "psi") op =
+  match Psi.Session.run cfg ~seed [ op ] () with
+  | { Psi.Session.results = [ r ]; peer_sizes = [ sizes ]; _ } -> (r, sizes)
+  | _ -> Alcotest.fail "one operation, one result"
+
+let values = function Psi.Session.Values vs -> vs | _ -> Alcotest.fail "expected values"
+let size = function Psi.Session.Size n -> n | _ -> Alcotest.fail "expected a size"
+let matches = function Psi.Session.Matches ms -> ms | _ -> Alcotest.fail "expected matches"
+
+(* Both parties of one protocol over a fresh channel, with the streams
+   Protocol.launch splits from [seed] — the keys Session.run derives at
+   k = 1, so the views are the session's transcript minus its
+   handshake. For tests that read per-party reports or views. *)
+let launch ?(seed = "psi") sender receiver =
+  P.launch (Crypto.Drbg.create ~seed)
+    ~sender:(fun d -> sender ~rng:(Crypto.Drbg.to_rng d))
+    ~receiver:(fun d -> receiver ~rng:(Crypto.Drbg.to_rng d))
+
 let check_intersection ?(cfg = cfg) ~name ~vs ~vr expected =
-  let o = Psi.Intersection.run cfg ~seed:("t:" ^ name) ~sender_values:vs ~receiver_values:vr () in
-  let r = o.Runner.receiver_result in
-  Alcotest.(check (list string)) (name ^ ": intersection") (sorted_strings expected)
-    r.Psi.Intersection.intersection;
-  Alcotest.(check int) (name ^ ": |V_S|")
-    (List.length (List.sort_uniq String.compare vs))
-    r.Psi.Intersection.v_s_count;
-  Alcotest.(check int) (name ^ ": |V_R|")
-    (List.length (List.sort_uniq String.compare vr))
-    o.Runner.sender_result.Psi.Intersection.v_r_count
+  let r, (v_s, v_r) =
+    session ~cfg ~seed:("t:" ^ name) (Psi.Session.Intersect { s_values = vs; r_values = vr })
+  in
+  Alcotest.(check (list string)) (name ^ ": intersection") (sorted_strings expected) (values r);
+  Alcotest.(check int) (name ^ ": |V_S|") (List.length (List.sort_uniq String.compare vs)) v_s;
+  Alcotest.(check int) (name ^ ": |V_R|") (List.length (List.sort_uniq String.compare vr)) v_r
 
 (* ------------------------------------------------------------------ *)
 (* Intersection: correctness                                           *)
@@ -82,7 +98,9 @@ let test_intersection_larger_group () =
 
 let test_intersection_deterministic_given_seed () =
   let run () =
-    (Psi.Intersection.run cfg ~seed:"det" ~sender_values:vs1 ~receiver_values:vr1 ())
+    (launch ~seed:"det"
+       (Psi.Intersection.sender cfg ~values:vs1)
+       (Psi.Intersection.receiver cfg ~values:vr1))
       .Runner.receiver_view
   in
   Alcotest.(check bool) "same transcript" true (List.equal Message.equal (run ()) (run ()))
@@ -92,7 +110,11 @@ let test_intersection_deterministic_given_seed () =
 (* ------------------------------------------------------------------ *)
 
 let test_intersection_op_counts () =
-  let o = Psi.Intersection.run cfg ~sender_values:vs1 ~receiver_values:vr1 () in
+  let o =
+    launch
+      (Psi.Intersection.sender cfg ~values:vs1)
+      (Psi.Intersection.receiver cfg ~values:vr1)
+  in
   let s_ops = o.Runner.sender_result.Psi.Intersection.ops in
   let r_ops = o.Runner.receiver_result.Psi.Intersection.ops in
   let v_s = 5 and v_r = 4 in
@@ -104,7 +126,11 @@ let test_intersection_op_counts () =
   Alcotest.(check int) "no K ops" 0 (s_ops.P.cipher_ops + r_ops.P.cipher_ops)
 
 let test_intersection_comm_counts () =
-  let o = Psi.Intersection.run cfg ~sender_values:vs1 ~receiver_values:vr1 () in
+  let o =
+    launch
+      (Psi.Intersection.sender cfg ~values:vs1)
+      (Psi.Intersection.receiver cfg ~values:vr1)
+  in
   let v_s = 5 and v_r = 4 in
   (* (|V_S| + 2|V_R|) codewords: S ships |V_S| + |V_R|, R ships |V_R|. *)
   Alcotest.(check int) "S codewords" (v_s + v_r)
@@ -128,7 +154,11 @@ let elements_of_view view tag =
   | None -> Alcotest.failf "message %s not in view" tag
 
 let test_intersection_sender_view_shape () =
-  let o = Psi.Intersection.run cfg ~sender_values:vs1 ~receiver_values:vr1 () in
+  let o =
+    launch
+      (Psi.Intersection.sender cfg ~values:vs1)
+      (Psi.Intersection.receiver cfg ~values:vr1)
+  in
   (* S's entire view is one message: Y_R with |V_R| elements, sorted. *)
   (match o.Runner.sender_view with
   | [ m ] ->
@@ -148,7 +178,11 @@ let test_intersection_sender_view_shape () =
 
 let test_intersection_transcript_reveals_no_plaintext () =
   (* No value (nor its unkeyed hash) appears in any message on the wire. *)
-  let o = Psi.Intersection.run cfg ~sender_values:vs1 ~receiver_values:vr1 () in
+  let o =
+    launch
+      (Psi.Intersection.sender cfg ~values:vs1)
+      (Psi.Intersection.receiver cfg ~values:vr1)
+  in
   let all_fields =
     List.concat_map
       (fun (m : Message.t) -> P.elements_of m.Message.payload)
@@ -168,7 +202,9 @@ let test_intersection_views_differ_across_seeds () =
   let view seed =
     List.concat_map
       (fun (m : Message.t) -> P.elements_of m.Message.payload)
-      (Psi.Intersection.run cfg ~seed ~sender_values:vs1 ~receiver_values:vr1 ())
+      (launch ~seed
+         (Psi.Intersection.sender cfg ~values:vs1)
+         (Psi.Intersection.receiver cfg ~values:vr1))
         .Runner.receiver_view
   in
   let a = view "seed-a" and b = view "seed-b" in
@@ -194,25 +230,25 @@ let pair_print (a, b) =
 
 let prop_intersection_oracle =
   qtest "intersection = oracle (random)" gen_pair pair_print (fun (vs, vr) ->
-      let o = Psi.Intersection.run cfg ~sender_values:vs ~receiver_values:vr () in
-      o.Runner.receiver_result.Psi.Intersection.intersection = plain_intersection vs vr)
+      values (fst (session (Psi.Session.Intersect { s_values = vs; r_values = vr })))
+      = plain_intersection vs vr)
 
 let prop_intersection_size_oracle =
   qtest "intersection size = oracle (random)" gen_pair pair_print (fun (vs, vr) ->
-      let o = Psi.Intersection_size.run cfg ~sender_values:vs ~receiver_values:vr () in
-      o.Runner.receiver_result.Psi.Intersection_size.size
+      size (fst (session (Psi.Session.Intersect_size { s_values = vs; r_values = vr })))
       = List.length (plain_intersection vs vr))
 
 let prop_equijoin_size_oracle =
   qtest "equijoin size = oracle (random multisets)" gen_pair pair_print (fun (vs, vr) ->
-      let o = Psi.Equijoin_size.run cfg ~sender_values:vs ~receiver_values:vr () in
-      o.Runner.receiver_result.Psi.Equijoin_size.join_size
+      size (fst (session (Psi.Session.Equijoin_size { s_values = vs; r_values = vr })))
       = Psi.Leakage.join_size ~r_values:vr ~s_values:vs)
 
 let prop_equijoin_oracle =
   qtest "equijoin = oracle (random)" gen_pair pair_print (fun (vs, vr) ->
       let records = List.mapi (fun i v -> (v, Printf.sprintf "%s#%d" v i)) vs in
-      let o = Psi.Equijoin.run cfg ~sender_records:records ~receiver_values:vr () in
+      let o =
+        launch (Psi.Equijoin.sender cfg ~records) (Psi.Equijoin.receiver cfg ~values:vr)
+      in
       let expected =
         plain_intersection vs vr
         |> List.map (fun v -> (v, List.filter_map
@@ -245,7 +281,11 @@ let test_parallel_protocols_same_results () =
   let cfg1 = P.config ~workers:1 g64 in
   let cfg4 = P.config ~workers:4 g64 in
   let run cfg =
-    let o = Psi.Intersection.run cfg ~seed:"par-seed" ~sender_values:vs ~receiver_values:vr () in
+    let o =
+      launch ~seed:"par-seed"
+        (Psi.Intersection.sender cfg ~values:vs)
+        (Psi.Intersection.receiver cfg ~values:vr)
+    in
     ( o.Runner.receiver_result.Psi.Intersection.intersection,
       o.Runner.receiver_result.Psi.Intersection.ops.P.encryptions,
       o.Runner.sender_result.Psi.Intersection.ops.P.encryptions )
@@ -254,9 +294,9 @@ let test_parallel_protocols_same_results () =
   (* Equijoin too (its K-cipher pass maps over the pool directly). *)
   let records = List.map (fun v -> (v, "rec:" ^ v)) vs in
   let join cfg =
-    (Psi.Equijoin.run cfg ~seed:"par-seed" ~sender_records:records ~receiver_values:vr ())
-      .Runner.receiver_result
-      .Psi.Equijoin.matches
+    matches
+      (fst
+         (session ~cfg ~seed:"par-seed" (Psi.Session.Equijoin { s_records = records; r_values = vr })))
   in
   Alcotest.(check (list (pair string (list string)))) "join identical" (join cfg1) (join cfg4)
 
@@ -278,10 +318,26 @@ let prop_pool_size_invariance =
       let records = List.mapi (fun i v -> (v, Printf.sprintf "%s#%d" v i)) vs in
       let run_all workers =
         let cfg = P.config ~workers g64 in
-        let oi = Psi.Intersection.run cfg ~seed:"pool" ~sender_values:vs ~receiver_values:vr () in
-        let oj = Psi.Equijoin.run cfg ~seed:"pool" ~sender_records:records ~receiver_values:vr () in
-        let os = Psi.Intersection_size.run cfg ~seed:"pool" ~sender_values:vs ~receiver_values:vr () in
-        let oz = Psi.Equijoin_size.run cfg ~seed:"pool" ~sender_values:vs ~receiver_values:vr () in
+        let oi =
+          launch ~seed:"pool"
+            (Psi.Intersection.sender cfg ~values:vs)
+            (Psi.Intersection.receiver cfg ~values:vr)
+        in
+        let oj =
+          launch ~seed:"pool"
+            (Psi.Equijoin.sender cfg ~records)
+            (Psi.Equijoin.receiver cfg ~values:vr)
+        in
+        let os =
+          launch ~seed:"pool"
+            (Psi.Intersection_size.sender cfg ~values:vs)
+            (Psi.Intersection_size.receiver cfg ~values:vr)
+        in
+        let oz =
+          launch ~seed:"pool"
+            (Psi.Equijoin_size.sender cfg ~values:vs)
+            (Psi.Equijoin_size.receiver cfg ~values:vr)
+        in
         ( ( oi.Runner.receiver_result.Psi.Intersection.intersection,
             oj.Runner.receiver_result.Psi.Equijoin.matches,
             os.Runner.receiver_result.Psi.Intersection_size.size,
@@ -342,10 +398,26 @@ let test_golden_transcripts () =
   List.iter
     (fun (spec, golden) ->
       let cfg = P.config (Group.named spec) in
-      let oi = Psi.Intersection.run cfg ~seed:"kern" ~sender_values:vs ~receiver_values:vr () in
-      let oj = Psi.Equijoin.run cfg ~seed:"kern" ~sender_records:records ~receiver_values:vr () in
-      let os = Psi.Intersection_size.run cfg ~seed:"kern" ~sender_values:vs ~receiver_values:vr () in
-      let oz = Psi.Equijoin_size.run cfg ~seed:"kern" ~sender_values:vs ~receiver_values:vr () in
+      let oi =
+        launch ~seed:"kern"
+          (Psi.Intersection.sender cfg ~values:vs)
+          (Psi.Intersection.receiver cfg ~values:vr)
+      in
+      let oj =
+        launch ~seed:"kern"
+          (Psi.Equijoin.sender cfg ~records)
+          (Psi.Equijoin.receiver cfg ~values:vr)
+      in
+      let os =
+        launch ~seed:"kern"
+          (Psi.Intersection_size.sender cfg ~values:vs)
+          (Psi.Intersection_size.receiver cfg ~values:vr)
+      in
+      let oz =
+        launch ~seed:"kern"
+          (Psi.Equijoin_size.sender cfg ~values:vs)
+          (Psi.Equijoin_size.receiver cfg ~values:vr)
+      in
       let actual =
         [
           ("intersection", views oi);
@@ -427,7 +499,11 @@ let records1 =
   ]
 
 let test_equijoin_basic () =
-  let o = Psi.Equijoin.run cfg ~sender_records:records1 ~receiver_values:vr1 () in
+  let o =
+    launch
+      (Psi.Equijoin.sender cfg ~records:records1)
+      (Psi.Equijoin.receiver cfg ~values:vr1)
+  in
   let r = o.Runner.receiver_result in
   Alcotest.(check (list (pair string (list string)))) "matches with ext"
     [ ("beet", [ "beet-record-1"; "beet-record-2" ]); ("corn", [ "corn-record-1" ]) ]
@@ -437,25 +513,27 @@ let test_equijoin_basic () =
   Alcotest.(check int) "S learns |V_R|" 4 o.Runner.sender_result.Psi.Equijoin.v_r_count
 
 let test_equijoin_no_matches () =
-  let o =
-    Psi.Equijoin.run cfg ~sender_records:[ ("x", "rx") ] ~receiver_values:[ "y"; "z" ] ()
+  let r, _ =
+    session (Psi.Session.Equijoin { s_records = [ ("x", "rx") ]; r_values = [ "y"; "z" ] })
   in
-  Alcotest.(check int) "no matches" 0
-    (List.length o.Runner.receiver_result.Psi.Equijoin.matches)
+  Alcotest.(check int) "no matches" 0 (List.length (matches r))
 
 let test_equijoin_empty_sides () =
-  let o = Psi.Equijoin.run cfg ~sender_records:[] ~receiver_values:vr1 () in
-  Alcotest.(check int) "empty sender" 0 (List.length o.Runner.receiver_result.Psi.Equijoin.matches);
-  let o = Psi.Equijoin.run cfg ~sender_records:records1 ~receiver_values:[] () in
-  Alcotest.(check int) "empty receiver" 0 (List.length o.Runner.receiver_result.Psi.Equijoin.matches)
+  let join s_records r_values =
+    List.length (matches (fst (session (Psi.Session.Equijoin { s_records; r_values }))))
+  in
+  Alcotest.(check int) "empty sender" 0 (join [] vr1);
+  Alcotest.(check int) "empty receiver" 0 (join records1 [])
 
 let test_equijoin_mul_cipher () =
   let cfg_mul = P.config ~cipher:Crypto.Perfect_cipher.Mul_cipher g256 in
-  let o = Psi.Equijoin.run cfg_mul ~sender_records:[ ("beet", "r1"); ("fig", "r2") ]
-      ~receiver_values:vr1 () in
+  let r, _ =
+    session ~cfg:cfg_mul
+      (Psi.Session.Equijoin { s_records = [ ("beet", "r1"); ("fig", "r2") ]; r_values = vr1 })
+  in
   Alcotest.(check (list (pair string (list string)))) "mul cipher matches"
     [ ("beet", [ "r1" ]); ("fig", [ "r2" ]) ]
-    o.Runner.receiver_result.Psi.Equijoin.matches
+    (matches r)
 
 let test_equijoin_mul_cipher_payload_limit () =
   let cfg_mul = P.config ~cipher:Crypto.Perfect_cipher.Mul_cipher g256 in
@@ -463,21 +541,25 @@ let test_equijoin_mul_cipher_payload_limit () =
   Alcotest.(check bool) "too-long payload raises" true
     (try
        ignore
-         (Psi.Equijoin.run cfg_mul
-            ~sender_records:[ ("v", String.make 100 'x') ]
-            ~receiver_values:[ "v" ] ());
+         (session ~cfg:cfg_mul
+            (Psi.Session.Equijoin
+               { s_records = [ ("v", String.make 100 'x') ]; r_values = [ "v" ] }));
        false
      with Invalid_argument _ -> true)
 
 let test_equijoin_stream_large_payload () =
   let big = String.make 50_000 'p' in
-  let o = Psi.Equijoin.run cfg ~sender_records:[ ("beet", big) ] ~receiver_values:vr1 () in
+  let r, _ = session (Psi.Session.Equijoin { s_records = [ ("beet", big) ]; r_values = vr1 }) in
   Alcotest.(check (list (pair string (list string)))) "50KB record round-trips"
     [ ("beet", [ big ]) ]
-    o.Runner.receiver_result.Psi.Equijoin.matches
+    (matches r)
 
 let test_equijoin_op_counts () =
-  let o = Psi.Equijoin.run cfg ~sender_records:records1 ~receiver_values:vr1 () in
+  let o =
+    launch
+      (Psi.Equijoin.sender cfg ~records:records1)
+      (Psi.Equijoin.receiver cfg ~values:vr1)
+  in
   let s_ops = o.Runner.sender_result.Psi.Equijoin.ops in
   let r_ops = o.Runner.receiver_result.Psi.Equijoin.ops in
   let v_s = 4 and v_r = 4 and inter = 2 in
@@ -491,7 +573,11 @@ let test_equijoin_op_counts () =
     (s_ops.P.cipher_ops + r_ops.P.cipher_ops)
 
 let test_equijoin_comm_counts () =
-  let o = Psi.Equijoin.run cfg ~sender_records:records1 ~receiver_values:vr1 () in
+  let o =
+    launch
+      (Psi.Equijoin.sender cfg ~records:records1)
+      (Psi.Equijoin.receiver cfg ~values:vr1)
+  in
   let v_s = 4 and v_r = 4 in
   (* (|V_S| + 3|V_R|) codewords + |V_S| ciphertexts. *)
   Alcotest.(check int) "S codewords" (v_s + (2 * v_r))
@@ -499,7 +585,11 @@ let test_equijoin_comm_counts () =
   Alcotest.(check int) "R codewords" v_r o.Runner.receiver_stats.Wire.Channel.elements_sent
 
 let test_equijoin_ext_pairs_sorted () =
-  let o = Psi.Equijoin.run cfg ~sender_records:records1 ~receiver_values:vr1 () in
+  let o =
+    launch
+      (Psi.Equijoin.sender cfg ~records:records1)
+      (Psi.Equijoin.receiver cfg ~values:vr1)
+  in
   match List.find_opt (fun (m : Message.t) -> m.tag = "equijoin/ext") o.Runner.receiver_view with
   | Some { payload = Message.Ciphertext_pairs ps; _ } ->
       Alcotest.(check bool) "ext pairs sorted by key" true (P.is_sorted (List.map fst ps));
@@ -534,10 +624,9 @@ let test_equijoin_matches_minidb_join () =
       (Table.rows r)
   in
   let values = List.map Value.key (Table.distinct_values l "k") in
-  let o = Psi.Equijoin.run cfg ~sender_records:records ~receiver_values:values () in
+  let res, _ = session (Psi.Session.Equijoin { s_records = records; r_values = values }) in
   let protocol_join_size =
-    List.fold_left (fun acc (_, recs) -> acc + List.length recs) 0
-      o.Runner.receiver_result.Psi.Equijoin.matches
+    List.fold_left (fun acc (_, recs) -> acc + List.length recs) 0 (matches res)
   in
   Alcotest.(check int) "join size matches minidb"
     (Relop.equijoin_size l r ~on:("k", "k"))
@@ -548,10 +637,10 @@ let test_equijoin_matches_minidb_join () =
 (* ------------------------------------------------------------------ *)
 
 let test_intersection_size_basic () =
-  let o = Psi.Intersection_size.run cfg ~sender_values:vs1 ~receiver_values:vr1 () in
-  Alcotest.(check int) "size" 2 o.Runner.receiver_result.Psi.Intersection_size.size;
-  Alcotest.(check int) "|V_S|" 5 o.Runner.receiver_result.Psi.Intersection_size.v_s_count;
-  Alcotest.(check int) "|V_R|" 4 o.Runner.sender_result.Psi.Intersection_size.v_r_count
+  let r, (v_s, v_r) = session (Psi.Session.Intersect_size { s_values = vs1; r_values = vr1 }) in
+  Alcotest.(check int) "size" 2 (size r);
+  Alcotest.(check int) "|V_S|" 5 v_s;
+  Alcotest.(check int) "|V_R|" 4 v_r
 
 let test_intersection_size_cases () =
   List.iter
@@ -561,16 +650,18 @@ let test_intersection_size_cases () =
           ~seed:(Printf.sprintf "isize-%d-%d-%d" n_s n_r overlap)
           ~n_s ~n_r ~overlap
       in
-      let o = Psi.Intersection_size.run cfg ~sender_values:vs ~receiver_values:vr () in
-      Alcotest.(check int)
-        (Printf.sprintf "%d/%d/%d" n_s n_r overlap)
-        overlap o.Runner.receiver_result.Psi.Intersection_size.size)
+      let r, _ = session (Psi.Session.Intersect_size { s_values = vs; r_values = vr }) in
+      Alcotest.(check int) (Printf.sprintf "%d/%d/%d" n_s n_r overlap) overlap (size r))
     [ (0, 0, 0); (5, 5, 0); (5, 5, 5); (40, 60, 13); (100, 3, 3) ]
 
 let test_intersection_size_z_r_resorted () =
   (* The Z_R message must be re-sorted: otherwise R could align it with
      its own Y_R order and learn which values matched (§5.1). *)
-  let o = Psi.Intersection_size.run cfg ~sender_values:vs1 ~receiver_values:vr1 () in
+  let o =
+    launch
+      (Psi.Intersection_size.sender cfg ~values:vs1)
+      (Psi.Intersection_size.receiver cfg ~values:vr1)
+  in
   let z_r = elements_of_view o.Runner.receiver_view "intersection_size/Z_R" in
   Alcotest.(check bool) "Z_R sorted" true (P.is_sorted z_r);
   Alcotest.(check int) "|Z_R| = |V_R|" 4 (List.length z_r);
@@ -580,7 +671,11 @@ let test_intersection_size_z_r_resorted () =
   | _ -> Alcotest.fail "Z_R must be an unpaired element list"
 
 let test_intersection_size_op_counts () =
-  let o = Psi.Intersection_size.run cfg ~sender_values:vs1 ~receiver_values:vr1 () in
+  let o =
+    launch
+      (Psi.Intersection_size.sender cfg ~values:vs1)
+      (Psi.Intersection_size.receiver cfg ~values:vr1)
+  in
   let s = o.Runner.sender_result.Psi.Intersection_size.ops in
   let r = o.Runner.receiver_result.Psi.Intersection_size.ops in
   Alcotest.(check int) "Ce = 2(|V_S|+|V_R|)" (2 * (5 + 4)) (s.P.encryptions + r.P.encryptions)
@@ -593,18 +688,23 @@ let ms_s = [ "a"; "a"; "a"; "b"; "c"; "c"; "d" ]
 let ms_r = [ "a"; "b"; "b"; "c"; "c"; "e" ]
 
 let test_equijoin_size_basic () =
-  let o = Psi.Equijoin_size.run cfg ~sender_values:ms_s ~receiver_values:ms_r () in
-  let r = o.Runner.receiver_result in
+  let r, (v_s, v_r) =
+    session (Psi.Session.Equijoin_size { s_values = ms_s; r_values = ms_r })
+  in
   (* a: 3*1, b: 1*2, c: 2*2 => 9. *)
-  Alcotest.(check int) "join size" 9 r.Psi.Equijoin_size.join_size;
+  Alcotest.(check int) "join size" 9 (size r);
   Alcotest.(check int) "matches Leakage.join_size"
     (Psi.Leakage.join_size ~r_values:ms_r ~s_values:ms_s)
-    r.Psi.Equijoin_size.join_size;
-  Alcotest.(check int) "|T_S.A| multiset" 7 r.Psi.Equijoin_size.v_s_multiset_size;
-  Alcotest.(check int) "|T_R.A| multiset" 6 o.Runner.sender_result.Psi.Equijoin_size.v_r_multiset_size
+    (size r);
+  Alcotest.(check int) "|T_S.A| multiset" 7 v_s;
+  Alcotest.(check int) "|T_R.A| multiset" 6 v_r
 
 let test_equijoin_size_duplicate_distributions () =
-  let o = Psi.Equijoin_size.run cfg ~sender_values:ms_s ~receiver_values:ms_r () in
+  let o =
+    launch
+      (Psi.Equijoin_size.sender cfg ~values:ms_s)
+      (Psi.Equijoin_size.receiver cfg ~values:ms_r)
+  in
   (* S's multiset: one value x3 (a), two x1 (b, d), one x2 (c). *)
   Alcotest.(check (list (pair int int))) "R learns S's distribution"
     [ (1, 2); (2, 1); (3, 1) ]
@@ -615,7 +715,11 @@ let test_equijoin_size_duplicate_distributions () =
     o.Runner.sender_result.Psi.Equijoin_size.r_duplicate_distribution
 
 let test_equijoin_size_class_leakage_matches_prediction () =
-  let o = Psi.Equijoin_size.run cfg ~sender_values:ms_s ~receiver_values:ms_r () in
+  let o =
+    launch
+      (Psi.Equijoin_size.sender cfg ~values:ms_s)
+      (Psi.Equijoin_size.receiver cfg ~values:ms_r)
+  in
   Alcotest.(check (list (pair (pair int int) int))) "§5.2 leakage matrix"
     (Psi.Leakage.class_intersections ~r_values:ms_r ~s_values:ms_s)
     o.Runner.receiver_result.Psi.Equijoin_size.class_intersections
@@ -623,7 +727,11 @@ let test_equijoin_size_class_leakage_matches_prediction () =
 let test_equijoin_size_no_duplicates_degenerates () =
   (* With all multiplicities 1 the protocol reveals only the size — the
      leakage matrix collapses to a single cell. *)
-  let o = Psi.Equijoin_size.run cfg ~sender_values:vs1 ~receiver_values:vr1 () in
+  let o =
+    launch
+      (Psi.Equijoin_size.sender cfg ~values:vs1)
+      (Psi.Equijoin_size.receiver cfg ~values:vr1)
+  in
   Alcotest.(check int) "join size = intersection size" 2
     o.Runner.receiver_result.Psi.Equijoin_size.join_size;
   Alcotest.(check (list (pair (pair int int) int))) "single cell"
@@ -636,10 +744,10 @@ let test_equijoin_size_randomized () =
       let base_s, base_r = Psi.Workload.value_sets ~seed ~n_s:n ~n_r:n ~overlap:(n / 2) in
       let s = Psi.Workload.multiset ~seed:(seed ^ "s") ~values:base_s ~max_dup in
       let r = Psi.Workload.multiset ~seed:(seed ^ "r") ~values:base_r ~max_dup in
-      let o = Psi.Equijoin_size.run cfg ~sender_values:s ~receiver_values:r () in
+      let res, _ = session (Psi.Session.Equijoin_size { s_values = s; r_values = r }) in
       Alcotest.(check int) (seed ^ ": join size")
         (Psi.Leakage.join_size ~r_values:r ~s_values:s)
-        o.Runner.receiver_result.Psi.Equijoin_size.join_size)
+        (size res))
     [ (10, 3, "ejs1"); (25, 5, "ejs2"); (40, 2, "ejs3") ]
 
 (* ------------------------------------------------------------------ *)
@@ -698,7 +806,11 @@ let test_dictionary_attack_breaks_strawman () =
   Alcotest.(check (list string)) "V_S fully recovered" (sorted_strings vs1) recovered
 
 let test_dictionary_attack_fails_against_secure_protocol () =
-  let o = Psi.Intersection.run cfg ~sender_values:vs1 ~receiver_values:vr1 () in
+  let o =
+    launch
+      (Psi.Intersection.sender cfg ~values:vs1)
+      (Psi.Intersection.receiver cfg ~values:vr1)
+  in
   let recovered =
     Psi.Insecure_hash.dictionary_attack cfg
       ~transcript:(o.Runner.receiver_view @ o.Runner.sender_view)
@@ -706,12 +818,20 @@ let test_dictionary_attack_fails_against_secure_protocol () =
   in
   Alcotest.(check (list string)) "nothing recovered" [] recovered;
   (* Same for the size protocols and the equijoin. *)
-  let o2 = Psi.Intersection_size.run cfg ~sender_values:vs1 ~receiver_values:vr1 () in
+  let o2 =
+    launch
+      (Psi.Intersection_size.sender cfg ~values:vs1)
+      (Psi.Intersection_size.receiver cfg ~values:vr1)
+  in
   Alcotest.(check (list string)) "nothing from size protocol" []
     (Psi.Insecure_hash.dictionary_attack cfg
        ~transcript:(o2.Runner.receiver_view @ o2.Runner.sender_view)
        ~candidates:domain_universe);
-  let o3 = Psi.Equijoin.run cfg ~sender_records:records1 ~receiver_values:vr1 () in
+  let o3 =
+    launch
+      (Psi.Equijoin.sender cfg ~records:records1)
+      (Psi.Equijoin.receiver cfg ~values:vr1)
+  in
   Alcotest.(check (list string)) "nothing from equijoin" []
     (Psi.Insecure_hash.dictionary_attack cfg
        ~transcript:(o3.Runner.receiver_view @ o3.Runner.sender_view)
@@ -753,7 +873,11 @@ let pooled_bit_fraction view =
   float_of_int !ones /. float_of_int (Stdlib.max 1 !bits)
 
 let test_simulator_sender_view () =
-  let o = Psi.Intersection.run cfg ~sender_values:vs1 ~receiver_values:vr1 () in
+  let o =
+    launch
+      (Psi.Intersection.sender cfg ~values:vs1)
+      (Psi.Intersection.receiver cfg ~values:vr1)
+  in
   let simulated = Psi.Simulator.intersection_sender_view cfg ~rng:sim_rng ~v_r_count:4 in
   Alcotest.(check (list (pair string int))) "same shape" (profile cfg o.Runner.sender_view)
     (profile cfg simulated);
@@ -766,7 +890,11 @@ let test_simulator_sender_view () =
     (List.for_all (fun e -> not (List.mem e (elements o.Runner.sender_view))) (elements simulated))
 
 let test_simulator_receiver_view_structure () =
-  let o = Psi.Intersection.run cfg ~sender_values:vs1 ~receiver_values:vr1 () in
+  let o =
+    launch
+      (Psi.Intersection.sender cfg ~values:vs1)
+      (Psi.Intersection.receiver cfg ~values:vr1)
+  in
   (* What R sent (public to the distinguisher). *)
   let y_r =
     match Wire.Runner.(o.sender_view) with
@@ -990,7 +1118,7 @@ let test_obs_telemetry_matches_cost_model () =
   Obs.Runtime.with_enabled (fun () ->
       Obs.Metrics.reset ();
       let vs, vr = Psi.Workload.value_sets ~seed:"obs-psi" ~n_s:9 ~n_r:7 ~overlap:3 in
-      ignore (Psi.Intersection.run cfg ~seed:"t:obs" ~sender_values:vs ~receiver_values:vr ());
+      ignore (session ~seed:"t:obs" (Psi.Session.Intersect { s_values = vs; r_values = vr }));
       let snap = Obs.Metrics.snapshot () in
       let p = { Psi.Cost_model.paper_params with k_bits = 8 * Group.element_bytes g64 } in
       let c = Psi.Obs_report.model_vs_measured p Psi.Cost_model.Intersection snap in
@@ -1010,6 +1138,136 @@ let test_obs_telemetry_matches_cost_model () =
         (c.Obs.Report.observed_bits >= c.Obs.Report.predicted_bits);
       Obs.Metrics.reset ())
 
+(* The executor publishes every op's psi.<op>.* tallies, each party its
+   own share. For each of the four ops, the snapshot of Session.run at
+   k = 1, of Session.run at k = 4, and of a one-sided
+   sender_op/receiver_op pair over a socketpair (the psid shape) carries
+   the Ce, |V_S| and |V_R| of the party functions' own reports; at
+   k = 1 the wire bytes are the handshake-free monolithic transcript,
+   and the §6.1 model agrees with the Session.run snapshot. *)
+let test_executor_publishes_run_tallies () =
+  (* 256-bit codewords keep framing within the model's tolerance. *)
+  let cfg = cfg256 in
+  let vs, vr = Psi.Workload.value_sets ~seed:"tallies" ~n_s:40 ~n_r:30 ~overlap:10 in
+  let records = List.map (fun v -> (v, "rec:" ^ v)) vs in
+  (* ((model op, its tally name), session op, party reports as
+     (Ce, v_s, v_r, bytes)) *)
+  let party (o : _ Runner.outcome) s_ops r_ops v_s v_r =
+    ((P.total s_ops r_ops).P.encryptions, v_s, v_r, o.Runner.total_bytes)
+  in
+  let cases =
+    [
+      ( (Psi.Cost_model.Intersection, "intersection"),
+        Psi.Session.Intersect { s_values = vs; r_values = vr },
+        let o =
+          launch
+            (Psi.Intersection.sender cfg ~values:vs)
+            (Psi.Intersection.receiver cfg ~values:vr)
+        in
+        let s = o.Runner.sender_result and r = o.Runner.receiver_result in
+        party o s.Psi.Intersection.ops r.Psi.Intersection.ops r.Psi.Intersection.v_s_count
+          s.Psi.Intersection.v_r_count );
+      ( (Psi.Cost_model.Intersection_size, "intersection_size"),
+        Psi.Session.Intersect_size { s_values = vs; r_values = vr },
+        let o =
+          launch
+            (Psi.Intersection_size.sender cfg ~values:vs)
+            (Psi.Intersection_size.receiver cfg ~values:vr)
+        in
+        let s = o.Runner.sender_result and r = o.Runner.receiver_result in
+        party o s.Psi.Intersection_size.ops r.Psi.Intersection_size.ops
+          r.Psi.Intersection_size.v_s_count s.Psi.Intersection_size.v_r_count );
+      ( (Psi.Cost_model.Equijoin, "equijoin"),
+        Psi.Session.Equijoin { s_records = records; r_values = vr },
+        let o =
+          launch (Psi.Equijoin.sender cfg ~records) (Psi.Equijoin.receiver cfg ~values:vr)
+        in
+        let s = o.Runner.sender_result and r = o.Runner.receiver_result in
+        party o s.Psi.Equijoin.ops r.Psi.Equijoin.ops r.Psi.Equijoin.v_s_count
+          s.Psi.Equijoin.v_r_count );
+      ( (Psi.Cost_model.Equijoin_size, "equijoin_size"),
+        Psi.Session.Equijoin_size { s_values = vs; r_values = vr },
+        let o =
+          launch
+            (Psi.Equijoin_size.sender cfg ~values:vs)
+            (Psi.Equijoin_size.receiver cfg ~values:vr)
+        in
+        let s = o.Runner.sender_result and r = o.Runner.receiver_result in
+        party o s.Psi.Equijoin_size.ops r.Psi.Equijoin_size.ops
+          r.Psi.Equijoin_size.v_s_multiset_size s.Psi.Equijoin_size.v_r_multiset_size );
+    ]
+  in
+  let snapshot run =
+    Obs.Runtime.with_enabled (fun () ->
+        Obs.Metrics.reset ();
+        run ();
+        let snap = Obs.Metrics.snapshot () in
+        Obs.Metrics.reset ();
+        snap)
+  in
+  let one_sided op () =
+    let a, b = Wire.Transport.Socket.pair () in
+    let s_ep = Wire.Channel.of_transport a and r_ep = Wire.Channel.of_transport b in
+    let drbg = Crypto.Drbg.create ~seed:"psid-shape" in
+    let plan = Psi.Shard.monolithic in
+    Fun.protect
+      ~finally:(fun () ->
+        Wire.Channel.close s_ep;
+        Wire.Channel.close r_ep)
+      (fun () ->
+        ignore
+          (Runner.run_on (s_ep, r_ep)
+             ~sender:(fun ep ->
+               Psi.Handshake.respond cfg ep;
+               Psi.Shard.sender_op cfg plan ~drbg:(Crypto.Drbg.split drbg ~label:"sender") ep op)
+             ~receiver:(fun ep ->
+               Psi.Handshake.initiate cfg ep;
+               Psi.Shard.receiver_op cfg plan
+                 ~drbg:(Crypto.Drbg.split drbg ~label:"receiver")
+                 ep op)))
+  in
+  List.iter
+    (fun ((model_op, tally), op, (ce, v_s, v_r, bytes)) ->
+      let name = Psi.Shard.op_name op in
+      let check_snapshot label ~k1 snap =
+        let key m = Printf.sprintf "psi.%s.%s" tally m in
+        let counter m = Option.value ~default:(-1) (Obs.Metrics.find_counter snap (key m)) in
+        let gauge m =
+          Option.fold ~none:(-1) ~some:int_of_float (Obs.Metrics.find_gauge snap (key m))
+        in
+        let label m = Printf.sprintf "%s %s: %s" name label m in
+        Alcotest.(check int) (label "runs") 1 (counter "runs");
+        Alcotest.(check int) (label "Ce") ce (counter "encryptions");
+        Alcotest.(check int) (label "v_s") v_s (gauge "v_s");
+        Alcotest.(check int) (label "v_r") v_r (gauge "v_r");
+        if k1 then Alcotest.(check int) (label "wire bytes") bytes (counter "wire_bytes")
+      in
+      let run_session ?shard () =
+        let report = Psi.Session.run cfg ?shard [ op ] () in
+        Alcotest.(check (list (pair int int)))
+          (name ^ ": peer sizes") [ (v_s, v_r) ] report.Psi.Session.peer_sizes
+      in
+      let k1 = snapshot (fun () -> run_session ()) in
+      check_snapshot "k=1" ~k1:true k1;
+      check_snapshot "k=4" ~k1:false
+        (snapshot (fun () -> run_session ~shard:(Psi.Shard.plan ~buckets:4 ()) ()));
+      check_snapshot "one-sided" ~k1:true (snapshot (one_sided op));
+      let params =
+        let k_bits = 8 * Group.element_bytes g256 in
+        match Obs.Metrics.find_histogram k1 "psi.equijoin.ext_bytes" with
+        | Some h when model_op = Psi.Cost_model.Equijoin ->
+            {
+              Psi.Cost_model.paper_params with
+              k_bits;
+              k'_bits = int_of_float ((8. *. Obs.Metrics.mean h) +. 0.5);
+            }
+        | _ -> { Psi.Cost_model.paper_params with k_bits }
+      in
+      let c = Psi.Obs_report.model_vs_measured params model_op k1 in
+      Alcotest.(check (float 0.)) (name ^ ": Ce = model") 0. c.Obs.Report.ce_rel_error;
+      Alcotest.(check bool) (name ^ ": within tolerance") true c.Obs.Report.within_tolerance)
+    cases
+
 let test_tracing_leaves_transcript_identical () =
   (* The observability layer must never change what crosses the wire:
      with trace context, span collection and the flight recorder all
@@ -1017,8 +1275,9 @@ let test_tracing_leaves_transcript_identical () =
      identical to the untraced run's — no new wire bytes, ever. *)
   let run () =
     let o =
-      Psi.Intersection.run cfg ~seed:"t:traced" ~sender_values:vs1
-        ~receiver_values:vr1 ()
+      launch ~seed:"t:traced"
+        (Psi.Intersection.sender cfg ~values:vs1)
+        (Psi.Intersection.receiver cfg ~values:vr1)
     in
     (o.Runner.sender_view, o.Runner.receiver_view)
   in
@@ -1542,6 +1801,8 @@ let () =
             test_tracing_leaves_transcript_identical;
           Alcotest.test_case "§3.2.2 collision probability" `Quick
             test_collision_probability_paper_example;
+          Alcotest.test_case "executor publishes run tallies" `Quick
+            test_executor_publishes_run_tallies;
         ] );
       ( "circuit-baseline",
         [

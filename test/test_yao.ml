@@ -215,12 +215,17 @@ let test_yao_psi_matches_commutative_protocol () =
   in
   let cfg = Psi.Protocol.config g64 in
   let psi =
-    (Psi.Intersection.run cfg
-       ~sender_values:(List.map string_of_int vs)
-       ~receiver_values:(List.map string_of_int vr)
-       ())
-      .Wire.Runner.receiver_result
-      .Psi.Intersection.intersection
+    match
+      (Psi.Session.run cfg
+         [
+           Psi.Session.Intersect
+             { s_values = List.map string_of_int vs; r_values = List.map string_of_int vr };
+         ]
+         ())
+        .Psi.Session.results
+    with
+    | [ Psi.Session.Values inter ] -> inter
+    | _ -> Alcotest.fail "expected one intersection"
   in
   Alcotest.(check (list string)) "same result"
     (List.sort String.compare (List.map string_of_int yao))
@@ -234,12 +239,16 @@ let test_yao_psi_much_more_expensive () =
   let yao = Psi_baseline.run ~group:g64 ~w:16 ~sender_values:vs ~receiver_values:vr () in
   let cfg = Psi.Protocol.config g64 in
   let psi =
-    Psi.Intersection.run cfg
-      ~sender_values:(List.map string_of_int vs)
-      ~receiver_values:(List.map string_of_int vr)
+    Psi.Session.run cfg
+      [
+        Psi.Session.Intersect
+          { s_values = List.map string_of_int vs; r_values = List.map string_of_int vr };
+      ]
       ()
   in
-  let ratio = float_of_int yao.Psi_baseline.total_bytes /. float_of_int psi.Wire.Runner.total_bytes in
+  let ratio =
+    float_of_int yao.Psi_baseline.total_bytes /. float_of_int psi.Psi.Session.total_bytes
+  in
   Alcotest.(check bool)
     (Printf.sprintf "circuit %.0fx more traffic" ratio)
     true (ratio > 50.)

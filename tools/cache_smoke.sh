@@ -7,9 +7,9 @@
 #   - the warm stdout to be byte-identical to a cold run (fresh cache
 #     directory) over the mutated tables — the cache changes the
 #     compute schedule, never the transcript;
-#   - the warm protocol results to equal the plain uncached CLI path's
-#     (which skips the session handshake, so only its wire-traffic
-#     accounting line may differ);
+#   - the warm stdout to be byte-identical to the plain uncached CLI
+#     path's as well, wire-traffic line included (both run one session:
+#     config handshake, then the protocol);
 #   - the warm ecache counters to match the delta exactly: 2 added,
 #     2 removed, 398 unchanged (200 sender + 198 receiver) — and for
 #     the intersection the full 3-lookups-per-element law:
@@ -72,17 +72,15 @@ for op in intersection size equijoin join-size; do
   fi
 
   # Reference 2: the plain uncached CLI path over the same inputs. It
-  # runs the protocol without the session handshake, so strip the
-  # traffic-accounting line and compare the protocol results alone.
+  # runs the same session, so its whole stdout — the wire-traffic line
+  # included — must match.
   "$BIN" intersect --group test64 --op "$op" --attr email \
     --csv-s "$dir/s.csv" --csv-r "$dir/r2.csv" \
     > "$dir/$op.plain.out"
 
-  grep -v '^wire traffic' "$dir/$op.warm.out" > "$dir/$op.warm.res"
-  grep -v '^wire traffic' "$dir/$op.plain.out" > "$dir/$op.plain.res"
-  if ! cmp -s "$dir/$op.warm.res" "$dir/$op.plain.res"; then
-    echo "cache_smoke: $op warm results differ from the uncached CLI path" >&2
-    diff "$dir/$op.warm.res" "$dir/$op.plain.res" >&2 || true
+  if ! cmp -s "$dir/$op.warm.out" "$dir/$op.plain.out"; then
+    echo "cache_smoke: $op warm output differs from the uncached CLI path" >&2
+    diff "$dir/$op.warm.out" "$dir/$op.plain.out" >&2 || true
     exit 1
   fi
 

@@ -1,8 +1,11 @@
 #!/bin/sh
 # Two-process smoke test: run the intersection protocol between two real
 # OS processes over a loopback socket (psi_demo net) and check that
-#   - the receiver's intersection matches the in-process run, and
-#   - both sides report the same total payload byte count.
+#   - the receiver's intersection matches the in-process run,
+#   - both sides report the same total payload byte count, and
+#   - that total equals the in-process run's wire traffic (both run the
+#     config handshake, then the protocol; byte counts exclude the
+#     socket's framing prefix).
 #
 # Usage: net_smoke.sh path/to/psi_demo.exe
 set -eu
@@ -73,6 +76,13 @@ s_total=$(sed -n 's/.*(total \([0-9]*\)).*/\1/p' "$dir/s.out")
 r_total=$(sed -n 's/.*(total \([0-9]*\)).*/\1/p' "$dir/r.out")
 if [ -z "$s_total" ] || [ "$s_total" != "$r_total" ]; then
   echo "net_smoke: byte totals disagree (sender=$s_total receiver=$r_total)" >&2
+  exit 1
+fi
+
+# ... and the in-process session moves exactly the same bytes.
+ref_total=$(sed -n 's/^wire traffic: \([0-9]*\) bytes$/\1/p' "$dir/ref.out")
+if [ "$r_total" != "$ref_total" ]; then
+  echo "net_smoke: networked total $r_total differs from in-process $ref_total" >&2
   exit 1
 fi
 
