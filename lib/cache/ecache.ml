@@ -1,22 +1,13 @@
 module Buf = Wire.Buf
-module Sha256 = Crypto.Sha256
+module Log = Wire.Record_log
 
-(* On-disk layout of <dir>/ecache.psi:
+(* <dir>/ecache.psi is a record log of kind "ecache", one frame per
+   entry; the body is Buf-framed (varint-prefixed key, then value).
+   Read policy: a corrupt frame is skipped and an unframeable tail ends
+   the load, so damage degrades to a cache miss — never to serving a
+   wrong value. A flush rewrites the whole file. *)
 
-     "PSIECACH" | version u8 | entry*
-     entry = u32 body_len | body | 8-byte checksum
-
-   body is Buf-framed (varint-prefixed key, then value); the checksum
-   is SHA-256 over the body, domain separated and truncated. The frame
-   length lives outside the checksum on purpose: a corrupt body is
-   skipped without losing framing, and a corrupt length (or a cut-off
-   tail) simply ends the load. Either way the damage degrades to a
-   cache miss — never to serving a wrong value. *)
-
-let magic = "PSIECACH"
-let version = 1
-let checksum_bytes = 8
-let checksum body = String.sub (Sha256.digest_concat [ "psi:ecache:v1"; body ]) 0 checksum_bytes
+let kind = "ecache"
 let default_max_entries = 65536
 
 let c_hits = Obs.Metrics.counter "ecache.hits"
@@ -123,104 +114,53 @@ let insert t key value =
 
 let cache_file dir = Filename.concat dir "ecache.psi"
 
-let rec ensure_dir d =
-  if not (Sys.file_exists d) then begin
-    let parent = Filename.dirname d in
-    if not (String.equal parent d) then ensure_dir parent;
-    (* A concurrent creator winning the race is fine; any real failure
-       (permissions, name collision with a file) resurfaces at flush. *)
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
-
-let read_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | data -> Some data
-  | exception Sys_error _ -> None
-
 let corrupt t =
   t.s_corrupt <- t.s_corrupt + 1;
   Obs.Metrics.incr c_corrupt
 
-(* Decode one frame; [None] means the rest of the file is unusable. *)
-let load_entries t data =
-  let r = Buf.reader data in
-  let _header = Buf.read_raw r (String.length magic + 1) in
-  let continue = ref true in
-  while !continue && not (Buf.at_end r) do
-    match
-      let body_len = Buf.read_u32 r in
-      if body_len > Buf.max_chunk_bytes then raise (Buf.Parse_error "ecache: oversized entry");
-      let body = Buf.read_raw r body_len in
-      let sum = Buf.read_raw r checksum_bytes in
-      (body, sum)
-    with
-    | exception Buf.Parse_error _ ->
-        (* Truncated or unframeable tail: keep what we have. *)
-        corrupt t;
-        continue := false
-    | body, sum ->
-        if not (String.equal sum (checksum body)) then corrupt t
-        else begin
-          match
-            let br = Buf.reader body in
-            let key = Buf.read_bytes br in
-            let value = Buf.read_bytes br in
-            Buf.expect_end br;
-            (key, value)
-          with
-          | exception Buf.Parse_error _ -> corrupt t
-          | key, value ->
-              insert t key value;
-              (* [insert] counted a put; reclassify as a load. *)
-              t.s_puts <- t.s_puts - 1;
-              t.s_loaded <- t.s_loaded + 1;
-              Obs.Metrics.incr c_loaded
-        end
-  done;
-  t.dirty <- false
+let load_frame t = function
+  | Log.Corrupt -> corrupt t
+  | Log.Body body -> (
+      match
+        let r = Buf.reader body in
+        let key = Buf.read_bytes r in
+        let value = Buf.read_bytes r in
+        Buf.expect_end r;
+        (key, value)
+      with
+      | exception Buf.Parse_error _ -> corrupt t
+      | key, value ->
+          insert t key value;
+          (* [insert] counted a put; reclassify as a load. *)
+          t.s_puts <- t.s_puts - 1;
+          t.s_loaded <- t.s_loaded + 1;
+          Obs.Metrics.incr c_loaded)
 
 let load t =
-  match read_file (cache_file t.dir) with
-  | None -> ()
-  | Some data ->
-      let header_len = String.length magic + 1 in
-      if String.length data < header_len then corrupt t
-      else if not (String.equal (String.sub data 0 (String.length magic)) magic) then corrupt t
-      else if Char.code data.[String.length magic] <> version then
-        (* Stale format: every lookup misses and the next flush
-           rewrites the file at the current version. *)
-        corrupt t
-      else load_entries t data
+  (match Log.fold ~kind (cache_file t.dir) ~init:() (fun () f -> load_frame t f) with
+  | Log.Missing | Log.Read _ -> ()
+  | Log.Foreign ->
+      (* Another kind, version or format: every lookup misses and the
+         next flush rewrites the file in the current one. *)
+      corrupt t);
+  t.dirty <- false
 
-let write_entry w key value =
-  let bw = Buf.writer () in
-  Buf.write_bytes bw key;
-  Buf.write_bytes bw value;
-  let body = Buf.contents bw in
-  Buf.write_u32 w (String.length body);
-  Buf.write_raw w body;
-  Buf.write_raw w (checksum body)
+let entry_body n =
+  let w = Buf.writer () in
+  Buf.write_bytes w n.key;
+  Buf.write_bytes w n.value;
+  Buf.contents w
 
 let flush t =
   with_lock t (fun () ->
       if t.dirty && not t.closed then begin
-        ensure_dir t.dir;
-        let w = Buf.writer () in
-        Buf.write_raw w magic;
-        Buf.write_u8 w version;
         (* Oldest first, so loading (which pushes to front) restores
            the same recency order. *)
-        let rec walk = function
-          | None -> ()
-          | Some n ->
-              write_entry w n.key n.value;
-              walk n.prev
+        let rec bodies acc = function
+          | None -> acc
+          | Some n -> bodies (entry_body n :: acc) n.next
         in
-        walk t.tail;
-        let path = cache_file t.dir in
-        let tmp = path ^ ".tmp" in
-        Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc (Buf.contents w));
-        Sys.rename tmp path;
+        Log.write ~kind (cache_file t.dir) (bodies [] t.head);
         t.dirty <- false;
         Obs.Metrics.incr c_flushes
       end)
@@ -231,7 +171,7 @@ let flush t =
 
 let open_ ?(max_entries = default_max_entries) ~dir () =
   if max_entries < 1 then invalid_arg "Ecache.open_: max_entries must be >= 1";
-  ensure_dir dir;
+  Log.mkdirs dir;
   let t =
     {
       dir;

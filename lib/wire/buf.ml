@@ -2,6 +2,7 @@ type writer = Buffer.t
 
 let writer () = Buffer.create 256
 let contents = Buffer.contents
+let length = Buffer.length
 
 let write_u8 w n =
   if n < 0 || n > 0xff then invalid_arg "Buf.write_u8: out of range"

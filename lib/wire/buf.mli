@@ -11,6 +11,10 @@ type writer
 
 val writer : unit -> writer
 val contents : writer -> string
+
+(** Bytes written so far. *)
+val length : writer -> int
+
 val write_u8 : writer -> int -> unit
 val write_u32 : writer -> int -> unit
 

@@ -5,15 +5,15 @@
     next run diffs its current sets against this snapshot to learn the
     delta [Δ] and only pays crypto work for added elements.
 
-    Format: ["PSISNAP"] magic, a version byte, a Buf-framed body
-    (varint run counter, then per-operation entries of op tag, key
-    fingerprint, and both parties' element lists), and a trailing
-    FNV-1a-64 checksum. Like the element cache, damage degrades
-    safely: {!load} answers [None] for a missing, foreign, stale or
-    corrupt file, which the driver treats as "no previous run" — a
-    cold run, never a wrong diff. Snapshots live on the operator's own
-    disk; the checksum guards against accidental damage, not
-    tampering. *)
+    Format: a {!Record_log} of kind ["snapshot"] holding exactly one
+    frame, whose body is {!encode}'s output: a varint run counter, then
+    per-operation entries of op tag, key fingerprint, and both parties'
+    element lists. The read policy accepts only a clean read of that one
+    frame: {!load} answers [None] for a missing, foreign, damaged or
+    extended file, which [Session.run_incremental] treats as "no
+    previous run" — a cold run, never a wrong diff. The shard
+    executor's per-bucket checkpoints are snapshots too, with the same
+    policy. *)
 
 type entry = {
   op : string;  (** stable operation tag, e.g. ["intersection"] *)
@@ -27,13 +27,14 @@ type t = {
   entries : entry list;
 }
 
+(** [encode t] is the snapshot's frame body. *)
 val encode : t -> string
 
-(** [decode data] parses {!encode} output. All claimed lengths are
+(** [decode body] parses {!encode} output. All claimed lengths are
     bounded by the input size before any allocation. *)
 val decode : string -> (t, string) result
 
-(** [save ~path t] writes atomically (temp file + rename). *)
+(** [save ~path t] writes atomically ({!Record_log.write}). *)
 val save : path:string -> t -> unit
 
 (** [load ~path] is [None] when the file is missing or unusable. *)

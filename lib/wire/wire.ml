@@ -11,4 +11,5 @@ module Transport = Transport
 module Fault = Fault
 module Channel = Channel
 module Runner = Runner
+module Record_log = Record_log
 module Snapshot = Snapshot

@@ -6,6 +6,9 @@
 module Ecache = Cache.Ecache
 module Snapshot = Wire.Snapshot
 
+(* The cache file's record-log header; frames follow it. *)
+let ecache_header = Wire.Record_log.header "ecache"
+
 let tmp_counter = ref 0
 
 let fresh_dir () =
@@ -132,10 +135,12 @@ let test_corrupt_entry_skipped () =
   let xs = inputs 6 in
   ignore (fill dir "enc" xs);
   let data = read_file (cache_file dir) in
-  (* Header is magic (8) + version (1); byte 13 sits inside the first
-     entry's body. The frame stays intact, so later entries load. *)
+  (* The first frame's one-byte length follows the header; the byte
+     after it opens the first entry's body. The frame stays intact, so
+     later entries load. *)
   let b = Bytes.of_string data in
-  Bytes.set b 13 (Char.chr (Char.code (Bytes.get b 13) lxor 0xFF));
+  let pos = String.length ecache_header + 1 in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xFF));
   write_file (cache_file dir) (Bytes.to_string b);
   let c = Ecache.open_ ~dir () in
   let s = Ecache.stats c in
@@ -149,13 +154,44 @@ let test_stale_version_header () =
   let xs = inputs 8 in
   ignore (fill dir "enc" xs);
   let data = read_file (cache_file dir) in
+  (* The format version is the header's last byte. *)
   let b = Bytes.of_string data in
-  Bytes.set b 8 (Char.chr 99);
+  Bytes.set b (String.length ecache_header - 1) (Char.chr 99);
   write_file (cache_file dir) (Bytes.to_string b);
   let c = Ecache.open_ ~dir () in
   Alcotest.(check int) "stale version loads nothing" 0 (Ecache.entries c);
   Ecache.close c;
   check_never_wrong ~msg:"stale version" dir "enc" xs
+
+(* Loading and flushing the cache are attributed: each opens a span
+   naming the file kind and the bytes moved. *)
+let test_store_spans () =
+  let dir = fresh_dir () in
+  ignore (fill dir "enc" (inputs 4));
+  let size = (Unix.stat (cache_file dir)).Unix.st_size in
+  let (), roots, _ =
+    Obs.trace (fun () ->
+        let c = Ecache.open_ ~dir () in
+        Ecache.put c ~ns:"enc" ~key_fp:"fp" "new" (value_of "new");
+        Ecache.flush c)
+  in
+  let store =
+    List.filter_map
+      (fun s ->
+        if String.starts_with ~prefix:"store/" (Obs.Span.name s) then
+          let attr k = List.assoc_opt k (Obs.Span.attrs s) in
+          Some (Obs.Span.name s, attr "kind", attr "bytes")
+        else None)
+      roots
+  in
+  let size' = (Unix.stat (cache_file dir)).Unix.st_size in
+  Alcotest.(check (list (triple string (option string) (option string))))
+    "one read, one write"
+    [
+      ("store/read", Some "ecache", Some (string_of_int size));
+      ("store/write", Some "ecache", Some (string_of_int size'));
+    ]
+    store
 
 let qcheck_case ?(count = 60) ~name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
@@ -306,12 +342,18 @@ let snapshot_corruption_prop =
   qcheck_case ~name:"snapshot: any single byte flip is rejected"
     QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 1 255))
     (fun (pos_seed, flip) ->
-      let data = Bytes.of_string (Snapshot.encode snap) in
+      let path = Filename.concat (fresh_dir ()) "snap" in
+      Snapshot.save ~path snap;
+      let data = Bytes.of_string (read_file path) in
       let pos = pos_seed mod Bytes.length data in
       Bytes.set data pos (Char.chr (Char.code (Bytes.get data pos) lxor flip));
-      match Snapshot.decode (Bytes.to_string data) with
-      | Error _ -> true
-      | Ok _ -> false)
+      write_file path (Bytes.to_string data);
+      Option.is_none (Snapshot.load ~path))
+
+let test_snapshot_save_load () =
+  let path = Filename.concat (fresh_dir ()) "snap" in
+  Snapshot.save ~path snap;
+  Alcotest.(check bool) "reloaded" true (Snapshot.load ~path = Some snap)
 
 let test_snapshot_load_missing () =
   Alcotest.(check bool) "missing file" true
@@ -325,6 +367,7 @@ let () =
           Alcotest.test_case "round trip through disk" `Quick test_round_trip;
           Alcotest.test_case "missing file is empty" `Quick test_missing_file_is_empty;
           Alcotest.test_case "closed cache raises" `Quick test_closed_cache_raises;
+          Alcotest.test_case "load and flush open store spans" `Quick test_store_spans;
         ] );
       ( "corruption",
         [
@@ -348,6 +391,7 @@ let () =
       ( "snapshot",
         [
           Alcotest.test_case "round trip" `Quick test_snapshot_round_trip;
+          Alcotest.test_case "save then load" `Quick test_snapshot_save_load;
           snapshot_corruption_prop;
           Alcotest.test_case "load missing" `Quick test_snapshot_load_missing;
         ] );

@@ -437,6 +437,29 @@ let test_storage_rejects_foreign_file () =
            false
          with Invalid_argument _ -> true))
 
+(* A crash while creating a database must never leave a file that
+   cannot be opened, and an empty or short file is refused typed. *)
+let test_storage_rejects_short_file () =
+  with_db (fun path ->
+      let db = Storage.open_db path in
+      Storage.close db;
+      let header = In_channel.with_open_bin path In_channel.input_all in
+      let db = Storage.open_db path in
+      Alcotest.(check (list string)) "a fresh database reopens" [] (Storage.tables db);
+      Storage.close db;
+      List.iter
+        (fun keep ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc (String.sub header 0 keep));
+          Alcotest.(check bool)
+            (Printf.sprintf "%d-byte file rejected" keep)
+            true
+            (try
+               ignore (Storage.open_db path);
+               false
+             with Invalid_argument _ -> true))
+        [ 0; 3; String.length header - 1 ])
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -487,6 +510,8 @@ let () =
           Alcotest.test_case "corrupt checksum dropped" `Quick test_storage_corrupt_checksum;
           Alcotest.test_case "checkpoint compacts" `Quick test_storage_checkpoint;
           Alcotest.test_case "foreign file rejected" `Quick test_storage_rejects_foreign_file;
+          Alcotest.test_case "empty or short file rejected" `Quick
+            test_storage_rejects_short_file;
         ] );
       ( "csv",
         [

@@ -13,7 +13,11 @@
 #   - the warm ecache counters to match the delta exactly: 2 added,
 #     2 removed, 398 unchanged (200 sender + 198 receiver) — and for
 #     the intersection the full 3-lookups-per-element law:
-#     misses = 3*|delta| = 6, hits = 3*(200+200) - 6 = 1194.
+#     misses = 3*|delta| = 6, hits = 3*(200+200) - 6 = 1194;
+#   - after a byte in the middle of the cache file is flipped and the
+#     snapshot is cut short, a rerun to be cold and its stdout to be
+#     byte-identical to the cold reference — damaged state falls back
+#     to recomputing, never to a wrong answer.
 #
 # Usage: cache_smoke.sh path/to/psi_demo.exe
 set -eu
@@ -95,6 +99,34 @@ for op in intersection size equijoin join-size; do
     cat "$dir/$op.warm.err" >&2
     exit 1
   fi
+
+  # Damage the state the warm run left: flip the middle byte of the
+  # cache file and cut the snapshot to half its length.
+  size=$(wc -c < "$cdir/ecache.psi")
+  mid=$((size / 2))
+  byte=$(od -An -tu1 -j "$mid" -N1 "$cdir/ecache.psi" | tr -d ' ')
+  printf "$(printf '\\%03o' $((byte ^ 255)))" |
+    dd of="$cdir/ecache.psi" bs=1 seek="$mid" conv=notrunc 2>/dev/null
+  snap=$(wc -c < "$cdir/session.snap")
+  head -c $((snap / 2)) "$cdir/session.snap" > "$dir/snap.cut"
+  mv "$dir/snap.cut" "$cdir/session.snap"
+
+  "$BIN" intersect --group test64 --op "$op" --attr email \
+    --csv-s "$dir/s.csv" --csv-r "$dir/r2.csv" \
+    --cache "$cdir" --delta \
+    > "$dir/$op.damaged.out" 2> "$dir/$op.damaged.err"
+
+  if ! cmp -s "$dir/$op.damaged.out" "$dir/$op.ref.out"; then
+    echo "cache_smoke: $op output over damaged state differs from cold reference" >&2
+    diff "$dir/$op.damaged.out" "$dir/$op.ref.out" >&2 || true
+    exit 1
+  fi
+
+  if ! grep -q 'cold=true' "$dir/$op.damaged.err"; then
+    echo "cache_smoke: $op run over a cut snapshot did not go cold" >&2
+    cat "$dir/$op.damaged.err" >&2
+    exit 1
+  fi
 done
 
 # The intersection's warm counters obey the exact per-element law:
@@ -108,4 +140,4 @@ if ! grep -q 'hits=1194 misses=6' "$dir/intersection.warm.err"; then
   exit 1
 fi
 
-echo "cache_smoke: ok (4 ops warm == cold byte-identically; counters match |delta|)"
+echo "cache_smoke: ok (4 ops warm == cold byte-identically; counters match |delta|; damaged state recomputes)"
