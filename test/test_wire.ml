@@ -719,6 +719,57 @@ let test_runner_deadlock_free_on_crash () =
   | _ -> Alcotest.fail "expected exception"
 
 (* ------------------------------------------------------------------ *)
+(* Record log                                                          *)
+(* ------------------------------------------------------------------ *)
+
+module Log = Wire.Record_log
+
+let log_path () =
+  let path = Filename.temp_file "record_log" ".log" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  path
+
+let frames = function
+  | Log.Read { acc; valid; clean } -> (List.rev acc, valid, clean)
+  | Log.Missing | Log.Foreign -> Alcotest.fail "expected a readable log"
+
+let body_list = Alcotest.(list (option string))
+
+let as_options = List.map (function Log.Body b -> Some b | Log.Corrupt -> None)
+
+let test_log_roundtrip () =
+  let path = log_path () in
+  Log.write ~kind:"probe" path [ "one"; "" ];
+  let a = Log.open_append ~kind:"probe" path in
+  Log.append a "three";
+  Log.close a;
+  let fs, valid, clean = frames (Log.fold ~kind:"probe" path ~init:[] (fun acc f -> f :: acc)) in
+  Alcotest.check body_list "bodies in order" [ Some "one"; Some ""; Some "three" ] (as_options fs);
+  Alcotest.(check bool) "clean" true clean;
+  let size = Int64.to_int (In_channel.with_open_bin path In_channel.length) in
+  Alcotest.(check int) "valid is the whole file" size valid;
+  Alcotest.(check bool) "is_log" true (Log.is_log ~kind:"probe" path);
+  Alcotest.(check bool) "another kind is foreign" false (Log.is_log ~kind:"other" path);
+  match Log.fold ~kind:"other" path ~init:() (fun () _ -> ()) with
+  | Log.Foreign -> ()
+  | _ -> Alcotest.fail "another kind must read as Foreign"
+
+(* A ninth length byte would land on OCaml's sign bit and decode to a
+   negative length; the reader must stop there as an unclean end, not
+   raise. *)
+let test_log_nine_byte_length () =
+  let path = log_path () in
+  let hdr = Log.header "probe" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc hdr;
+      output_string oc "\x80\x80\x80\x80\x80\x80\x80\x80\x40";
+      output_string oc (String.make 16 'x'));
+  let fs, valid, clean = frames (Log.fold ~kind:"probe" path ~init:[] (fun acc f -> f :: acc)) in
+  Alcotest.check body_list "one corrupt tail" [ None ] (as_options fs);
+  Alcotest.(check int) "valid prefix is the header" (String.length hdr) valid;
+  Alcotest.(check bool) "unclean" false clean
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "wire"
@@ -791,6 +842,12 @@ let () =
           Alcotest.test_case "truncate" `Quick test_fault_truncate;
           Alcotest.test_case "cut after" `Quick test_fault_cut_after;
           Alcotest.test_case "determinism" `Quick test_fault_determinism;
+        ] );
+      ( "record_log",
+        [
+          Alcotest.test_case "write, append, fold" `Quick test_log_roundtrip;
+          Alcotest.test_case "nine-byte length is an unclean end" `Quick
+            test_log_nine_byte_length;
         ] );
       ( "runner",
         [
