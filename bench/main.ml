@@ -431,6 +431,14 @@ let kernel ~check =
             Crypto.Commutative.encrypt g k x))
       Group.[ Test64; Test128; Test256; Test512; Modp1536; Modp2048 ];
     us "crypto" "hash_to_group@test256" (fun () -> Crypto.Hash_to_group.hash test256 "v");
+    (* One Jacobi symbol: the QR_p membership test, a share of Ce. *)
+    List.iter
+      (fun name ->
+        let g = Group.named name in
+        let x = Group.random_element g ~rng in
+        us "bignum" ("jacobi@" ^ Group.name_to_string name) (fun () ->
+            Bignum.Prime.jacobi x (Group.p g)))
+      Group.[ Test256; Modp1536 ];
     us "crypto" "sha256@1KiB" (fun () -> Crypto.Sha256.digest (String.make 1024 'm'));
     us "bignum" "pow_montgomery@256" (fun () -> Bignum.Modular.Mont.pow mont x256 e256);
     us "bignum" "pow_binary@256" (fun () -> Bignum.Modular.pow_binary x256 e256 p256);

@@ -43,19 +43,18 @@ let is_zero (a : t) = Array.length a = 0
 let is_one (a : t) = Array.length a = 1 && a.(0) = 1
 let is_even (a : t) = Array.length a = 0 || a.(0) land 1 = 0
 
+(* Top-level rather than a local closure over [a] and [b], so a
+   comparison allocates nothing. *)
+let rec compare_from (a : t) (b : t) i =
+  if i < 0 then 0
+  (* psi-lint: allow CT01 — ordering must exit on the first differing limb *)
+  else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i)
+  else compare_from a b (i - 1)
+
 let compare (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
   (* psi-lint: allow CT01 — limb counts are public: magnitude length leaks anyway *)
-  if la <> lb then Stdlib.compare la lb
-  else begin
-    let rec go i =
-      if i < 0 then 0
-      (* psi-lint: allow CT01 — ordering must exit on the first differing limb *)
-      else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i)
-      else go (i - 1)
-    in
-    go (la - 1)
-  end
+  if la <> lb then Stdlib.compare la lb else compare_from a b (la - 1)
 
 let equal a b = compare a b = 0
 let min a b = if compare a b <= 0 then a else b
@@ -539,6 +538,169 @@ let to_decimal (a : t) =
 
 let pp fmt a = Format.pp_print_string fmt (to_decimal a)
 
+(* ------------------------------------------------------------------ *)
+(* Jacobi symbol                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Bernstein–Yang divsteps in their all-positive form (the variant
+   libsecp256k1 uses for its Jacobi symbol): f stays odd, g is replaced
+   by (g + w·f) / 2^z or swapped with f, so both stay nonnegative and
+   every step keeps (g/f) up to a sign that depends only on f and g mod
+   8. Each step is decided by the low bits alone, so a batch of
+   [steps] = 60 steps runs on the bottom 63 bits of f and g in native
+   ints, builds a 2×2 matrix, and one in-place pass over the limbs
+   applies it: (f, g) ← ((u·f + v·g), (q·f + r·g)) / 2^60. Once both
+   fit in 62 bits a native binary loop with exact comparisons finishes.
+   Binary GCD with comparisons (Pornin, "Optimized Binary GCD for
+   Modular Inversion", 2020) batches the same way but must approximate
+   the top words too, and its approximate steps can leave intermediate
+   values negative, which the symbol's sign cannot follow; divsteps
+   need neither. The batched loop is not proven to converge in a fixed number of
+   batches, so after [max_batches] it hands the rest to an exact
+   binary loop on [t]s. *)
+
+let steps = 60
+
+(* Trailing zeros of the low byte (255 for a zero byte, never read). *)
+let ctz8 = Bytes.init 256 (fun i ->
+    let rec go k = if k = 8 || (i lsr k) land 1 = 1 then k else go (k + 1) in
+    Char.chr (if i = 0 then 255 else go 0))
+
+(* Trailing zeros of a nonzero int. *)
+let rec ctz x = if x land 0xff <> 0 then Char.code (Bytes.unsafe_get ctz8 (x land 0xff)) else 8 + ctz (x lsr 8)
+
+(* (a/n) * s for native a >= 0 and odd n > 0: strip twos, then subtract
+   the smaller from the larger, swapping by reciprocity. *)
+let rec jacobi_int a n s =
+  if a = 0 then if n = 1 then s else 0
+  else begin
+    let z = ctz a in
+    let a = a lsr z in
+    let s = if z land 1 = 1 && (n land 7 = 3 || n land 7 = 5) then -s else s in
+    if a < n then jacobi_int (n - a) a (if a land n land 2 <> 0 then -s else s)
+    else jacobi_int (a - n) n s
+  end
+
+(* (a/n) * s for odd n, on [t]s: the same loop, exact and allocating. *)
+let rec jacobi_exact (a : t) (n : t) s =
+  if is_zero a then if is_one n then s else 0
+  else begin
+    let z = ref 0 in
+    while not (test_bit a !z) do incr z done;
+    let a = shift_right a !z and n3 = n.(0) land 7 in
+    let s = if !z land 1 = 1 && (n3 = 3 || n3 = 5) then -s else s in
+    if compare a n < 0 then jacobi_exact (sub n a) a (if a.(0) land n.(0) land 2 <> 0 then -s else s)
+    else jacobi_exact (sub a n) n s
+  end
+
+(* Bottom 63 bits of a limb array of length >= 3, wrapped into an int. *)
+let low63 (x : int array) = x.(0) lor (x.(1) lsl 30) lor ((x.(2) land 7) lsl 60)
+
+(* [steps] divsteps on the low words f, g, leaving eta, the sign bit
+   (bit 0 of [jac]) and the matrix u, v, q, r in [st.(0..5)].
+   Invariants (mod 2^63): u·f0 + v·g0 = f·2^j and q·f0 + r·g0 = g·2^j
+   after j steps, with u + v, q + r <= 2^j, so the entries stay below
+   2^60. A tail call with every piece of state an argument keeps it all
+   in registers. *)
+let rec divsteps (st : int array) eta jac u v q r f g i =
+  (* Bits >= i set: no more than i halvings in one go. *)
+  let x = g lor (-1 lsl i) in
+  let zeros = ctz x in
+  let g = g lsr zeros and u = u lsl zeros and v = v lsl zeros in
+  let eta = eta - zeros and i = i - zeros in
+  (* Halving by an odd power of two flips the sign iff f = 3, 5 mod 8. *)
+  let jac = jac lxor (zeros land ((f lsr 1) lxor (f lsr 2))) in
+  if i = 0 then begin
+    st.(0) <- eta;
+    st.(1) <- jac;
+    st.(2) <- u;
+    st.(3) <- v;
+    st.(4) <- q;
+    st.(5) <- r
+  end
+  else if eta < 0 then begin
+    (* Swap f and g (and their rows); reciprocity flips the sign iff
+       f = g = 3 mod 4. Then add w·f to g, w = -g/f mod 2^min(limit, 6),
+       from 1/f = f (2 - f^2) mod 64. *)
+    let eta = -eta in
+    let jac = jac lxor ((f land g) lsr 1) in
+    let limit = if eta + 1 < i then eta + 1 else i in
+    let mask = (-1 lsr (63 - limit)) land 63 in
+    let w = g * f * ((g * g) - 2) land mask in
+    divsteps st eta jac q r (u + (q * w)) (v + (r * w)) g (f + (g * w)) i
+  end
+  else begin
+    (* Add w·f to g, w = -g/f mod 2^min(limit, 4). *)
+    let limit = if eta + 1 < i then eta + 1 else i in
+    let mask = (-1 lsr (63 - limit)) land 15 in
+    let w = f + (((f + 1) land 4) lsl 1) in
+    let w = -w * g land mask in
+    divsteps st eta jac u v (q + (u * w)) (r + (v * w)) f (g + (f * w)) i
+  end
+
+(* (f, g) <- ((u f + v g) / 2^60, (q f + r g) / 2^60) in place over
+   the low [len] limbs. Coefficients split at 30 bits: with u + v <=
+   2^60, u0 f_j + v0 g_j < 2^61 and u1 f_j + v1 g_j <= 2^60, so a limb
+   sum stays below 2^62. Limb j of the product lands at j - 2, and the
+   quotient is no larger than max(f, g), so it fits in [len] limbs. *)
+let apply_matrix (st : int array) (f : int array) (g : int array) len =
+  let u = st.(2) and v = st.(3) and q = st.(4) and r = st.(5) in
+  let u0 = u land base_mask and u1 = u lsr base_bits in
+  let v0 = v land base_mask and v1 = v lsr base_bits in
+  let q0 = q land base_mask and q1 = q lsr base_bits in
+  let r0 = r land base_mask and r1 = r lsr base_bits in
+  let f0 = f.(0) and g0 = g.(0) in
+  let tf = (u0 * f0) + (v0 * g0) and tg = (q0 * f0) + (r0 * g0) in
+  let f1 = f.(1) and g1 = g.(1) in
+  let tf = (u0 * f1) + (v0 * g1) + (u1 * f0) + (v1 * g0) + (tf lsr base_bits) in
+  let tg = (q0 * f1) + (r0 * g1) + (q1 * f0) + (r1 * g0) + (tg lsr base_bits) in
+  let cf = ref (tf lsr base_bits) and cg = ref (tg lsr base_bits) in
+  let fp = ref f1 and gp = ref g1 in
+  for j = 2 to len - 1 do
+    let fj = Array.unsafe_get f j and gj = Array.unsafe_get g j in
+    let tf = (u0 * fj) + (v0 * gj) + (u1 * !fp) + (v1 * !gp) + !cf in
+    let tg = (q0 * fj) + (r0 * gj) + (q1 * !fp) + (r1 * !gp) + !cg in
+    fp := fj;
+    gp := gj;
+    cf := tf lsr base_bits;
+    cg := tg lsr base_bits;
+    Array.unsafe_set f (j - 2) (tf land base_mask);
+    Array.unsafe_set g (j - 2) (tg land base_mask)
+  done;
+  let tf = (u1 * !fp) + (v1 * !gp) + !cf and tg = (q1 * !fp) + (r1 * !gp) + !cg in
+  f.(len - 2) <- tf land base_mask;
+  g.(len - 2) <- tg land base_mask;
+  f.(len - 1) <- tf lsr base_bits;
+  g.(len - 1) <- tg lsr base_bits
+
+(* Both below 2^62: three limbs, the top one under 4. *)
+let fits_int len (f : int array) (g : int array) = len <= 3 && f.(2) < 4 && g.(2) < 4
+
+(* The Jacobi symbol (a/n) for odd n, with a given batch budget. *)
+let jacobi_batched ~max_batches (a : t) (n : t) =
+  if is_zero n || is_even n then invalid_arg "Nat.jacobi: n must be odd";
+  let a = if compare a n >= 0 then snd (divmod a n) else a in
+  let cap = Int.max 3 (Array.length n) in
+  let f = Array.make cap 0 and g = Array.make cap 0 in
+  Array.blit n 0 f 0 (Array.length n);
+  Array.blit a 0 g 0 (Array.length a);
+  (* eta = -delta, starting at delta = 1; the sign bit starts clear. *)
+  let st = [| -1; 0; 0; 0; 0; 0 |] in
+  let len = ref cap and batches = ref 0 in
+  while (not (fits_int !len f g)) && !batches < max_batches do
+    divsteps st st.(0) st.(1) 1 0 0 1 (low63 f) (low63 g) steps;
+    apply_matrix st f g !len;
+    incr batches;
+    while !len > 3 && f.(!len - 1) = 0 && g.(!len - 1) = 0 do decr len done
+  done;
+  let s = if st.(1) land 1 = 1 then -1 else 1 in
+  if fits_int !len f g then jacobi_int (low63 g) (low63 f) s
+  else jacobi_exact (normalize (Array.sub g 0 !len)) (normalize (Array.sub f 0 !len)) s
+
+(* A batch makes about 60 / 2.5 bits of progress; give it four times
+   the expected count before the exact loop takes over. *)
+let jacobi a n = jacobi_batched ~max_batches:(8 + (4 * num_bits n / 24)) a n
+
 let () = assert (check_limbs zero && check_limbs one)
 
 module Internal = struct
@@ -546,4 +708,5 @@ module Internal = struct
   let of_limbs w = normalize (Array.copy w)
   let raw_limbs (a : t) : int array = a
   let add_back_count = add_back_count
+  let jacobi_batched = jacobi_batched
 end

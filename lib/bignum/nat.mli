@@ -112,6 +112,12 @@ val rem : t -> t -> t
 
 val gcd : t -> t -> t
 
+(** [jacobi a n] is the Jacobi symbol [(a/n)] in {-1, 0, 1}: batched
+    divsteps over the limbs, allocation-free once [a < n] (a larger [a]
+    is reduced first).
+    @raise Invalid_argument if [n] is even or zero. *)
+val jacobi : t -> t -> int
+
 (** [pow b e] is [b] raised to the small exponent [e].
     @raise Invalid_argument if [e < 0]. *)
 val pow : t -> int -> t
@@ -136,4 +142,9 @@ module Internal : sig
   (** Number of times division's add-back correction has fired (test
       observability for Algorithm D's rarest branch). *)
   val add_back_count : int ref
+
+  (** [jacobi_batched ~max_batches a n] is {!jacobi} with at most
+      [max_batches] 60-step batches before the exact fallback loop
+      finishes (tests force the fallback with small budgets). *)
+  val jacobi_batched : max_batches:int -> t -> t -> int
 end

@@ -19,37 +19,7 @@ let small_primes =
   done;
   Array.of_list !acc
 
-let jacobi a n =
-  if Nat.is_zero n || Nat.is_even n then invalid_arg "Prime.jacobi: n must be odd"
-  else begin
-    (* Standard binary Jacobi algorithm via quadratic reciprocity. *)
-    let low3 x = (if Nat.test_bit x 2 then 4 else 0)
-                 lor (if Nat.test_bit x 1 then 2 else 0)
-                 lor if Nat.test_bit x 0 then 1 else 0
-    in
-    let rec go a n acc =
-      let a = Nat.rem a n in
-      if Nat.is_zero a then if Nat.is_one n then acc else 0
-      else begin
-        (* Strip factors of two from a. *)
-        let k = ref 0 in
-        let a' = ref a in
-        while Nat.is_even !a' do
-          a' := Nat.shift_right !a' 1;
-          incr k
-        done;
-        let n_mod8 = low3 n in
-        let acc = if !k land 1 = 1 && (n_mod8 = 3 || n_mod8 = 5) then -acc else acc in
-        let acc =
-          if Nat.test_bit !a' 0 && Nat.test_bit !a' 1 && Nat.test_bit n 0 && Nat.test_bit n 1
-          then -acc
-          else acc
-        in
-        go n !a' acc
-      end
-    in
-    go a n 1
-  end
+let jacobi = Nat.jacobi
 
 let miller_rabin_witness ctx ~d ~s a =
   (* true = a witnesses compositeness. *)

@@ -45,18 +45,10 @@ let encrypt_multiset cfg ops key encoded =
 let hash_and_encrypt_multiset cfg ops key values =
   (* Hash/encrypt each distinct value once, then replicate. *)
   let m = Sset.Multi.of_list values in
-  let attrs = [ ("distinct", string_of_int (List.length (Sset.Multi.distinct m))) ] in
-  let hashed =
-    Obs.Span.with_ ~attrs "hash" (fun () ->
-        Protocol.hash_values cfg ops (Sset.Multi.distinct m))
-  in
-  Obs.Span.with_ ~attrs "encrypt-own" (fun () ->
-      Protocol.encrypt_batch cfg ops key (List.map snd hashed)
-      |> List.map2
-           (fun (v, _) c ->
-             List.init (Sset.Multi.count m v) (fun _ -> Protocol.encode cfg c))
-           hashed
-      |> List.concat)
+  let distinct = Sset.Multi.distinct m in
+  Protocol.hash_encrypt_encode cfg ops key distinct
+  |> List.map2 (fun v c -> List.init (Sset.Multi.count m v) (fun _ -> c)) distinct
+  |> List.concat
   |> fun encoded -> Obs.Span.with_ "reorder" (fun () -> Protocol.sort_encoded encoded)
 
 let sender cfg ~rng ~values ep =

@@ -33,11 +33,11 @@ let derive g ~domain v =
   in
   attempt 0
 
+(* A nonzero square mod p is in QR_p by construction, so no membership
+   test runs here; the tests pin every output as an element. *)
 let hash_value g ~domain v =
   let y = derive g ~domain v in
-  let x = Group.mul g y y in
-  assert (Group.is_element g x);
-  x
+  Group.mul g y y
 
 let hash g v = hash_value g ~domain:"default" v
 
@@ -48,12 +48,9 @@ let hash g v = hash_value g ~domain:"default" v
    scratch arena across the chunk; squaring is [Group.mul g y y] bit
    for bit on every kernel. *)
 let hash_chunk g ~domain chunk =
-  let ys = List.map (derive g ~domain) chunk in
-  let xs = Group.sqr_batch g ys in
-  List.iter (fun x -> assert (Group.is_element g x)) xs;
-  xs
+  Group.sqr_batch g (List.map (derive g ~domain) chunk)
 
 let hash_batch ?pool g ~domain vs =
   match pool with
-  | None -> hash_chunk g ~domain vs
+  | None -> Parallel.Pool.map_chunks_seq (hash_chunk g ~domain) vs
   | Some pool -> Parallel.Pool.map_chunks pool (hash_chunk g ~domain) vs

@@ -1,6 +1,6 @@
 type writer = Buffer.t
 
-let writer () = Buffer.create 256
+let writer ?(size = 256) () = Buffer.create size
 let contents = Buffer.contents
 let length = Buffer.length
 

@@ -9,7 +9,9 @@
 
 type writer
 
-val writer : unit -> writer
+(** [writer ?size ()] starts an empty writer with room for [size] bytes
+    (default 256); it grows past that, at the cost of copies. *)
+val writer : ?size:int -> unit -> writer
 val contents : writer -> string
 
 (** Bytes written so far. *)

@@ -103,7 +103,9 @@ let send_stream_generic ep ~tag ~kind ~count ~elements_per_item ~item_len
       | None -> None
       | Some items ->
           if collect then collected := List.rev_append items !collected;
-          let w = Buf.writer () in
+          (* Sized exactly: a growing buffer would leave a trail of
+             large copies per chunk in the major heap. *)
+          let w = Buf.writer ~size:(List.length items * item_len) () in
           List.iter (encode_item w) items;
           Some (Buf.contents w)
   in

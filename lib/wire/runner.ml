@@ -9,26 +9,24 @@ type ('s, 'r) outcome = {
 }
 
 let run_on (s_ep, r_ep) ~sender ~receiver =
-  let s_result : ('s, exn) result option ref = ref None in
-  let t =
-    Thread.create
-      (fun () ->
+  (* The sender gets a core of its own when one is free: its result, or
+     the exception it raised, comes back through the join. *)
+  let s_party =
+    Parallel.Pool.fork (fun () ->
         let r =
-          try Ok (Obs.Span.with_ "party:sender" (fun () -> sender s_ep))
-          with e -> Error e
+          try Ok (Obs.Span.with_ "party:sender" (fun () -> sender s_ep)) with e -> Error e
         in
         (* On failure, unblock a receiver waiting on us. *)
         (match r with Error _ -> Channel.close s_ep | Ok _ -> ());
-        s_result := Some r)
-      ()
+        r)
   in
   let r_result =
     try Ok (Obs.Span.with_ "party:receiver" (fun () -> receiver r_ep)) with e -> Error e
   in
   (match r_result with Error _ -> Channel.close r_ep | Ok _ -> ());
-  Thread.join t;
-  match (!s_result, r_result) with
-  | Some (Ok sender_result), Ok receiver_result ->
+  let s_result = Parallel.Pool.await s_party in
+  match (s_result, r_result) with
+  | Ok sender_result, Ok receiver_result ->
       let sender_stats = Channel.stats s_ep in
       let receiver_stats = Channel.stats r_ep in
       {
@@ -40,7 +38,7 @@ let run_on (s_ep, r_ep) ~sender ~receiver =
         receiver_view = Channel.received r_ep;
         total_bytes = sender_stats.Channel.bytes_sent + receiver_stats.Channel.bytes_sent;
       }
-  | Some (Error se), Error re -> (
+  | Error se, Error re -> (
       (* When both fail, surface the root cause: a "peer closed" error
          is the echo of the other side's crash, not the crash itself. *)
       match (se, re) with
@@ -49,8 +47,6 @@ let run_on (s_ep, r_ep) ~sender ~receiver =
       | _, Errors.Protocol_error m when String.equal m Errors.peer_closed_message ->
           raise se
       | _ -> raise se)
-  | Some (Error e), Ok _ -> raise e
-  | (Some (Ok _) | None), Error e -> raise e
-  | None, Ok _ -> raise (Errors.Protocol_error "Runner.run: sender thread vanished")
+  | Error e, Ok _ | Ok _, Error e -> raise e
 
 let run ~sender ~receiver = run_on (Channel.create ()) ~sender ~receiver

@@ -1,5 +1,12 @@
 (** Executes a two-party protocol: each party runs in its own thread
-    against one endpoint of a {!Channel}. *)
+    against one endpoint of a {!Channel}. The receiver runs on the
+    calling thread; the sender is started with {!Parallel.Pool.fork},
+    so it gets a domain, and a core, of its own while fewer than
+    [Domain.recommended_domain_count () - 1] party domains are live.
+    Past that cap (a one-core host, a run nested inside a party) or
+    when the runtime refuses the spawn, the sender runs on a systhread
+    of the caller's domain instead: one core for both, the same
+    transcripts. *)
 
 (** The outcome of a run, including each party's channel statistics and
     view (transcript). *)
@@ -14,8 +21,8 @@ type ('s, 'r) outcome = {
 }
 
 (** [run ~sender ~receiver] connects a fresh in-memory channel, runs
-    [sender] in a spawned thread and [receiver] in the calling thread,
-    and joins. If either party raises, the channel is closed (unblocking
+    [sender] through {!Parallel.Pool.fork} and [receiver] in the calling
+    thread, and joins. If either party raises, the channel is closed (unblocking
     the other) and the exception is re-raised. *)
 val run :
   sender:(Channel.endpoint -> 's) -> receiver:(Channel.endpoint -> 'r) -> ('s, 'r) outcome

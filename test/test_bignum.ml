@@ -761,6 +761,93 @@ let prop_jacobi_multiplicative =
         j (a * b mod n) = j a * j b
       end)
 
+(* The recursive Jacobi that Prime.jacobi used before the batched
+   divsteps: a [Nat.rem] per reciprocity step and one bit shifted out at
+   a time. Slow and allocating, but independent of the limb-level code:
+   the oracle for it. *)
+let jacobi_oracle a n =
+  let low3 x =
+    (if Nat.test_bit x 2 then 4 else 0)
+    lor (if Nat.test_bit x 1 then 2 else 0)
+    lor if Nat.test_bit x 0 then 1 else 0
+  in
+  let rec go a n acc =
+    let a = Nat.rem a n in
+    if Nat.is_zero a then if Nat.is_one n then acc else 0
+    else begin
+      let k = ref 0 and a' = ref a in
+      while Nat.is_even !a' do
+        a' := Nat.shift_right !a' 1;
+        incr k
+      done;
+      let n_mod8 = low3 n in
+      let acc = if !k land 1 = 1 && (n_mod8 = 3 || n_mod8 = 5) then -acc else acc in
+      let acc =
+        if Nat.test_bit !a' 0 && Nat.test_bit !a' 1 && Nat.test_bit n 0 && Nat.test_bit n 1
+        then -acc
+        else acc
+      in
+      go n !a' acc
+    end
+  in
+  go a n 1
+
+let named_primes =
+  [ ("test64", p64); ("test128", p128); ("test256", p256); ("test512", p512);
+    ("modp1536", p1536); ("modp2048", p2048) ]
+
+(* Budgets of 0 and 1 batches hand (almost) everything to the exact
+   fallback loop, so it is checked against the oracle too. *)
+let check_jacobi label a n =
+  let want = jacobi_oracle a n in
+  Alcotest.(check int) label want (Prime.jacobi a n);
+  List.iter
+    (fun b ->
+      Alcotest.(check int) (Printf.sprintf "%s, %d batches" label b) want
+        (Nat.Internal.jacobi_batched ~max_batches:b a n))
+    [ 0; 1 ]
+
+let test_jacobi_named_primes () =
+  List.iter
+    (fun (name, p) ->
+      for i = 1 to 40 do
+        check_jacobi (Printf.sprintf "%s #%d" name i) (Nat_rand.below ~rng:test_rng p) p
+      done;
+      List.iter
+        (fun a -> check_jacobi (name ^ " edge") a p)
+        [ Nat.zero; Nat.one; Nat.pred p; p; Nat.succ p; Nat.mul p p ])
+    named_primes
+
+let test_jacobi_random_moduli () =
+  for bits = 2 to 600 do
+    let n = Nat.add (Nat.shift_left (Nat_rand.bits_exact ~rng:test_rng bits) 1) Nat.one in
+    (* a below n, of n's size, and a >= n by up to twice the size. *)
+    List.iter
+      (fun abits ->
+        check_jacobi
+          (Printf.sprintf "%d-bit n, %d-bit a" (bits + 1) abits)
+          (Nat_rand.bits ~rng:test_rng abits) n)
+      [ bits; bits + 1; 2 * (bits + 1) ]
+  done
+
+(* Once a < n the batched loop allocates only its scratch: the same
+   number of words for every a of a given modulus. *)
+let test_jacobi_constant_alloc () =
+  List.iter
+    (fun (name, p) ->
+      let words a =
+        ignore (Prime.jacobi a p);
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Prime.jacobi a p));
+        Gc.minor_words () -. w0
+      in
+      let base = words (Nat_rand.below ~rng:test_rng p) in
+      for _ = 1 to 10 do
+        Alcotest.(check (float 0.0)) (name ^ " words per call") base
+          (words (Nat_rand.below ~rng:test_rng p))
+      done)
+    named_primes
+
 let test_safe_primes_known () =
   List.iter
     (fun p ->
@@ -917,6 +1004,10 @@ let () =
           Alcotest.test_case "jacobi known" `Quick test_jacobi_known;
           prop_jacobi_is_legendre;
           prop_jacobi_multiplicative;
+          Alcotest.test_case "jacobi = oracle mod named primes" `Quick test_jacobi_named_primes;
+          Alcotest.test_case "jacobi = oracle, odd moduli of 3-600 bits" `Quick
+            test_jacobi_random_moduli;
+          Alcotest.test_case "jacobi allocates a constant" `Quick test_jacobi_constant_alloc;
           Alcotest.test_case "known safe primes" `Quick test_safe_primes_known;
           Alcotest.test_case "gen_prime" `Slow test_gen_prime;
           Alcotest.test_case "gen_safe_prime" `Slow test_gen_safe_prime;

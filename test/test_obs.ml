@@ -459,6 +459,44 @@ let test_context_stamps_roots () =
       Alcotest.(check (option string)) "child not stamped" None
         (List.assoc_opt Obs.Context.trace_id_attr (Span.attrs child)))
 
+(* Party labels and open-span stacks are keyed on [Thread.id]. A party
+   may run on a domain of its own, so ids must stay distinct across
+   domains: each domain's root span carries its own party and holds
+   its own children, while the caller's label is untouched. *)
+let test_context_across_domains () =
+  with_context ~trace_id:"d0d0" ~party:"R" (fun () ->
+      let ids, roots =
+        with_enabled (fun () ->
+            Span.collect (fun () ->
+                let party label () =
+                  Obs.Context.set_party label;
+                  Span.with_ ("party-" ^ label) (fun () ->
+                      Span.with_ ("inner-" ^ label) (fun () -> Thread.delay 0.01));
+                  (Thread.id (Thread.self ()), Obs.Context.party ())
+                in
+                let domains = List.map (fun l -> Domain.spawn (party l)) [ "S"; "T"; "U" ] in
+                let mine = party "R" () in
+                mine :: List.map Domain.join domains))
+      in
+      let tids = List.map fst ids in
+      Alcotest.(check int) "thread ids distinct across domains" 4
+        (List.length (List.sort_uniq compare tids));
+      Alcotest.(check (list (option string))) "each domain reads its own label"
+        [ Some "R"; Some "S"; Some "T"; Some "U" ] (List.map snd ids);
+      Alcotest.(check (option string)) "caller's label untouched" (Some "R")
+        (Obs.Context.party ());
+      List.iter2
+        (fun label tid ->
+          match List.find_opt (fun r -> Span.name r = "party-" ^ label) roots with
+          | None -> Alcotest.failf "no root for party %s" label
+          | Some root ->
+              Alcotest.(check (option string)) ("party on root " ^ label) (Some label)
+                (List.assoc_opt Obs.Context.party_attr (Span.attrs root));
+              Alcotest.(check int) ("root thread " ^ label) tid (Span.thread root);
+              Alcotest.(check (list string)) ("children of " ^ label) [ "inner-" ^ label ]
+                (List.map Span.name (Span.children root)))
+        [ "R"; "S"; "T"; "U" ] tids)
+
 let test_trace_header_roundtrip () =
   Alcotest.(check bool) "no context, no header" true
     (Obs.Context.clear ();
@@ -633,6 +671,8 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "context stamps roots" `Quick test_context_stamps_roots;
+          Alcotest.test_case "context and spans per thread across domains" `Quick
+            test_context_across_domains;
           Alcotest.test_case "trace header round-trip" `Quick
             test_trace_header_roundtrip;
           Alcotest.test_case "chrome trace structure" `Quick

@@ -1297,6 +1297,74 @@ let test_tracing_leaves_transcript_identical () =
   Alcotest.(check bool) "receiver view identical under tracing" true
     (List.equal Message.equal plain_r traced_r)
 
+(* In a traced in-process run each party's subtree is stamped with its
+   own label: the sender runs on a domain of its own when a core is
+   free, and the context is per thread across domains. *)
+let test_traced_parties_distinct () =
+  let _, roots, _ =
+    Fun.protect ~finally:Obs.Context.clear (fun () ->
+        Obs.trace (fun () ->
+            Psi.Session.run cfg ~seed:"t:parties"
+              [ Psi.Session.Intersect { s_values = vs1; r_values = vr1 } ]
+              ()))
+  in
+  let party name =
+    match List.filter (fun r -> Obs.Span.name r = name) roots with
+    | [ r ] -> (List.assoc_opt Obs.Context.party_attr (Obs.Span.attrs r), Obs.Span.thread r)
+    | rs -> Alcotest.failf "%d %s roots" (List.length rs) name
+  in
+  let s_party, s_thread = party "party:sender" and r_party, r_thread = party "party:receiver" in
+  Alcotest.(check (option string)) "sender label" (Some "S") s_party;
+  Alcotest.(check (option string)) "receiver label" (Some "R") r_party;
+  Alcotest.(check bool) "distinct threads" true (s_thread <> r_thread)
+
+(* A run started from inside a party while every party slot is held
+   runs its sender on a systhread instead of a domain. Its transcript
+   is byte-identical to the top-level run's and to the golden digest. *)
+let test_nested_run_falls_back () =
+  let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+  let cap = Int.max 0 (Domain.recommended_domain_count () - 1) in
+  let op = Psi.Shard.Intersect { s_values = vs1; r_values = vr1 } in
+  let run () =
+    let drbg = Crypto.Drbg.create ~seed:"kern" in
+    let s_drbg = Crypto.Drbg.split drbg ~label:"sender" in
+    let r_drbg = Crypto.Drbg.split drbg ~label:"receiver" in
+    let o =
+      Runner.run
+        ~sender:(fun ep -> ignore (Psi.Shard.sender_op cfg Psi.Shard.monolithic ~drbg:s_drbg ep op))
+        ~receiver:(fun ep ->
+          ignore (Psi.Shard.receiver_op cfg Psi.Shard.monolithic ~drbg:r_drbg ep op))
+    in
+    (view_digest o.Runner.sender_view, view_digest o.Runner.receiver_view)
+  in
+  let golden =
+    match List.assoc Group.Test64 golden_views with
+    | ("intersection", s, r) :: _ -> (s, r)
+    | _ -> Alcotest.fail "golden intersection digests"
+  in
+  Obs.Runtime.with_enabled (fun () ->
+      let d0 = counter "pool.party_domains" and t0 = counter "pool.party_thread_fallbacks" in
+      let top = run () in
+      (* Hold all slots but one: the outer sender takes the last. *)
+      let release = Atomic.make false in
+      let park () = while not (Atomic.get release) do Thread.delay 0.001 done in
+      let held = List.init (Int.max 0 (cap - 1)) (fun _ -> Parallel.Pool.fork park) in
+      let nested =
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set release true;
+            List.iter Parallel.Pool.await held)
+          (fun () -> (Runner.run ~sender:(fun _ -> run ()) ~receiver:ignore).Runner.sender_result)
+      in
+      Alcotest.(check (pair string string)) "top-level run = golden" golden top;
+      Alcotest.(check (pair string string)) "nested run = golden" golden nested;
+      (* Top, held slots and outer sender on domains; the nested sender
+         on a thread. A one-core host runs all three on threads. *)
+      Alcotest.(check int) "party domains" (if cap = 0 then 0 else cap + 1)
+        (counter "pool.party_domains" - d0);
+      Alcotest.(check int) "thread fallbacks" (if cap = 0 then 3 else 1)
+        (counter "pool.party_thread_fallbacks" - t0))
+
 let test_collision_probability_paper_example () =
   (* §3.2.2: 1024-bit hash values, half are quadratic residues, n = 1
      million => collision probability ~= 10^12 / 10^307 = 10^-295. *)
@@ -1633,6 +1701,8 @@ let () =
           prop_pool_size_invariance;
           Alcotest.test_case "golden transcript digests" `Quick test_golden_transcripts;
           Alcotest.test_case "1-bucket plan = golden digests" `Quick test_golden_one_bucket;
+          Alcotest.test_case "nested run falls back to a thread, same transcript" `Quick
+            test_nested_run_falls_back;
         ] );
       ( "equijoin",
         [
@@ -1799,6 +1869,8 @@ let () =
             test_obs_telemetry_matches_cost_model;
           Alcotest.test_case "tracing leaves transcript identical" `Quick
             test_tracing_leaves_transcript_identical;
+          Alcotest.test_case "traced parties carry distinct labels" `Quick
+            test_traced_parties_distinct;
           Alcotest.test_case "§3.2.2 collision probability" `Quick
             test_collision_probability_paper_example;
           Alcotest.test_case "executor publishes run tallies" `Quick
