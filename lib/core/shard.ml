@@ -107,8 +107,9 @@ let decode_record s =
   Buf.expect_end r;
   (v, payload)
 
-(* Accumulate [src] into the mutable tally [dst]. Field updates are
-   single read-add-store sequences, safe under systhreads. *)
+(* Accumulate [src] into the mutable tally [dst]. The two parties run
+   on separate domains, so a tally both of them add to is updated under
+   a lock. *)
 let add_ops dst (src : Protocol.ops) =
   dst.Protocol.hashes <- dst.Protocol.hashes + src.Protocol.hashes;
   dst.Protocol.encryptions <- dst.Protocol.encryptions + src.Protocol.encryptions;
@@ -377,8 +378,8 @@ let make_source cfg p party ~op_index op =
 (* ------------------------------------------------------------------ *)
 
 type checkpoints = {
-  table : (string, Snapshot.t) Hashtbl.t;  (* both party threads share it *)
-  lock : Mutex.t;
+  table : (string, Snapshot.t) Hashtbl.t;  (* both parties share it *)
+  lock : Mutex.t;  (* guards [table], [replays] and [work] *)
   mutable replays : int;
   work : Protocol.ops;
 }
@@ -730,7 +731,7 @@ let drive cfg (p : plan) ?ck ~drbg ~op_index ~party ep op =
     let is_replay = b < mine_eff in
     if is_replay then begin
       if sharded then Obs.Metrics.incr m_replays;
-      Option.iter (fun c -> c.replays <- c.replays + 1) ck
+      Option.iter (fun c -> Mutex.protect c.lock (fun () -> c.replays <- c.replays + 1)) ck
     end;
     let o, res, n =
       if sharded then
@@ -785,15 +786,18 @@ let receiver_op cfg p ~drbg ?(op_index = 0) ep op =
 (* The in-process runner behind Session.run, run_resilient and {!run}:
    both parties' streams from [drbg], the config handshake, every op in
    order through {!drive}, and checkpoints consumed once both parties
-   have returned. With [ck], tallies accumulate into [ck.work]. *)
+   have returned. With [ck], tallies accumulate into [ck.work]; both
+   parties add to the tally, each from its own domain, under [lock]. *)
 let execute cfg p ?ck ?endpoints ?attempt drbg ops =
-  let tally = match ck with Some c -> c.work | None -> Protocol.new_ops () in
+  let tally, lock =
+    match ck with Some c -> (c.work, c.lock) | None -> (Protocol.new_ops (), Mutex.create ())
+  in
   let play party handshake pick d ep =
     handshake cfg ep;
     List.mapi
       (fun op_index op ->
         let o, res, stats = drive cfg p ?ck ~drbg:d ~op_index ~party ep op in
-        add_ops tally o;
+        Mutex.protect lock (fun () -> add_ops tally o);
         pick res stats)
       ops
   in

@@ -547,6 +547,39 @@ let test_race01_mediated () =
   let o = analyze_sem ~path:"lib/core/fixture.ml" src in
   check_rules "Atomic mediation accepted" [] (uniq_rules o)
 
+(* A tally both parties add to: the sender closure is a partial
+   application of a local function that mutates the captured record
+   through a function of the same file. *)
+let party_tally_src ~mediated =
+  Printf.sprintf
+    "type ops = { mutable hashes : int }\n\
+     let add_ops dst (src : ops) = dst.hashes <- dst.hashes + src.hashes\n\
+     let execute drbg run_party =\n\
+    \  let tally = { hashes = 0 } in\n\
+    \  let lock = Mutex.create () in\n\
+    \  let play party d ep = %s in\n\
+    \  Protocol.launch drbg ~sender:(play `Sender) ~receiver:(play `Receiver)"
+    (if mediated then "Mutex.protect lock (fun () -> add_ops tally (run_party party d ep))"
+     else "add_ops tally (run_party party d ep)")
+
+let test_race01_party_sender () =
+  let o = analyze_sem ~path:"lib/core/fixture.ml" (party_tally_src ~mediated:false) in
+  check_rules "shared tally in the sender closure" [ "RACE01" ] (uniq_rules o);
+  let o = analyze_sem ~path:"lib/core/fixture.ml" (party_tally_src ~mediated:true) in
+  check_rules "tally under a lock" [] (uniq_rules o)
+
+let test_race01_party_receiver () =
+  (* The receiver runs on the caller's thread: a ref only it writes is
+     no race. *)
+  let src =
+    "let count run_sender recv =\n\
+    \  let n = ref 0 in\n\
+    \  let _ = Runner.run ~sender:run_sender ~receiver:(fun ep -> n := recv ep) in\n\
+    \  !n"
+  in
+  let o = analyze_sem ~path:"lib/core/fixture.ml" src in
+  check_rules "receiver-only ref" [] (uniq_rules o)
+
 let test_sem_parse_error_reported () =
   (* A file the parser cannot handle must surface as an error, never be
      silently skipped by the semantic analyses. *)
@@ -636,6 +669,8 @@ let () =
         [
           tc "fires" `Quick test_race01_fires;
           tc "mediated" `Quick test_race01_mediated;
+          tc "party sender" `Quick test_race01_party_sender;
+          tc "party receiver" `Quick test_race01_party_receiver;
         ] );
       ( "semantic",
         [ tc "parse error reported" `Quick test_sem_parse_error_reported ] );
