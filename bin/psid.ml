@@ -170,7 +170,9 @@ let serve_cmd =
   let cache_entries =
     Arg.(value & opt int 65536
          & info [ "cache-entries" ] ~docv:"N"
-             ~doc:"Per-tenant cache LRU bound.")
+             ~doc:"Per-tenant cache bound: entries kept beyond the working sets \
+                   of the sessions in flight. Each finished session flushes its \
+                   tenant's cache, which evicts down to this bound.")
   in
   Cmd.v
     (Cmd.info "serve" ~doc:"Run the PSI service daemon until SIGTERM.")

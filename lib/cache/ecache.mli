@@ -22,15 +22,34 @@
        ([Crypto.Group.encode_elt] or raw values), so a hit is returned
        byte-for-byte as the cold path would have produced it.}}
 
+    {2 Eviction}
+
+    Eviction happens at {!flush}, never between flushes. A {!find} hit
+    or a {!put} marks its entry as touched in the current generation,
+    and each flush that follows a touch ends a generation. At a flush,
+    entries left
+    untouched are dropped, oldest-written first, down to
+    [max max_entries touched] — but only once the droppable ones make up
+    an eighth of the store, so a rerun with little churn appends instead
+    of rewriting the file. The working set of the run between two
+    flushes therefore always survives its flush, however large;
+    [max_entries] bounds what persists beyond it.
+
     {2 Durability}
 
-    [flush] writes [<dir>/ecache.psi], a {!Wire.Record_log} of kind
-    ["ecache"] with one checksummed frame per entry, rewriting the whole
-    file atomically. Loading is forgiving by design: a foreign file (an
-    older format, another kind) means every lookup misses, a corrupt
-    frame is skipped as a miss, and a truncated file loads up to the
-    damage — a damaged cache degrades to recompute, it {e never} serves
-    a wrong value.
+    [<dir>/ecache.psi] is a {!Wire.Record_log} of kind ["ecache"]. A
+    frame holds one [(ns, key_fp)] slice and the generation that wrote
+    it, once, then a bounded batch of entries. A flush appends frames
+    for the entries stored since the previous flush, so a rerun writes
+    O(|Δ|) bytes. It rewrites the file atomically only when it evicted,
+    when the load found damage or a foreign file, or when superseded
+    records outnumber live entries. Loading streams the file frame by
+    frame and is forgiving by design: a foreign file (an older format,
+    another kind) means every lookup misses, a corrupt frame loses only
+    its own entries, and a truncated file loads up to the damage — a
+    damaged cache degrades to recompute, it {e never} serves a wrong
+    value. After a reload, the generation each frame carries orders the
+    untouched entries for eviction.
 
     {2 Concurrency}
 
@@ -40,8 +59,10 @@
     warm-ups may duplicate work but converge to identical entries.
 
     Telemetry (under [ecache.*], recorded when [Obs] is enabled):
-    [ecache.hits], [ecache.misses], [ecache.puts], [ecache.evictions],
-    [ecache.corrupt_entries], [ecache.loaded_entries], [ecache.flushes].
+    [ecache.hits], [ecache.misses], [ecache.puts] (entries stored by
+    {!put}, not those loaded), [ecache.evictions],
+    [ecache.corrupt_entries], [ecache.loaded_entries] (entries restored
+    at {!open_}), [ecache.flushes] (flushes that wrote to the file).
     {!stats} is an always-on equivalent scoped to one cache instance. *)
 
 type t
@@ -53,7 +74,7 @@ type stats = {
   hits : int;  (** {!find} calls answered from the store *)
   misses : int;  (** {!find} calls that found nothing *)
   puts : int;  (** entries inserted (excluding overwrites) *)
-  evictions : int;  (** entries dropped by the LRU bound *)
+  evictions : int;  (** untouched entries dropped at a flush *)
   corrupt : int;  (** corrupt frames, torn tail or foreign file at load time *)
   loaded : int;  (** entries restored from disk at {!open_} *)
   entries : int;  (** current size of the store *)
@@ -62,18 +83,19 @@ type stats = {
 (** [open_ ?max_entries ~dir ()] opens (creating [dir] if needed) the
     cache persisted at [dir/ecache.psi]. A missing, foreign, stale or
     damaged file yields an empty or partial cache, never an error.
-    [max_entries] (default [65536]) bounds the store; the least recently
-    used entry is evicted first.
+    [max_entries] (default [65536]) bounds what persists beyond the
+    working set between two flushes (see Eviction).
     @raise Invalid_argument if [max_entries < 1]. *)
 val open_ : ?max_entries:int -> dir:string -> unit -> t
 
-(** [find t ~ns ~key_fp input] returns the cached output, refreshing the
-    entry's recency. Counts one hit or one miss.
+(** [find t ~ns ~key_fp input] returns the cached output, marking the
+    entry as touched in the current generation. Counts one hit or one
+    miss.
     @raise Invalid_argument on a closed cache. *)
 val find : t -> ns:string -> key_fp:string -> string -> string option
 
-(** [put t ~ns ~key_fp input output] stores (or refreshes) an entry,
-    evicting from the LRU tail past [max_entries].
+(** [put t ~ns ~key_fp input output] stores (or refreshes) an entry and
+    marks it as touched. Nothing is evicted until the next {!flush}.
     @raise Invalid_argument on a closed cache. *)
 val put : t -> ns:string -> key_fp:string -> string -> string -> unit
 
@@ -93,9 +115,13 @@ val warm :
   string list ->
   unit
 
-(** [flush t] persists the store to [dir/ecache.psi] atomically
-    ({!Wire.Record_log.write}), oldest entry first so a reload preserves recency
-    order. No-op if nothing changed since the last flush. *)
+(** [flush t] ends the current generation: it evicts (see Eviction),
+    then appends the entries stored since the last flush to
+    [dir/ecache.psi], or rewrites the file atomically
+    ({!Wire.Record_log.write}) when it must. It writes nothing when
+    nothing was stored or evicted, and it is a no-op when nothing was
+    looked up or stored since the last flush: an idle generation does
+    not end. *)
 val flush : t -> unit
 
 (** [close t] flushes and marks the cache closed; later {!find}/{!put}

@@ -100,6 +100,13 @@ type incremental_report = { report : report; incremental : incremental_stats }
        fingerprints miss every cached ciphertext by construction —
        only the key-independent hash-to-group work amortizes.}}
 
+    [max_entries] is the cache's bound (default 65536; see
+    {!Ecache.open_}). It never evicts the run's own working set:
+    the cache is flushed once, when the run ends, and only entries the
+    run did not touch are dropped then, so a rerun over a slowly
+    changing set hits on everything but the churn however large the
+    set is. The bound caps what persists beyond that working set.
+
     With a [?shard] plan, each op runs as that plan's buckets, rooting
     the plan's state (bucket spills and per-bucket checkpoints) under
     [cache_dir]/shard when the plan has no [state_dir] of its own. *)

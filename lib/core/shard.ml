@@ -171,7 +171,7 @@ module Spill = struct
           let a = Log.open_append ~kind path in
           Fun.protect ~finally:(fun () -> Log.close a) (fun () -> Log.append a body)
         end
-        else Log.write ~kind path [ body ];
+        else Log.write ~kind path (Seq.return body);
         started.(b) <- true;
         spilled := !spilled + String.length body;
         bufs.(b) <- Buf.writer ()
@@ -195,7 +195,7 @@ module Spill = struct
     Buf.write_varint w buckets;
     Array.iter (Buf.write_varint w) sizes;
     Buf.write_bytes w fp;
-    Log.write ~kind:meta_kind (meta_file dir ~label) [ Buf.contents w ];
+    Log.write ~kind:meta_kind (meta_file dir ~label) (Seq.return (Buf.contents w));
     (sizes, fp)
 
   let damaged path what = raise (Log.Damaged (Printf.sprintf "spill %s: %s" path what))

@@ -129,7 +129,7 @@ let open_db file_path =
     match Log.fold ~kind file_path ~init:true (replay tables) with
     | Log.Read { valid; _ } -> Some valid
     | Log.Missing when not (Sys.file_exists file_path) ->
-        Log.write ~kind file_path [];
+        Log.write ~kind file_path Seq.empty;
         None
     | Log.Missing | Log.Foreign -> invalid_arg "Storage: not a minidb database file"
   in
@@ -170,5 +170,5 @@ let checkpoint t =
       (tables t)
   in
   close t;
-  Log.write ~kind t.file_path bodies;
+  Log.write ~kind t.file_path (List.to_seq bodies);
   t.log <- Some (Log.open_append ~kind t.file_path)

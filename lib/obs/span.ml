@@ -41,9 +41,9 @@ let add_root tr span =
   span.attrs <- Context.stamp span.attrs;
   tr.rev_roots <- span :: tr.rev_roots
 
-type handle = unit -> unit
+type handle = (string * string) list -> unit
 
-let idle_handle : handle = fun () -> ()
+let idle_handle : handle = fun _ -> ()
 
 let enter ?(attrs = []) name =
   if Ring.active () then Ring.record (Ring.Enter name);
@@ -51,7 +51,7 @@ let enter ?(attrs = []) name =
   | None ->
       if Ring.active () then begin
         let t0 = Clock.now_ns () in
-        fun () -> Ring.record (Ring.Exit (name, Int64.sub (Clock.now_ns ()) t0))
+        fun _ -> Ring.record (Ring.Exit (name, Int64.sub (Clock.now_ns ()) t0))
       end
       else idle_handle
   | Some tr ->
@@ -63,8 +63,9 @@ let enter ?(attrs = []) name =
       let stack = Option.value ~default:[] (Hashtbl.find_opt tr.stacks tid) in
       Hashtbl.replace tr.stacks tid (span :: stack);
       Mutex.unlock tr.mutex;
-      fun () ->
+      fun late_attrs ->
         span.dur_ns <- Int64.sub (Clock.now_ns ()) span.start_ns;
+        (match late_attrs with [] -> () | _ -> span.attrs <- span.attrs @ late_attrs);
         if Ring.active () then Ring.record (Ring.Exit (name, span.dur_ns));
         Mutex.lock tr.mutex;
         (match Hashtbl.find_opt tr.stacks tid with
@@ -79,14 +80,14 @@ let enter ?(attrs = []) name =
             add_root tr span);
         Mutex.unlock tr.mutex
 
-let exit h = h ()
+let exit ?(attrs = []) h = h attrs
 
 let with_ ?attrs name f =
   (* Fast path: no trace, no flight recorder — just run [f]. *)
   if Atomic.get current = None && not (Ring.active ()) then f ()
   else begin
     let h = enter ?attrs name in
-    Fun.protect ~finally:h f
+    Fun.protect ~finally:(fun () -> h []) f
   end
 
 let collect f =

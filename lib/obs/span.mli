@@ -48,9 +48,11 @@ type handle
     recorder when no trace is active). *)
 val enter : ?attrs:(string * string) list -> string -> handle
 
-(** [exit h] closes the span opened by the matching {!enter}. Calling
-    it twice records the span twice — don't. *)
-val exit : handle -> unit
+(** [exit ?attrs h] closes the span opened by the matching {!enter},
+    appending [attrs] to the ones given there (for figures known only at
+    the end, such as the bytes a streamed write produced). Calling it
+    twice records the span twice — don't. *)
+val exit : ?attrs:(string * string) list -> handle -> unit
 
 (** [start_trace ()] installs a fresh process-wide trace collector. *)
 val start_trace : unit -> unit

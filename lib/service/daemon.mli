@@ -32,7 +32,9 @@ type config = {
   seed : string;  (** daemon key-derivation seed; see {!Session} *)
   tenants : Tenant.t list;
   cache_root : string option;  (** per-tenant ecache root; [None] = no caching *)
-  cache_entries : int;  (** per-tenant LRU bound *)
+  cache_entries : int;
+      (** per-tenant cache bound: entries kept beyond the working sets of
+          the sessions in flight (each finished session flushes) *)
 }
 
 (** [config group ~tenants] with the defaults documented in

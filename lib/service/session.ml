@@ -73,11 +73,10 @@ let session_loop cfg tenants ep tenant ~attr ~client_nonce =
          0 8)
   in
   Wire.Channel.send ep (Proto.ok ~session_id);
+  let ecache = Tenant.ecache tenants tenant in
   let pcfg =
     Psi.Protocol.config ~domain:("csv:" ^ attr) ~cipher:cfg.cipher
-      ~workers:cfg.workers
-      ?ecache:(Tenant.ecache tenants tenant)
-      cfg.group
+      ~workers:cfg.workers ?ecache cfg.group
   in
   Psi.Handshake.respond pcfg ep;
   let session_seed =
@@ -115,6 +114,10 @@ let session_loop cfg tenants ep tenant ~attr ~client_nonce =
     end
   in
   loop ();
+  (* A finished session ends the tenant cache's generation: the flush
+     appends what the session stored and evicts down to the tenant's
+     bound, so the store stays bounded and the work survives a crash. *)
+  Option.iter Cache.Ecache.flush ecache;
   (session_id, !ops_served)
 
 let serve cfg tenants admission ~draining conn =

@@ -86,8 +86,6 @@ let opened reg =
       Hashtbl.fold (fun _ e acc -> match e.cache with Some c -> c :: acc | None -> acc)
         reg.entries [])
 
-let flush_all reg = List.iter Cache.Ecache.flush (opened reg)
-
 let close_all reg =
   List.iter Cache.Ecache.close (opened reg);
   Mutex.protect reg.lock (fun () ->

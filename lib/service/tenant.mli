@@ -36,8 +36,10 @@ type t = {
 type registry
 
 (** [create ?cache_root ?cache_entries tenants] — [cache_root = None]
-    disables caching (every session recomputes); [cache_entries] is the
-    per-tenant LRU bound (default 65536).
+    disables caching (every session recomputes); [cache_entries]
+    (default 65536) bounds what a tenant's cache keeps beyond the
+    working sets of its sessions in flight: each session flushes the
+    cache when it ends, and the flush evicts down to that bound.
     @raise Invalid_argument on duplicate tenant ids. *)
 val create : ?cache_root:string -> ?cache_entries:int -> t list -> registry
 
@@ -58,9 +60,6 @@ val cache_dir : registry -> t -> string option
 val count_session : registry -> t -> unit
 
 val count_ops : registry -> t -> int -> unit
-
-(** [flush_all reg] flushes every opened cache (drain step). *)
-val flush_all : registry -> unit
 
 (** [close_all reg] flushes and closes every opened cache. Idempotent. *)
 val close_all : registry -> unit

@@ -25,53 +25,69 @@ type 'a read = Missing | Foreign | Read of { acc : 'a; valid : int; clean : bool
 
 exception Damaged of string
 
-(* The LEB128 length at [pos] (as [Buf.write_varint] writes it) and the
-   offset after it; [None] when it runs off the data or takes more than
+(* The LEB128 length at the channel's position (as [Buf.write_varint]
+   writes it); [None] when the file ends inside it or it takes more than
    8 bytes. Eight 7-bit groups stay below 2^56, so the length is never
    negative: a ninth group would reach bit 62, OCaml's sign bit. *)
-let varint_at data pos =
-  let n = String.length data in
-  let rec go p shift acc =
-    if p >= n || shift > 49 then None
-    else begin
-      let b = Char.code data.[p] in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then Some (acc, p + 1) else go (p + 1) (shift + 7) acc
-    end
-  in
-  go pos 0 0
-
-let scan data ~start ~init f =
-  let n = String.length data in
-  let rec go pos acc valid clean =
-    if pos = n then Read { acc; valid; clean }
+let input_varint ic =
+  let rec go shift acc =
+    if shift > 49 then None
     else
-      match varint_at data pos with
-      | Some (len, body) when len >= 0 && len <= n - body - checksum_bytes ->
-          let next = body + len + checksum_bytes in
-          if Int64.equal (fnv64 data body len) (String.get_int64_be data (body + len)) then
-            let acc = f acc (Body (String.sub data body len)) in
-            go next acc (if clean then next else valid) clean
-          else go next (f acc Corrupt) valid false
-      | _ -> Read { acc = f acc Corrupt; valid; clean = false }
+      match In_channel.input_byte ic with
+      | None -> None
+      | Some b ->
+          let acc = acc lor ((b land 0x7f) lsl shift) in
+          if b land 0x80 = 0 then Some acc else go (shift + 7) acc
   in
-  go start init start true
+  go 0 0
+
+(* The next frame at the channel's position, or [None] when no frame
+   fits in the [size - pos] bytes left (or the file shrank under the
+   read). The claimed length is checked against those bytes before the
+   body is allocated. *)
+let input_frame ic ~size sum =
+  match input_varint ic with
+  | Some len when len <= size - pos_in ic - checksum_bytes -> (
+      match
+        let body = really_input_string ic len in
+        really_input ic sum 0 checksum_bytes;
+        body
+      with
+      | exception (End_of_file | Sys_error _) -> None
+      | body ->
+          if Int64.equal (fnv64 body 0 len) (Bytes.get_int64_be sum 0) then Some (Body body)
+          else Some Corrupt)
+  | Some _ | None -> None
+  | exception Sys_error _ -> None
+
+let scan ic ~size ~init f =
+  let sum = Bytes.create checksum_bytes in
+  let rec go acc valid clean =
+    if pos_in ic >= size then Read { acc; valid; clean }
+    else
+      match input_frame ic ~size sum with
+      | Some (Body _ as frame) ->
+          let next = pos_in ic in
+          go (f acc frame) (if clean then next else valid) clean
+      | Some Corrupt -> go (f acc Corrupt) valid false
+      | None -> Read { acc = f acc Corrupt; valid; clean = false }
+  in
+  let start = pos_in ic in
+  go init start true
 
 let fold ~kind path ~init f =
   match open_in_bin path with
   | exception Sys_error _ -> Missing
-  | ic ->
+  | ic -> (
       Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-      let bytes = in_channel_length ic in
-      Obs.Span.with_ "store/read" ~attrs:[ ("kind", kind); ("bytes", string_of_int bytes) ]
+      let size = in_channel_length ic in
+      Obs.Span.with_ "store/read" ~attrs:[ ("kind", kind); ("bytes", string_of_int size) ]
       @@ fun () ->
-      match really_input_string ic bytes with
-      | exception (Sys_error _ | End_of_file) -> Missing
-      | data ->
-          let hdr = header kind in
-          if String.starts_with ~prefix:hdr data then
-            scan data ~start:(String.length hdr) ~init f
-          else Foreign
+      let hdr = header kind in
+      match really_input_string ic (String.length hdr) with
+      | exception Sys_error _ -> Missing
+      | exception End_of_file -> Foreign
+      | prefix -> if String.equal prefix hdr then scan ic ~size ~init f else Foreign)
 
 let is_log ~kind path =
   let hdr = header kind in
@@ -109,15 +125,17 @@ let output_frame oc body =
   output_bytes oc sum
 
 let write ~kind path bodies =
-  let hdr = header kind in
-  let bytes = List.fold_left (fun n b -> n + frame_bytes b) (String.length hdr) bodies in
-  Obs.Span.with_ "store/write" ~attrs:[ ("kind", kind); ("bytes", string_of_int bytes) ]
+  let span = Obs.Span.enter "store/write" ~attrs:[ ("kind", kind) ] in
+  let bytes = ref 0 in
+  Fun.protect ~finally:(fun () ->
+      Obs.Span.exit ~attrs:[ ("bytes", string_of_int !bytes) ] span)
   @@ fun () ->
   mkdirs (Filename.dirname path);
   let tmp = path ^ ".tmp" in
   Out_channel.with_open_bin tmp (fun oc ->
-      output_string oc hdr;
-      List.iter (output_frame oc) bodies);
+      output_string oc (header kind);
+      Seq.iter (output_frame oc) bodies;
+      bytes := pos_out oc);
   Sys.rename tmp path
 
 type appender = { kind : string; oc : out_channel }

@@ -42,10 +42,13 @@ type 'a read =
       clean : bool;  (** every frame good, and the file ends on a frame *)
     }
 
-(** [fold ~kind path ~init f] reads the whole file and folds [f] over
-    its frames in file order. Total on file contents: a claimed length
-    is bounded by the bytes remaining before anything is allocated, and
-    no content makes it raise. Exceptions from [f] propagate. *)
+(** [fold ~kind path ~init f] folds [f] over the file's frames in file
+    order, reading them from the channel one at a time: only the frame
+    being folded is in memory, never the whole file. Total on file
+    contents: a claimed length is checked against the bytes left in the
+    file before anything is allocated, a file that shrinks under the
+    read ends in a [Corrupt] tail, and no content makes it raise.
+    Exceptions from [f] propagate. *)
 val fold : kind:string -> string -> init:'a -> ('a -> frame -> 'a) -> 'a read
 
 (** [is_log ~kind path]: the file starts with [header kind] (only that
@@ -63,8 +66,11 @@ val mkdirs : string -> unit
 
 (** [write ~kind path bodies] replaces [path] atomically with a log of
     [kind] holding one frame per body, in order: the parent directories
-    are created, a temp file is written, then renamed over [path]. *)
-val write : kind:string -> string -> string list -> unit
+    are created, a temp file is written, then renamed over [path]. The
+    bodies are forced one at a time as they are written, so a caller can
+    stream frames without building them all first; one that has a list
+    passes [List.to_seq]. *)
+val write : kind:string -> string -> string Seq.t -> unit
 
 type appender
 

@@ -56,7 +56,7 @@ let decode data =
   | t -> Ok t
   | exception Buf.Parse_error msg -> Error msg
 
-let save ~path t = Record_log.write ~kind path [ encode t ]
+let save ~path t = Record_log.write ~kind path (Seq.return (encode t))
 
 let load ~path =
   match Record_log.fold ~kind path ~init:[] (fun acc f -> f :: acc) with

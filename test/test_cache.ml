@@ -1,7 +1,8 @@
 (* Tests for the persistent encrypted-set cache (Psi.Ecache) and the
-   run snapshots it pairs with: round-trip durability, LRU bounds, and
-   — the load-bearing property — that a damaged file degrades to a
-   miss/rebuild, never to serving a wrong value. *)
+   run snapshots it pairs with: round-trip durability, eviction at
+   flush, append-only flushes, and — the load-bearing property — that a
+   damaged file degrades to a miss/rebuild, never to serving a wrong
+   value. *)
 
 module Ecache = Cache.Ecache
 module Snapshot = Wire.Snapshot
@@ -23,6 +24,34 @@ let fresh_dir () =
   d
 
 let cache_file dir = Filename.concat dir "ecache.psi"
+
+(* A frame body: ns, key_fp and the writing generation, then
+   (input, value) pairs. *)
+let decode_frame body =
+  let r = Wire.Buf.reader body in
+  let ns = Wire.Buf.read_bytes r in
+  let key_fp = Wire.Buf.read_bytes r in
+  let gen = Wire.Buf.read_varint r in
+  let rec entries acc =
+    if Wire.Buf.at_end r then List.rev acc
+    else
+      let input = Wire.Buf.read_bytes r in
+      let value = Wire.Buf.read_bytes r in
+      entries ((input, value) :: acc)
+  in
+  (ns, key_fp, gen, entries [])
+
+(* Every entry record in a cache log, in file order. *)
+let file_entries path =
+  match
+    Wire.Record_log.fold ~kind:"ecache" path ~init:[] (fun acc -> function
+      | Wire.Record_log.Body b ->
+          let _, _, _, es = decode_frame b in
+          List.rev_append es acc
+      | Wire.Record_log.Corrupt -> Alcotest.fail "unexpected corrupt frame")
+  with
+  | Wire.Record_log.Read { acc; clean = true; _ } -> List.rev acc
+  | _ -> Alcotest.fail "expected a clean cache log"
 let value_of input = "value-of:" ^ input
 let inputs n = List.init n (fun i -> Printf.sprintf "elt-%04d" i)
 
@@ -112,42 +141,47 @@ let test_truncated_file () =
       check_never_wrong ~msg:(Printf.sprintf "truncated at %d" keep) dir "enc" xs)
     [ 0; 4; 9; 15; String.length data / 2; String.length data - 3 ]
 
+(* Two flushes, two frames: [xs] in the first, [ys] appended. *)
+let fill_two_frames dir xs ys =
+  ignore (fill dir "enc" xs);
+  ignore (fill dir "enc" ys)
+
 let test_flipped_checksum_byte () =
   let dir = fresh_dir () in
-  let xs = inputs 5 in
-  ignore (fill dir "enc" xs);
+  let xs = inputs 5 and ys = [ "late-1"; "late-2"; "late-3" ] in
+  fill_two_frames dir xs ys;
   let data = read_file (cache_file dir) in
-  (* The file ends with the newest entry's 8-byte checksum: flipping
-     its last byte must invalidate exactly that entry. *)
+  (* The file ends with the appended frame's 8-byte checksum: flipping
+     its last byte must invalidate exactly that frame's entries. *)
   let b = Bytes.of_string data in
   let last = Bytes.length b - 1 in
   Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 0x01));
   write_file (cache_file dir) (Bytes.to_string b);
   let c = Ecache.open_ ~dir () in
   let s = Ecache.stats c in
-  Alcotest.(check int) "one entry rejected" 4 s.Ecache.loaded;
+  Alcotest.(check int) "only the last frame rejected" 5 s.Ecache.loaded;
   Alcotest.(check int) "counted corrupt" 1 s.Ecache.corrupt;
   Ecache.close c;
-  check_never_wrong ~msg:"flipped checksum byte" dir "enc" xs
+  check_never_wrong ~msg:"flipped checksum byte" dir "enc" (xs @ ys)
 
 let test_corrupt_entry_skipped () =
   let dir = fresh_dir () in
-  let xs = inputs 6 in
-  ignore (fill dir "enc" xs);
+  let xs = inputs 6 and ys = [ "late-1"; "late-2"; "late-3" ] in
+  fill_two_frames dir xs ys;
   let data = read_file (cache_file dir) in
-  (* The first frame's one-byte length follows the header; the byte
-     after it opens the first entry's body. The frame stays intact, so
-     later entries load. *)
+  (* The first frame's length (at most two bytes here) follows the
+     header; a byte a little past it lies in the first frame's body.
+     The frame stays framed, so the later frame loads. *)
   let b = Bytes.of_string data in
-  let pos = String.length ecache_header + 1 in
+  let pos = String.length ecache_header + 4 in
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xFF));
   write_file (cache_file dir) (Bytes.to_string b);
   let c = Ecache.open_ ~dir () in
   let s = Ecache.stats c in
-  Alcotest.(check int) "later entries survive" 5 s.Ecache.loaded;
+  Alcotest.(check int) "later frame survives" 3 s.Ecache.loaded;
   Alcotest.(check int) "counted corrupt" 1 s.Ecache.corrupt;
   Ecache.close c;
-  check_never_wrong ~msg:"corrupt entry body" dir "enc" xs
+  check_never_wrong ~msg:"corrupt frame body" dir "enc" (xs @ ys)
 
 let test_stale_version_header () =
   let dir = fresh_dir () in
@@ -184,14 +218,29 @@ let test_store_spans () =
         else None)
       roots
   in
+  (* The flush appends one frame: the write span counts its bytes. *)
   let size' = (Unix.stat (cache_file dir)).Unix.st_size in
   Alcotest.(check (list (triple string (option string) (option string))))
     "one read, one write"
     [
       ("store/read", Some "ecache", Some (string_of_int size));
-      ("store/write", Some "ecache", Some (string_of_int size'));
+      ("store/write", Some "ecache", Some (string_of_int (size' - size)));
     ]
     store
+
+(* Loading is not storing: [ecache.puts] counts only entries that [put]
+   stores, [ecache.loaded_entries] the ones [open_] restores. *)
+let test_load_counts_no_puts () =
+  let dir = fresh_dir () in
+  ignore (fill dir "enc" (inputs 12));
+  let count name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+  Obs.Runtime.with_enabled (fun () ->
+      let puts = count "ecache.puts" and loaded = count "ecache.loaded_entries" in
+      let c = Ecache.open_ ~dir () in
+      Alcotest.(check int) "no puts" 0 (count "ecache.puts" - puts);
+      Alcotest.(check int) "loaded" 12 (count "ecache.loaded_entries" - loaded);
+      Alcotest.(check int) "stats.puts" 0 (Ecache.stats c).Ecache.puts;
+      Ecache.close c)
 
 let qcheck_case ?(count = 60) ~name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
@@ -223,46 +272,146 @@ let corrupt_one_byte_prop =
       ok)
 
 (* ------------------------------------------------------------------ *)
-(* LRU bound and eviction order                                        *)
+(* Eviction at flush, append-only flushes                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_lru_eviction_order () =
-  let dir = fresh_dir () in
-  let c = Ecache.open_ ~max_entries:4 ~dir () in
-  let put x = Ecache.put c ~ns:"enc" ~key_fp:"fp" x (value_of x) in
-  let present x = Option.is_some (Ecache.find c ~ns:"enc" ~key_fp:"fp" x) in
-  List.iter put [ "a"; "b"; "c"; "d" ];
-  (* Touch "a": "b" becomes the least recently used. *)
-  Alcotest.(check bool) "a cached" true (present "a");
-  put "e";
-  Alcotest.(check bool) "b evicted first" false (present "b");
-  Alcotest.(check bool) "a survives (recently used)" true (present "a");
-  Alcotest.(check bool) "c survives" true (present "c");
-  Alcotest.(check bool) "e cached" true (present "e");
-  put "f";
-  (* "c" is now oldest: a,c,e touched above... order after touches:
-     d < a < c < e (d untouched since insert). *)
-  Alcotest.(check bool) "d evicted next" false (present "d");
-  let s = Ecache.stats c in
-  Alcotest.(check int) "evictions counted" 2 s.Ecache.evictions;
-  Alcotest.(check int) "bounded" 4 s.Ecache.entries;
-  Ecache.close c
+let present c x = Option.is_some (Ecache.find c ~ns:"enc" ~key_fp:"fp" x)
 
-let test_lru_survives_reload () =
-  let dir = fresh_dir () in
-  let c = Ecache.open_ ~max_entries:8 ~dir () in
-  let put x = Ecache.put c ~ns:"enc" ~key_fp:"fp" x (value_of x) in
-  List.iter put [ "a"; "b"; "c" ];
-  ignore (Ecache.find c ~ns:"enc" ~key_fp:"fp" "a");
+(* One open/put/close cycle: one generation. *)
+let session ?(max_entries = 4) dir f =
+  let c = Ecache.open_ ~max_entries ~dir () in
+  f c;
   Ecache.close c;
-  (* Reload with a tight bound: recency order persisted, so "b" (the
-     least recently used) is the one evicted. *)
-  let c = Ecache.open_ ~max_entries:2 ~dir () in
-  Alcotest.(check bool) "b evicted on reload" true
-    (Option.is_none (Ecache.find c ~ns:"enc" ~key_fp:"fp" "b"));
-  Alcotest.(check bool) "a kept on reload" true
-    (Option.is_some (Ecache.find c ~ns:"enc" ~key_fp:"fp" "a"));
-  Ecache.close c
+  c
+
+let put c x = Ecache.put c ~ns:"enc" ~key_fp:"fp" x (value_of x)
+
+(* The thrash case: a run whose working set exceeds [max_entries] keeps
+   all of it, and the rerun hits in full. *)
+let test_working_set_survives () =
+  let dir = fresh_dir () in
+  let xs = inputs 10 in
+  (* The close after the flush finds nothing touched since: it neither
+     ends the generation nor evicts. *)
+  let c =
+    session dir (fun c ->
+        List.iter (put c) xs;
+        Ecache.flush c)
+  in
+  Alcotest.(check int) "nothing evicted" 0 (Ecache.stats c).Ecache.evictions;
+  let c = session dir (fun c -> List.iter (fun x -> ignore (present c x)) xs) in
+  let s = Ecache.stats c in
+  Alcotest.(check int) "every lookup hits" 10 s.Ecache.hits;
+  Alcotest.(check int) "no misses" 0 s.Ecache.misses;
+  (* A run that touches two of them leaves eight untouched past the
+     bound of four: the flush drops down to the bound. *)
+  let c = session dir (fun c -> List.iter (fun x -> ignore (present c x)) (inputs 2)) in
+  Alcotest.(check int) "evicted to the bound" 6 (Ecache.stats c).Ecache.evictions;
+  Alcotest.(check int) "bounded" 4 (Ecache.entries c)
+
+let test_untouched_oldest_first () =
+  let dir = fresh_dir () in
+  List.iter (fun x -> ignore (session dir (fun c -> put c x))) [ "a"; "b"; "c"; "d" ];
+  (* Six entries, three touched, bound four: two go, and they are the
+     oldest-written untouched ones, across the reloads. *)
+  let c =
+    session dir (fun c ->
+        Alcotest.(check bool) "a hits" true (present c "a");
+        put c "e";
+        put c "f")
+  in
+  Alcotest.(check int) "two evicted" 2 (Ecache.stats c).Ecache.evictions;
+  ignore
+    (session dir (fun c ->
+         Alcotest.(check (list bool))
+           "b and c gone; a (touched), d, e, f kept"
+           [ true; false; false; true; true; true ]
+           (List.map (present c) [ "a"; "b"; "c"; "d"; "e"; "f" ])))
+
+let test_clean_flush_appends () =
+  let dir = fresh_dir () in
+  ignore (fill dir "enc" (inputs 20));
+  let before = read_file (cache_file dir) in
+  let ys = [ "new-a"; "new-b"; "new-c" ] in
+  ignore (fill dir "enc" ys);
+  let after = read_file (cache_file dir) in
+  Alcotest.(check bool) "old bytes kept as they were" true
+    (String.starts_with ~prefix:before after);
+  (* The tail is whole frames that hold exactly the new entries. *)
+  let tail = String.sub after (String.length before) (String.length after - String.length before) in
+  let probe = Filename.concat dir "tail.psi" in
+  write_file probe (ecache_header ^ tail);
+  Alcotest.(check (list (pair string string)))
+    "appended entries"
+    (List.map (fun y -> (y, value_of y)) ys)
+    (List.sort compare (file_entries probe))
+
+(* Many flushes with churn and re-stored values: the store stays near
+   its bound and the file never holds more superseded records than live
+   entries. Churned rounds evict (and so rewrite); re-store-only rounds
+   just append, until the superseded records force a compaction. *)
+let test_churn_stays_compacted () =
+  let dir = fresh_dir () in
+  let latest = Hashtbl.create 64 in
+  let store c x v =
+    Hashtbl.replace latest x v;
+    Ecache.put c ~ns:"enc" ~key_fp:"fp" x v
+  in
+  let live = ref (inputs 16) in
+  let evictions = ref 0 and compactions = ref 0 and last_records = ref 0 in
+  for round = 1 to 60 do
+    let churn = round <= 30 in
+    let fresh = if churn then List.init 2 (fun i -> Printf.sprintf "r%d-%d" round i) else [] in
+    let c =
+      session ~max_entries:16 dir (fun c ->
+          List.iter (fun x -> ignore (present c x)) !live;
+          List.iter (fun x -> store c x (value_of x)) fresh;
+          List.iter
+            (fun x -> store c x (Printf.sprintf "%s@%d" x round))
+            (List.filteri (fun i _ -> i < 2) (List.rev !live)))
+    in
+    if churn then live := List.filteri (fun i _ -> i >= 2) !live @ fresh;
+    evictions := !evictions + (Ecache.stats c).Ecache.evictions;
+    let n = Ecache.entries c and records = List.length (file_entries (cache_file dir)) in
+    if (not churn) && records < !last_records then incr compactions;
+    last_records := records;
+    (* The working set is the 16 live entries and the 2 fresh ones. *)
+    if 7 * n > 8 * 18 || records > 2 * n then
+      Alcotest.failf "round %d: %d entries, %d records in the file" round n records
+  done;
+  Alcotest.(check bool) "churn evicted" true (!evictions > 0);
+  Alcotest.(check bool) "superseded records compacted" true (!compactions > 0);
+  ignore
+    (session ~max_entries:16 dir (fun c ->
+         List.iter
+           (fun x ->
+             Alcotest.(check (option string))
+               x (Some (Hashtbl.find latest x))
+               (Ecache.find c ~ns:"enc" ~key_fp:"fp" x))
+           !live))
+
+(* The layout before slices held one frame per entry: the composite
+   key "ns\x00key_fp\x00input", then the value. Such a file serves
+   nothing, and the first flush that stores rewrites it. *)
+let test_old_layout_rewritten () =
+  let dir = fresh_dir () in
+  let old_body x =
+    let w = Wire.Buf.writer () in
+    Wire.Buf.write_bytes w (String.concat "\x00" [ "enc"; "fp"; x ]);
+    Wire.Buf.write_bytes w (value_of x);
+    Wire.Buf.contents w
+  in
+  let xs = inputs 6 in
+  Wire.Record_log.write ~kind:"ecache" (cache_file dir) (List.to_seq (List.map old_body xs));
+  ignore
+    (session dir (fun c ->
+         Alcotest.(check (list bool)) "every lookup misses" (List.map (fun _ -> false) xs)
+           (List.map (present c) xs);
+         List.iter (put c) xs));
+  Alcotest.(check (list (pair string string)))
+    "rewritten in the current layout"
+    (List.map (fun x -> (x, value_of x)) xs)
+    (List.sort compare (file_entries (cache_file dir)))
 
 (* ------------------------------------------------------------------ *)
 (* Warm-up                                                             *)
@@ -368,6 +517,7 @@ let () =
           Alcotest.test_case "missing file is empty" `Quick test_missing_file_is_empty;
           Alcotest.test_case "closed cache raises" `Quick test_closed_cache_raises;
           Alcotest.test_case "load and flush open store spans" `Quick test_store_spans;
+          Alcotest.test_case "loading counts no puts" `Quick test_load_counts_no_puts;
         ] );
       ( "corruption",
         [
@@ -376,11 +526,18 @@ let () =
           Alcotest.test_case "corrupt entry is skipped" `Quick test_corrupt_entry_skipped;
           Alcotest.test_case "stale version header" `Quick test_stale_version_header;
           corrupt_one_byte_prop;
+          Alcotest.test_case "older layout is rewritten" `Quick test_old_layout_rewritten;
         ] );
-      ( "lru",
+      ( "eviction",
         [
-          Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
-          Alcotest.test_case "recency survives reload" `Quick test_lru_survives_reload;
+          Alcotest.test_case "working set over the bound survives" `Quick
+            test_working_set_survives;
+          Alcotest.test_case "untouched go oldest-written first" `Quick
+            test_untouched_oldest_first;
+          Alcotest.test_case "clean flush appends new entries" `Quick
+            test_clean_flush_appends;
+          Alcotest.test_case "churned flushes stay compacted" `Quick
+            test_churn_stays_compacted;
         ] );
       ( "warm",
         [

@@ -26,10 +26,11 @@ let s_values = [ "ada"; "bob"; "eve"; "mallory"; "trent" ]
 let r_values = [ "bob"; "carol"; "eve"; "zed" ]
 let expected_intersection = [ "bob"; "eve" ]
 
-let daemon ?(max_sessions = 8) ?(max_ops = 64) ?cache_root ?(tenants = []) () =
+let daemon ?(max_sessions = 8) ?(max_ops = 64) ?cache_root ?(cache_entries = 65536)
+    ?(tenants = []) () =
   let cfg = Service.Daemon.config group ~tenants in
   Service.Daemon.start
-    { cfg with max_sessions; max_ops_per_session = max_ops; cache_root }
+    { cfg with max_sessions; max_ops_per_session = max_ops; cache_root; cache_entries }
 
 let connect ?seed ?nonce ?(tenant = "acme") ?(secret = "s3cret")
     ?(attr = "email") d =
@@ -331,6 +332,40 @@ let test_tenant_sessions_end_to_end_with_cache () =
   Alcotest.(check bool) "tenant b cache persisted" true
     (Sys.file_exists (Filename.concat (Filename.concat root "b") "ecache.psi"))
 
+(* Every session runs under its own sender key, so each one stores
+   ciphertexts no later session touches. Flushing the tenant cache when
+   a session ends evicts them, so twelve sessions leave a store no
+   larger than one does (up to the eighth that eviction waits for).
+   Without that flush, one generation would span every session and the
+   drain's flush would keep them all. *)
+let test_tenant_cache_stays_bounded () =
+  let root = fresh_dir () in
+  let entries () =
+    let c = Cache.Ecache.open_ ~dir:(Filename.concat root "a") () in
+    let n = Cache.Ecache.entries c in
+    Cache.Ecache.close c;
+    n
+  in
+  let serve sessions =
+    let d =
+      daemon ~cache_root:root ~cache_entries:4
+        ~tenants:[ tenant ~secret:"ka" "a" s_values ]
+        ()
+    in
+    for i = 1 to sessions do
+      let c = connect ~tenant:"a" ~secret:"ka" ~nonce:(Printf.sprintf "n%d" i) d in
+      Alcotest.(check (list string)) "result" expected_intersection (run_intersect c);
+      Service.Client.close c
+    done;
+    Alcotest.(check bool) "drained" true (Service.Daemon.wait ~timeout_s:10.0 d)
+  in
+  serve 1;
+  let one = entries () in
+  serve 12;
+  let many = entries () in
+  if 7 * many > 8 * one then
+    Alcotest.failf "12 sessions left %d entries, one session %d" many one
+
 (* ---------------- metrics endpoint ---------------- *)
 
 let test_metrics_endpoint () =
@@ -426,6 +461,8 @@ let () =
             test_tenant_cache_isolation;
           Alcotest.test_case "end-to-end with per-tenant caches" `Quick
             test_tenant_sessions_end_to_end_with_cache;
+          Alcotest.test_case "session flushes keep a cache bounded" `Quick
+            test_tenant_cache_stays_bounded;
         ] );
       ( "metrics",
         [ Alcotest.test_case "http endpoint" `Quick test_metrics_endpoint ] );

@@ -345,7 +345,7 @@ let test_damaged_spill_fails () =
   List.iter
     (fun v -> if in_b1 v && v <> last then Wire.Buf.write_bytes w v)
     damage_r;
-  Wire.Record_log.write ~kind:"spill" r_b1 [ Wire.Buf.contents w ];
+  Wire.Record_log.write ~kind:"spill" r_b1 (Seq.return (Wire.Buf.contents w));
   expect_damaged "clean log, one entry short of the meta" plan;
   (* The meta is damage too, in its frame or in its header: neither may
      pass for "no committed spill" and run on the empty set. *)

@@ -739,7 +739,7 @@ let as_options = List.map (function Log.Body b -> Some b | Log.Corrupt -> None)
 
 let test_log_roundtrip () =
   let path = log_path () in
-  Log.write ~kind:"probe" path [ "one"; "" ];
+  Log.write ~kind:"probe" path (List.to_seq [ "one"; "" ]);
   let a = Log.open_append ~kind:"probe" path in
   Log.append a "three";
   Log.close a;
@@ -768,6 +768,42 @@ let test_log_nine_byte_length () =
   Alcotest.check body_list "one corrupt tail" [ None ] (as_options fs);
   Alcotest.(check int) "valid prefix is the header" (String.length hdr) valid;
   Alcotest.(check bool) "unclean" false clean
+
+(* A claimed length far past the file's end is refused before anything
+   is allocated: the read ends on a corrupt tail. *)
+let test_log_huge_length () =
+  let path = log_path () in
+  let hdr = Log.header "probe" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc hdr;
+      (* 2^55 as LEB128: seven continuation bytes, then bit 6 of the
+         eighth group. *)
+      output_string oc "\x80\x80\x80\x80\x80\x80\x80\x40";
+      output_string oc (String.make 16 'x'));
+  let before = Gc.allocated_bytes () in
+  let read = Log.fold ~kind:"probe" path ~init:[] (fun acc f -> f :: acc) in
+  let allocated = Gc.allocated_bytes () -. before in
+  let fs, valid, clean = frames read in
+  Alcotest.check body_list "one corrupt tail" [ None ] (as_options fs);
+  Alcotest.(check int) "valid prefix is the header" (String.length hdr) valid;
+  Alcotest.(check bool) "unclean" false clean;
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.0f bytes" allocated)
+    true
+    (allocated < 65536.)
+
+(* [write] forces its bodies one at a time; a lazily built sequence and
+   a list give the same bytes. *)
+let test_log_write_seq () =
+  let body i = String.make (i * 7) (Char.chr (65 + (i mod 26))) in
+  let from_list = log_path () and from_seq = log_path () in
+  Log.write ~kind:"probe" from_list (List.to_seq (List.init 40 body));
+  Log.write ~kind:"probe" from_seq (Seq.init 40 body);
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) "byte-identical" (read from_list) (read from_seq);
+  let fs, _, clean = frames (Log.fold ~kind:"probe" from_seq ~init:[] (fun acc f -> f :: acc)) in
+  Alcotest.check body_list "bodies in order" (List.init 40 (fun i -> Some (body i))) (as_options fs);
+  Alcotest.(check bool) "clean" true clean
 
 (* ------------------------------------------------------------------ *)
 
@@ -848,6 +884,9 @@ let () =
           Alcotest.test_case "write, append, fold" `Quick test_log_roundtrip;
           Alcotest.test_case "nine-byte length is an unclean end" `Quick
             test_log_nine_byte_length;
+          Alcotest.test_case "2^55-byte length allocates nothing" `Quick
+            test_log_huge_length;
+          Alcotest.test_case "write from a Seq = from a list" `Quick test_log_write_seq;
         ] );
       ( "runner",
         [

@@ -18,7 +18,10 @@ set -eu
 
 LINT=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 ROOT=$2
-dir=$(mktemp -d)
+# Scratch space under the action's working directory, not under dune's
+# per-build TMPDIR, which another dune process running at the same time
+# may remove.
+dir=$(mktemp -d "$PWD/smoke.XXXXXX")
 trap 'rm -rf "$dir"' EXIT
 
 echo "== lint selfcheck: seeded fixtures =="

@@ -11,7 +11,10 @@
 set -eu
 
 BIN=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
-dir=$(mktemp -d)
+# Scratch space under the action's working directory, not under dune's
+# per-build TMPDIR, which another dune process running at the same time
+# may remove.
+dir=$(mktemp -d "$PWD/smoke.XXXXXX")
 trap 'rm -rf "$dir"' EXIT
 
 cat > "$dir/s.csv" <<'EOF'
@@ -38,6 +41,9 @@ EOF
 # Listener (sender role) on an ephemeral port; it prints the bound port.
 # The listener now loops until signalled; --max-conns 1 restores the
 # serve-one-then-exit behaviour this script relies on.
+# Create the file the port is polled from before the background
+# redirect does, or the first poll can race it and fail.
+: > "$dir/s.out"
 "$BIN" net --group test64 --listen 0 --max-conns 1 --csv "$dir/s.csv" \
   --attr email > "$dir/s.out" 2>&1 &
 spid=$!

@@ -12,7 +12,10 @@ set -eu
 
 PSID=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 DEMO=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
-dir=$(mktemp -d)
+# Scratch space under the action's working directory, not under dune's
+# per-build TMPDIR, which another dune process running at the same time
+# may remove.
+dir=$(mktemp -d "$PWD/smoke.XXXXXX")
 spid=
 trap 'rm -rf "$dir"; [ -n "$spid" ] && kill "$spid" 2>/dev/null || true' EXIT
 
@@ -33,6 +36,9 @@ id:int,email:text
 13,erin@example.org
 EOF
 
+# Create the file the port is polled from before the background
+# redirect does, or the first poll can race it and fail.
+: > "$dir/psid.out"
 "$PSID" serve --group test64 --port 0 --metrics-port 0 --seed smoke \
   --tenant hospital:s3cret:"$dir/s.csv" --cache-root "$dir/cache" \
   > "$dir/psid.out" 2> "$dir/psid.err" &

@@ -10,7 +10,10 @@
 set -eu
 
 BIN=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
-dir=$(mktemp -d)
+# Scratch space under the action's working directory, not under dune's
+# per-build TMPDIR, which another dune process running at the same time
+# may remove.
+dir=$(mktemp -d "$PWD/smoke.XXXXXX")
 trap 'rm -rf "$dir"' EXIT
 
 cat > "$dir/s.csv" <<'EOF'
@@ -61,6 +64,9 @@ fi
 
 # Two-process sharded run over a loopback socket, one spill dir per
 # process (the parties never share a disk).
+# Create the file the port is polled from before the background
+# redirect does, or the first poll can race it and fail.
+: > "$dir/s.out"
 "$BIN" net --group test64 --buckets 8 --spill-dir "$dir/spill-s" \
   --listen 0 --max-conns 1 --csv "$dir/s.csv" --attr email \
   > "$dir/s.out" 2>&1 &

@@ -11,7 +11,10 @@ set -eu
 
 DEMO=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 TRACE=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
-dir=$(mktemp -d)
+# Scratch space under the action's working directory, not under dune's
+# per-build TMPDIR, which another dune process running at the same time
+# may remove.
+dir=$(mktemp -d "$PWD/smoke.XXXXXX")
 trap 'rm -rf "$dir"' EXIT
 
 cat > "$dir/s.csv" <<'EOF'
@@ -34,6 +37,9 @@ EOF
 # Listener (sender role) on an ephemeral port; it prints the bound port.
 # --max-conns 1: serve the one connection below, then exit (the wait
 # relies on it).
+# Create the file the port is polled from before the background
+# redirect does, or the first poll can race it and fail.
+: > "$dir/s.out"
 "$DEMO" net --group test64 --listen 0 --max-conns 1 --csv "$dir/s.csv" \
   --attr email --trace-out "$dir/s.jsonl" > "$dir/s.out" 2>&1 &
 spid=$!
