@@ -1,9 +1,9 @@
 (* RACE01 — mutable state captured by closures handed to the domain
    pool must be mediated by Atomic or Mutex.
 
-   [Pool.map]/[Pool.map_seeded]/[Pool.map_reduce], [Pool.fork] and
-   [Domain.spawn] run their closures on other domains, and so do the
-   party runners [Runner.run]/[Runner.run_on]/[Protocol.launch] with
+   [Pool.map]/[Pool.map_chunks], [Pool.fork] and [Domain.spawn] run
+   their closures on other domains, and so do the party runners
+   [Runner.run]/[Runner.run_on]/[Protocol.launch] with
    their [~sender] (through [Pool.fork], concurrently with the receiver
    on the caller's thread). A captured [ref], [Hashtbl], [Buffer],
    [Queue] or [Stack] — or any in-place mutation of a captured variable
@@ -24,7 +24,7 @@
 let id = "RACE01"
 
 let spawners =
-  [ "Pool.map"; "Pool.map_seeded"; "Pool.map_reduce"; "Pool.fork"; "Domain.spawn" ]
+  [ "Pool.map"; "Pool.map_chunks"; "Pool.fork"; "Domain.spawn" ]
 
 (* Party runners: only the [~sender] closure leaves the caller's thread. *)
 let party_runners = [ "Runner.run"; "Runner.run_on"; "Protocol.launch" ]

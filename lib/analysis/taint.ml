@@ -110,10 +110,10 @@ let hofs =
     ("Array.iter", ([ 0 ], [ 1 ]));
     ("Array.mapi", ([ 0 ], [ 1 ]));
     ("Seq.map", ([ 0 ], [ 1 ]));
-    (* Pool.map t f xs / Pool.map_seeded t ~seed f xs: among the
-       unlabeled arguments the closure is index 1, the data index 2 *)
+    (* Pool.map t f xs / Pool.map_chunks t f xs: among the unlabeled
+       arguments the closure is index 1, the data index 2 *)
     ("Pool.map", ([ 1 ], [ 2 ]));
-    ("Pool.map_seeded", ([ 1 ], [ 2 ]));
+    ("Pool.map_chunks", ([ 1 ], [ 2 ]));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -93,9 +93,7 @@ type t = {
   mutable s_loaded : int;
 }
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let with_lock t f = Mutex.protect t.lock f
 
 let check_open t = if t.closed then invalid_arg "Ecache: cache is closed"
 
@@ -364,75 +362,76 @@ let open_ ?(max_entries = default_max_entries) ~dir () =
   with_lock t (fun () -> load t);
   t
 
-let find t ~ns ~key_fp input =
+(* Caller holds the lock. [s] is the slice, if it exists yet. *)
+let lookup t s input =
+  match Option.bind s (fun s -> Tbl.find_opt s.tbl input) with
+  | Some e ->
+      touch t e;
+      t.s_hits <- t.s_hits + 1;
+      Some e.value
+  | None ->
+      t.s_misses <- t.s_misses + 1;
+      None
+
+(* One locked pass over [inputs]: what each one finds, in order, and
+   the misses, in order with duplicates kept. *)
+let look t ~ns ~key_fp inputs =
   with_lock t (fun () ->
       check_open t;
-      let found =
-        match find_slice t ~ns ~key_fp with Some s -> Tbl.find_opt s.tbl input | None -> None
+      let s = find_slice t ~ns ~key_fp in
+      let hits = t.s_hits and misses = t.s_misses in
+      let found, missed =
+        List.fold_left
+          (fun (found, missed) input ->
+            match lookup t s input with
+            | Some _ as v -> (v :: found, missed)
+            | None -> (None :: found, input :: missed))
+          ([], []) inputs
       in
-      match found with
-      | Some e ->
-          touch t e;
-          t.s_hits <- t.s_hits + 1;
-          Obs.Metrics.incr c_hits;
-          Some e.value
-      | None ->
-          t.s_misses <- t.s_misses + 1;
-          Obs.Metrics.incr c_misses;
-          None)
+      Obs.Metrics.incr ~by:(t.s_hits - hits) c_hits;
+      Obs.Metrics.incr ~by:(t.s_misses - misses) c_misses;
+      (List.rev found, List.rev missed))
 
-let put t ~ns ~key_fp input output =
+(* One locked pass storing [outputs] for [inputs]. *)
+let store t ~ns ~key_fp inputs outputs =
   with_lock t (fun () ->
       check_open t;
-      insert t (slice t ~ns ~key_fp) input output)
+      let s = slice t ~ns ~key_fp in
+      List.iter2 (insert t s) inputs outputs)
 
-(* Warm-up batch size: bounds how many computed-but-not-yet-stored
-   outputs exist at once, so warming a million-element set holds one
-   chunk of results, not all of them — and still feeds the pool batches
-   large enough to amortize fan-out. *)
-let warm_chunk = 4096
+(* The hits of [found] in place, and the [computed] misses, in order,
+   in the gaps. *)
+let stitch found computed =
+  let rec go acc computed = function
+    | [] -> List.rev acc
+    | Some v :: found -> go (v :: acc) computed found
+    | None :: found -> (
+        match computed with
+        | c :: computed -> go (c :: acc) computed found
+        | [] -> invalid_arg "Ecache.batch: fewer results than misses")
+  in
+  go [] computed found
 
-let warm t ?pool ~ns ~key_fp ~f inputs =
-  (* Peek without touching hit/miss stats: warm-up is provisioning.
-     Deduplicate (first occurrence wins) so [f] runs once per element,
-     and compute outside the lock so pool workers never contend on it.
-     Two racing warm-ups may both compute an element; [put] makes that
-     an idempotent overwrite with the identical value. Chunked: each
-     [warm_chunk]-sized slice is filtered, computed and stored before
-     the next is touched, keeping peak memory O(chunk). *)
-  let seen = Tbl.create 1024 in
-  let rec take n acc l =
-    if n = 0 then (List.rev acc, l)
-    else match l with [] -> (List.rev acc, []) | x :: tl -> take (n - 1) (x :: acc) tl
-  in
-  let rec go inputs =
-    match inputs with
-    | [] -> ()
-    | _ ->
-        let chunk, rest = take warm_chunk [] inputs in
-        let missing =
-          with_lock t (fun () ->
-              check_open t;
-              let s = find_slice t ~ns ~key_fp in
-              List.filter
-                (fun input ->
-                  let cached = match s with Some s -> Tbl.mem s.tbl input | None -> false in
-                  if cached || Tbl.mem seen input then false
-                  else begin
-                    Tbl.replace seen input ();
-                    true
-                  end)
-                chunk)
-        in
-        let outputs =
-          match pool with
-          | None -> List.map f missing
-          | Some pool -> Parallel.Pool.map pool f missing
-        in
-        List.iter2 (fun input output -> put t ~ns ~key_fp input output) missing outputs;
-        go rest
-  in
-  go inputs
+let find t ~ns ~key_fp input =
+  match look t ~ns ~key_fp [ input ] with [ Some v ], _ -> Some v | _ -> None
+
+let put t ~ns ~key_fp input output = store t ~ns ~key_fp [ input ] [ output ]
+
+(* [compute] runs on the caller, outside the lock and outside the
+   spans, so the spans time the cache's own work only. Two callers that
+   miss on one input both compute it; the second store finds the same
+   value and only touches it. *)
+let batch t ~ns ~key_fp ~compute inputs =
+  let found, misses = Obs.Span.with_ "ecache/batch" (fun () -> look t ~ns ~key_fp inputs) in
+  match misses with
+  | [] -> stitch found []
+  | _ ->
+      let computed = compute misses in
+      if List.compare_lengths computed misses <> 0 then
+        invalid_arg "Ecache.batch: compute changed the batch length";
+      Obs.Span.with_ "ecache/batch" (fun () ->
+          store t ~ns ~key_fp misses computed;
+          stitch found computed)
 
 let close t =
   flush t;

@@ -14,13 +14,17 @@
     {ul
     {- [ns] separates kinds of work (["h2g:<domain>"] for hash-to-group,
        ["enc"] / ["dec"] for encryption and decryption);}
-    {- [key_fp] is {!Crypto.Commutative.fingerprint} for keyed work (and
+    {- [key_fp] is the commutative key's fingerprint for keyed work (and
        [""] for key-independent work such as hashing), so cached
        ciphertexts are only ever served back under the exact key that
        produced them — a fresh key misses everything by construction;}
-    {- [input] and the stored output are wire encodings
-       ([Crypto.Group.encode_elt] or raw values), so a hit is returned
-       byte-for-byte as the cold path would have produced it.}}
+    {- [input] and the stored output are wire encodings (of group
+       elements, or raw values), so a hit is returned byte-for-byte as
+       the cold path would have produced it, and the output of one
+       slice can be the input of the next without being decoded.}}
+
+    The protocols reach the cache through {!batch} alone: one call per
+    slice of a step's elements.
 
     {2 Eviction}
 
@@ -54,16 +58,20 @@
     {2 Concurrency}
 
     All operations take an internal mutex, so one cache may be shared by
-    both protocol parties (systhreads) and fed from {!Parallel.Pool}
-    workers. {!warm} computes misses outside the lock; two concurrent
-    warm-ups may duplicate work but converge to identical entries.
+    both protocol parties, each on its own domain. {!batch} holds it for
+    two passes only (the look-ups, then the stores) and computes the
+    misses outside it. Two parties that miss on one input both compute
+    it and store identical values.
 
     Telemetry (under [ecache.*], recorded when [Obs] is enabled):
     [ecache.hits], [ecache.misses], [ecache.puts] (entries stored by
-    {!put}, not those loaded), [ecache.evictions],
+    {!put} or {!batch}, not those loaded), [ecache.evictions],
     [ecache.corrupt_entries], [ecache.loaded_entries] (entries restored
     at {!open_}), [ecache.flushes] (flushes that wrote to the file).
-    {!stats} is an always-on equivalent scoped to one cache instance. *)
+    {!stats} is an always-on equivalent scoped to one cache instance.
+    Under a trace, {!batch} times its look-up pass and its
+    store-and-stitch pass as [ecache/batch] spans, without attributes;
+    the computing between them stays in the caller's span. *)
 
 type t
 
@@ -99,21 +107,22 @@ val find : t -> ns:string -> key_fp:string -> string -> string option
     @raise Invalid_argument on a closed cache. *)
 val put : t -> ns:string -> key_fp:string -> string -> string -> unit
 
-(** [warm t ?pool ~ns ~key_fp ~f inputs] computes [f] for every input
-    not already present (deduplicated, in parallel across [pool] when
-    given) and stores the results. Peeking does not count hits or
-    misses — warm-up is provisioning, not protocol work. Inputs are
-    processed in bounded chunks (filter → compute → store per chunk), so
-    warming arbitrarily large sets keeps peak memory at one chunk of
-    outputs plus the cache itself. *)
-val warm :
+(** [batch t ~ns ~key_fp ~compute inputs] is the output of each input
+    in order: the stored one for a hit, and for the misses
+    [compute misses], where [misses] are the inputs not found, in
+    input order, duplicates kept. Every result of [compute] is stored,
+    so [List.length misses] is the work actually done. [compute] runs
+    on the caller, outside the lock, and is not called when every input
+    hits. Counts one hit or one miss per input, as {!find} would.
+    @raise Invalid_argument on a closed cache, or if [compute] changes
+    the length of its list. *)
+val batch :
   t ->
-  ?pool:Parallel.Pool.t ->
   ns:string ->
   key_fp:string ->
-  f:(string -> string) ->
+  compute:(string list -> string list) ->
   string list ->
-  unit
+  string list
 
 (** [flush t] ends the current generation: it evicts (see Eviction),
     then appends the entries stored since the last flush to

@@ -72,44 +72,6 @@ let launch ?endpoints ?attempt drbg ~sender ~receiver =
 
 let dedup values = List.sort_uniq String.compare values
 
-(* Bridge one (namespace, key) slice of the session's Ecache into the
-   crypto layer's closure pair. [store] fires exactly once per computed
-   miss, on the caller's thread, so threading the per-party [count]
-   callback through it keeps the ops tallies meaning "modexps actually
-   performed" — the quantity the amortized Ce·|Δ| model is validated
-   against. *)
-let elt_cache_of cache ~ns ~key_fp ~count =
-  {
-    Commutative.find = (fun s -> Ecache.find cache ~ns ~key_fp s);
-    store =
-      (fun s out ->
-        count ();
-        Ecache.put cache ~ns ~key_fp s out);
-  }
-
-(* Hash namespace: key-independent (key_fp = ""), separated per hash
-   domain so two attributes never alias. Both parties share it — h(v)
-   is the same function on either side. *)
-let h2g_ns cfg = "h2g:" ^ cfg.domain
-
-let hash_batch_cached cfg ops cache vs =
-  let ns = h2g_ns cfg in
-  let looked = List.map (fun v -> (v, Ecache.find cache ~ns ~key_fp:"" v)) vs in
-  let missing = List.filter_map (function v, None -> Some v | _, Some _ -> None) looked in
-  ops.hashes <- ops.hashes + List.length missing;
-  let computed =
-    Hash_to_group.hash_batch ?pool:(pool_of cfg) cfg.group ~domain:cfg.domain missing
-    |> List.map (fun h -> Group.encode_elt cfg.group h)
-  in
-  List.iter2 (fun v s -> Ecache.put cache ~ns ~key_fp:"" v s) missing computed;
-  let tbl = Hashtbl.create (max 1 (List.length missing)) in
-  List.iter2 (Hashtbl.replace tbl) missing computed;
-  List.map
-    (fun (v, found) ->
-      let s = match found with Some s -> s | None -> Hashtbl.find tbl v in
-      Group.decode_elt cfg.group s)
-    looked
-
 (* §3.2.2: "a collision within V_S or V_R can be detected by the server
    at the start of each protocol by sorting the hashes". With a 64-bit
    test group and millions of values this could actually fire; failing
@@ -124,19 +86,69 @@ let check_distinct cmp xs =
         "protocol error: hash collision within this party's value set (use a larger group)"
   done
 
-(* Step 1, counted: h(v) for each v, through the cache when there is
-   one. *)
-let hash_elts cfg ops vs =
-  match cfg.ecache with
-  | None ->
-      ops.hashes <- ops.hashes + List.length vs;
-      Hash_to_group.hash_batch ?pool:(pool_of cfg) cfg.group ~domain:cfg.domain vs
-  | Some cache -> hash_batch_cached cfg ops cache vs
+let encode cfg x = Group.encode_elt cfg.group x
+let decode cfg s = Group.decode_elt cfg.group s
 
+(* Per-element crypto work through the session's cache: plain
+   [compute ss] without one. With one, [ss] are inputs of the cache's
+   [(ns, key_fp)] slice and [compute] sees only the misses, so the ops
+   tallies it keeps count the work actually done — the quantity the
+   amortized Ce·|Δ| model is checked against. *)
+let through cfg ~ns ~key_fp compute ss =
+  match cfg.ecache with
+  | None -> compute ss
+  | Some cache -> Ecache.batch cache ~ns ~key_fp ~compute ss
+
+(* The three steps the cache holds, counted. Hashing is keyed by
+   nothing (key_fp = "") and namespaced per hash domain, so two
+   attributes never alias and both parties share the slice: h(v) is
+   the same function on either side. Encryption and decryption are
+   keyed by the key fingerprint, so a `Fresh exponent misses everything
+   and a cached ciphertext is only ever served under the key that made
+   it. *)
+let hash_elts cfg ops vs =
+  ops.hashes <- ops.hashes + List.length vs;
+  Hash_to_group.hash_batch ?pool:(pool_of cfg) cfg.group ~domain:cfg.domain vs
+
+let hash_encoded cfg ops vs =
+  through cfg ~ns:("h2g:" ^ cfg.domain) ~key_fp:""
+    (fun vs -> List.map (encode cfg) (hash_elts cfg ops vs))
+    vs
+
+let encrypt_elts cfg ops key xs =
+  ops.encryptions <- ops.encryptions + List.length xs;
+  Commutative.encrypt_batch ?pool:(pool_of cfg) cfg.group key xs
+
+let decrypt_elts cfg ops key xs =
+  ops.encryptions <- ops.encryptions + List.length xs;
+  Commutative.decrypt_batch ?pool:(pool_of cfg) cfg.group key xs
+
+let encrypt_encoded cfg ops key ss =
+  through cfg ~ns:"enc" ~key_fp:(Commutative.fingerprint key)
+    (fun ss -> List.map (encode cfg) (encrypt_elts cfg ops key (List.map (decode cfg) ss)))
+    ss
+
+let decrypt_encoded cfg ops key ss =
+  through cfg ~ns:"dec" ~key_fp:(Commutative.fingerprint key)
+    (fun ss -> List.map (encode cfg) (decrypt_elts cfg ops key (List.map (decode cfg) ss)))
+    ss
+
+(* The element-valued entry points. The cache holds encodings only, so
+   it is the cached path that encodes and decodes here; without a cache
+   the elements go straight through. *)
 let hash_values cfg ops vs =
-  let hs = hash_elts cfg ops vs in
+  let hs =
+    match cfg.ecache with
+    | None -> hash_elts cfg ops vs
+    | Some _ -> List.map (decode cfg) (hash_encoded cfg ops vs)
+  in
   check_distinct Bignum.Nat.compare hs;
   List.combine vs hs
+
+let encrypt_batch cfg ops key xs =
+  match cfg.ecache with
+  | None -> encrypt_elts cfg ops key xs
+  | Some _ -> List.map (decode cfg) (encrypt_encoded cfg ops key (List.map (encode cfg) xs))
 
 let encrypt_elt cfg ops key x =
   ops.encryptions <- ops.encryptions + 1;
@@ -145,34 +157,6 @@ let encrypt_elt cfg ops key x =
 let decrypt_elt cfg ops key y =
   ops.encryptions <- ops.encryptions + 1;
   Commutative.decrypt cfg.group key y
-
-let encode cfg x = Group.encode_elt cfg.group x
-let decode cfg s = Group.decode_elt cfg.group s
-
-(* Per-key encryption/decryption slices: keyed by the key fingerprint,
-   so a `Fresh exponent misses everything by construction and a cached
-   ciphertext is only ever served under the exact key that made it. *)
-let enc_cache cache ops key =
-  elt_cache_of cache ~ns:"enc"
-    ~key_fp:(Commutative.fingerprint key)
-    ~count:(fun () -> ops.encryptions <- ops.encryptions + 1)
-
-let dec_cache cache ops key =
-  elt_cache_of cache ~ns:"dec"
-    ~key_fp:(Commutative.fingerprint key)
-    ~count:(fun () -> ops.encryptions <- ops.encryptions + 1)
-
-let encrypt_batch cfg ops key xs =
-  match cfg.ecache with
-  | None ->
-      let res = Commutative.encrypt_batch ?pool:(pool_of cfg) cfg.group key xs in
-      ops.encryptions <- ops.encryptions + List.length xs;
-      res
-  | Some cache ->
-      Commutative.encrypt_batch_cached ?pool:(pool_of cfg)
-        ~cache:(enc_cache cache ops key) cfg.group key
-        (List.map (encode cfg) xs)
-      |> List.map (decode cfg)
 
 (* Run [f] over [xs] a slice at a time, in order, on the calling
    thread: what [f] allocates for one slice (hashes, decoded elements,
@@ -185,44 +169,34 @@ let in_slices cfg f xs =
   Parallel.Pool.map_chunks_seq ~chunk:(workers * Parallel.Pool.default_chunk) f xs
 
 (* Steps 1-2 on a party's own (distinct) values: f_key(h(v)), encoded,
-   for each v in order, a slice at a time. The collision check sorts
-   the encodings rather than the hashes; f_key permutes QR_p, so two
-   values share a hash iff they share an encoding. *)
+   for each v in order, a slice at a time. With a cache the hash
+   slice's encodings feed the encryption slice as they are, so no hit
+   is decoded or re-encoded. The collision check sorts the encodings
+   rather than the hashes; f_key permutes QR_p, so two values share a
+   hash iff they share an encoding. *)
 let hash_encrypt_encode cfg ops key vs =
   let es =
     in_slices cfg
       (fun s ->
-        let hs = Obs.Span.with_ "hash" (fun () -> hash_elts cfg ops s) in
-        Obs.Span.with_ "encrypt-own" (fun () ->
-            List.map (encode cfg) (encrypt_batch cfg ops key hs)))
+        match cfg.ecache with
+        | None ->
+            let hs = Obs.Span.with_ "hash" (fun () -> hash_elts cfg ops s) in
+            Obs.Span.with_ "encrypt-own" (fun () ->
+                List.map (encode cfg) (encrypt_elts cfg ops key hs))
+        | Some _ ->
+            let hs = Obs.Span.with_ "hash" (fun () -> hash_encoded cfg ops s) in
+            Obs.Span.with_ "encrypt-own" (fun () -> encrypt_encoded cfg ops key hs))
       vs
   in
   check_distinct String.compare es;
   es
 
-let encrypt_encoded_batch cfg ops key ss =
-  in_slices cfg
-    (fun s ->
-      match cfg.ecache with
-      | None -> List.map (encode cfg) (encrypt_batch cfg ops key (List.map (decode cfg) s))
-      | Some cache ->
-          Commutative.encrypt_batch_cached ?pool:(pool_of cfg)
-            ~cache:(enc_cache cache ops key) cfg.group key s)
-    ss
+let encrypt_encoded_batch cfg ops key ss = in_slices cfg (encrypt_encoded cfg ops key) ss
 
 let decrypt_encoded_batch cfg ops key ss =
   match cfg.ecache with
-  | None ->
-      let res =
-        Commutative.decrypt_batch ?pool:(pool_of cfg) cfg.group key
-          (List.map (decode cfg) ss)
-      in
-      ops.encryptions <- ops.encryptions + List.length ss;
-      res
-  | Some cache ->
-      Commutative.decrypt_batch_cached ?pool:(pool_of cfg)
-        ~cache:(dec_cache cache ops key) cfg.group key ss
-      |> List.map (decode cfg)
+  | None -> decrypt_elts cfg ops key (List.map (decode cfg) ss)
+  | Some _ -> List.map (decode cfg) (decrypt_encoded cfg ops key ss)
 
 let sort_encoded ss = List.sort String.compare ss
 

@@ -24,11 +24,13 @@ type config = {
           values is trivially parallelizable"); realized with OCaml 5
           domains *)
   ecache : Ecache.t option;
-      (** persistent per-element crypto-work cache. When set, the bulk
-          hash/encrypt/decrypt helpers consult it first and only pay a
-          modexp (and tick an ops counter) for misses, making a repeat
-          run cost [Ce·|Δ|]; results are byte-identical to a cold run.
-          [None] (the default) is the exact pre-cache code path. *)
+      (** persistent per-element crypto-work cache. When set, each
+          slice of the bulk hash, encrypt and decrypt steps goes
+          through one {!Ecache.batch} call, on wire encodings: only the
+          misses are computed (and tick an ops counter), making a
+          repeat run cost [Ce·|Δ|]; results are byte-identical to a
+          cold run. [None] (the default) runs every step on group
+          elements, with no cache code on the path. *)
   scope : string;
       (** message-tag namespace prefix. [""] (the default) leaves every
           wire tag exactly as before; a sharded sub-protocol sets e.g.

@@ -4,10 +4,10 @@ module Modular = Bignum.Modular
 (* Keys carry the 4-bit window decomposition of both exponents,
    computed once at keygen: a batch of encryptions under one key skips
    the per-element exponent scan. The fingerprint is computed once too:
-   the persistent encrypted-set cache ([Psi.Ecache]) keys entries by it,
-   so two runs that derive the same exponent from the same Drbg seed
-   address the same cache lines, and a fresh key misses everything by
-   construction. *)
+   the persistent element cache above this library keys its per-key
+   slices by it, so two runs that derive the same exponent from the
+   same Drbg seed address the same entries, and a fresh key misses
+   everything by construction. *)
 type key = {
   e : Nat.t;
   e_inv : Nat.t;
@@ -121,41 +121,3 @@ let decrypt_batch ?pool g k ys =
   | None -> pow_chunk c_decrypts g k.e_inv_win ys
   | Some pool ->
       Parallel.Pool.map_chunks pool (pow_chunk c_decrypts g k.e_inv_win) ys
-
-(* ------------------------------------------------------------------ *)
-(* Cache-aware front-end.                                              *)
-(*                                                                     *)
-(* The store itself lives above this library (Psi.Ecache); here it is  *)
-(* just a pair of closures over wire encodings, so the crypto layer    *)
-(* stays dependency-free. Hits cost no modexp and tick no counter —    *)
-(* the telemetry keeps meaning "modexps actually performed", which is  *)
-(* what the amortized Ce·|Δ| model is validated against.               *)
-(* ------------------------------------------------------------------ *)
-
-type elt_cache = {
-  find : string -> string option;
-  store : string -> string -> unit;
-}
-
-(* Shared shape of both directions: look every encoding up, batch the
-   misses through [f] (pooled), store and stitch back in order. A
-   duplicate input may be computed more than once — exactly like the
-   uncached batch — and deterministically maps to one output. *)
-let batch_cached g cache ~f ss =
-  let looked = List.map (fun s -> (s, cache.find s)) ss in
-  let misses =
-    List.filter_map (function s, None -> Some s | _, Some _ -> None) looked
-  in
-  let computed =
-    f (List.map (Group.decode_elt g) misses) |> List.map (Group.encode_elt g)
-  in
-  List.iter2 (fun s c -> cache.store s c) misses computed;
-  let tbl = Hashtbl.create (Int.max 1 (List.length misses)) in
-  List.iter2 (Hashtbl.replace tbl) misses computed;
-  List.map (function _, Some c -> c | s, None -> Hashtbl.find tbl s) looked
-
-let encrypt_batch_cached ?pool ~cache g k ss =
-  batch_cached g cache ~f:(encrypt_batch ?pool g k) ss
-
-let decrypt_batch_cached ?pool ~cache g k ss =
-  batch_cached g cache ~f:(decrypt_batch ?pool g k) ss

@@ -48,42 +48,3 @@ val encrypt_batch :
 
 val decrypt_batch :
   ?pool:Parallel.Pool.t -> Group.t -> key -> Group.elt list -> Group.elt list
-
-(** {1 Cache-aware front-end}
-
-    The persistent per-element cache lives above this library
-    ([Psi.Ecache]); the crypto layer sees it as two closures over wire
-    encodings. Both batch functions below take and return {e encoded}
-    elements: a hit is returned verbatim (no decode, no modexp, no
-    telemetry tick), misses are decoded, batched through the plain
-    pooled path, re-encoded and handed to [store]. Counters therefore
-    keep meaning "modexps actually performed" — the quantity the
-    amortized [Ce·|Δ|] model is checked against. *)
-
-type elt_cache = {
-  find : string -> string option;
-      (** encoded input → previously stored encoded output *)
-  store : string -> string -> unit;
-      (** called once per freshly computed (input, output) pair *)
-}
-
-(** [encrypt_batch_cached ?pool ~cache g k ss] is
-    [List.map (encode ∘ encrypt g k ∘ decode) ss] except that elements
-    found in [cache] are served without a modexp. Order-preserving and
-    byte-identical to the uncached path for a [cache] whose entries
-    were produced under the same key. *)
-val encrypt_batch_cached :
-  ?pool:Parallel.Pool.t ->
-  cache:elt_cache ->
-  Group.t ->
-  key ->
-  string list ->
-  string list
-
-val decrypt_batch_cached :
-  ?pool:Parallel.Pool.t ->
-  cache:elt_cache ->
-  Group.t ->
-  key ->
-  string list ->
-  string list

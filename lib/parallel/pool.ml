@@ -2,11 +2,10 @@
 
    Design constraints, in order of importance:
 
-   - Determinism: results (and any randomness drawn through
-     [map_seeded]) must not depend on the pool size or on scheduling.
-     Chunk boundaries are therefore a fixed function of the input
-     length — [chunk] items per task regardless of worker count — and
-     every chunk writes into its own slice of a preallocated output
+   - Determinism: results must not depend on the pool size or on
+     scheduling. Chunk boundaries are therefore a fixed function of the
+     input length — [chunk] items per task regardless of worker count —
+     and every chunk writes into its own slot of a preallocated output
      array, so [map pool f xs = List.map f xs] observationally.
 
    - Caller friendliness: an in-process protocol run drives its
@@ -239,67 +238,10 @@ let run_chunks shared bodies =
 
 (* map ---------------------------------------------------------------- *)
 
-let map_chunked t ~chunk_ctx xs =
-  check_open t;
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  if n = 0 then []
-  else begin
-    Obs.Metrics.incr m_maps;
-    Obs.Metrics.incr ~by:n m_items;
-    let bounds = chunk_bounds t.chunk n in
-    let out = Array.make n None in
-    (* [chunk_ctx] may consume caller-side state (e.g. fork a DRBG per
-       chunk), so it runs here, in chunk order, before any dispatch. *)
-    let bodies =
-      List.rev
-        (snd
-           (List.fold_left
-              (fun (ci, acc) (start, stop) ->
-                let f = chunk_ctx ci in
-                let body () =
-                  for i = start to stop - 1 do
-                    out.(i) <- Some (f arr.(i))
-                  done
-                in
-                (ci + 1, body :: acc))
-              (0, []) bounds))
-    in
-    Obs.Metrics.incr ~by:(List.length bodies) m_chunks;
-    let inline () = List.iter (fun b -> b ()) bodies in
-    (match t.shared with
-    | None ->
-        Obs.Metrics.incr m_seq_fallbacks;
-        inline ()
-    | Some shared ->
-        if on_worker t then begin
-          (* Nested map from a pool worker: run inline rather than
-             queueing behind every other worker (deadlock risk). *)
-          Obs.Metrics.incr m_seq_fallbacks;
-          inline ()
-        end
-        else begin
-          let t0 = Obs.Clock.now_ns () in
-          run_chunks shared bodies;
-          if Obs.Runtime.is_enabled () then
-            Obs.Metrics.incr
-              ~by:(Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0))
-              m_wall_ns
-        end);
-    Array.to_list
-      (Array.map
-         (function
-           | Some v -> v
-           | None -> invalid_arg "Pool.map: chunk did not complete")
-         out)
-  end
-
-let map t f xs = map_chunked t ~chunk_ctx:(fun _ -> f) xs
-
 (* Chunk-level map: [f] sees each chunk whole, one task per chunk. The
-   chunk boundaries are exactly [map]'s (a function of input length and
-   [t.chunk] only), so a batch-aware [f] — one that amortizes per-call
-   setup across a chunk, like the fixed-width Montgomery arenas behind
+   chunk boundaries are a function of input length and [t.chunk] only,
+   so a batch-aware [f] — one that amortizes per-call setup across a
+   chunk, like the fixed-width Montgomery arenas behind
    [Commutative.encrypt_batch] — slots in without changing what any
    pool size computes. [f] must be length-preserving and independent
    across chunks. *)
@@ -335,6 +277,8 @@ let map_chunks t f xs =
         inline ()
     | Some shared ->
         if on_worker t then begin
+          (* Nested map from a pool worker: run inline rather than
+             queueing behind every other worker (deadlock risk). *)
           Obs.Metrics.incr m_seq_fallbacks;
           inline ()
         end
@@ -352,6 +296,8 @@ let map_chunks t f xs =
         | None -> invalid_arg "Pool.map_chunks: chunk did not complete")
       (Array.to_list out)
   end
+
+let map t f xs = map_chunks t (List.map f) xs
 
 (* The caller-only counterpart of [map_chunks], for batch kernels run
    without a pool: the same chunk boundaries, so what [f] amortizes per
@@ -372,32 +318,6 @@ let map_chunks_seq ?(chunk = default_chunk) f xs =
         ys @ go rest
   in
   go xs
-
-let map_seeded t ~seed f xs =
-  map_chunked t ~chunk_ctx:(fun ci -> f (seed ci)) xs
-
-let map_reduce t ~map:fm ~combine ~init xs =
-  (* Split into the same fixed-width chunks as [map], fold each chunk
-     on a worker, then fold the partials left to right. *)
-  let rec split acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: tl ->
-        if k = t.chunk then split (List.rev cur :: acc) [ x ] 1 tl
-        else split acc (x :: cur) (k + 1) tl
-  in
-  match xs with
-  | [] -> init
-  | _ ->
-      let partials =
-        map_chunked t
-          ~chunk_ctx:(fun _ chunk ->
-            match chunk with
-            | [] -> init
-            | x :: tl ->
-                List.fold_left (fun acc y -> combine acc (fm y)) (fm x) tl)
-          (split [] [] 0 xs)
-      in
-      List.fold_left combine init partials
 
 (* Shared pools ------------------------------------------------------- *)
 

@@ -47,8 +47,8 @@ val create : ?chunk:int -> ?force:bool -> int -> t
 val size : t -> int
 
 (** [map pool f xs] applies [f] to every element, in parallel across
-    chunks, preserving order. Exceptions from [f] are re-raised in the
-    caller (first one wins). *)
+    chunks, preserving order: [map_chunks pool (List.map f) xs].
+    Exceptions from [f] are re-raised in the caller (first one wins). *)
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** [map_chunks pool f xs] is [map] at chunk granularity: [f] receives
@@ -68,20 +68,6 @@ val map_chunks : t -> ('a list -> 'b list) -> 'a list -> 'b list
     are garbage after the chunk, not after the whole list.
     @raise Invalid_argument if [f] changes a chunk's length. *)
 val map_chunks_seq : ?chunk:int -> ('a list -> 'b list) -> 'a list -> 'b list
-
-(** [map_seeded pool ~seed f xs] is [map] where chunk [i] applies
-    [f (seed i)]. The [seed] derivations run on the caller's thread in
-    chunk order {e before} dispatch, so they may consume caller-side
-    state (fork a DRBG per chunk) and the overall result is a function
-    of the input alone — identical at every pool size. *)
-val map_seeded : t -> seed:(int -> 's) -> ('s -> 'a -> 'b) -> 'a list -> 'b list
-
-(** [map_reduce pool ~map ~combine ~init xs] folds [combine] over the
-    per-chunk partial folds, left to right. [combine] must be
-    associative with [init] as identity for the result to match the
-    sequential fold. *)
-val map_reduce :
-  t -> map:('a -> 'b) -> combine:('b -> 'b -> 'b) -> init:'b -> 'a list -> 'b
 
 (** Join all workers after draining outstanding chunks. Idempotent;
     subsequent [map] calls raise [Invalid_argument]. *)

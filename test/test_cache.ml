@@ -414,48 +414,121 @@ let test_old_layout_rewritten () =
     (List.sort compare (file_entries (cache_file dir)))
 
 (* ------------------------------------------------------------------ *)
-(* Warm-up                                                             *)
+(* Batches                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_warm_computes_misses_only () =
+(* A [compute] that records every list it is handed. *)
+let recording () =
+  let calls = ref [] in
+  let compute xs =
+    calls := xs :: !calls;
+    List.map value_of xs
+  in
+  (calls, compute)
+
+let test_batch_computes_misses_only () =
   let dir = fresh_dir () in
   let c = Ecache.open_ ~dir () in
   Ecache.put c ~ns:"enc" ~key_fp:"fp" "a" (value_of "a");
-  let computed = ref [] in
-  let f x =
-    computed := x :: !computed;
-    value_of x
-  in
-  Ecache.warm c ~ns:"enc" ~key_fp:"fp" ~f [ "a"; "b"; "c"; "b" ];
-  Alcotest.(check (list string)) "computes each miss once" [ "b"; "c" ]
-    (List.sort String.compare !computed);
+  let calls, compute = recording () in
+  let xs = [ "a"; "b"; "c"; "b"; "a" ] in
+  let got = Ecache.batch c ~ns:"enc" ~key_fp:"fp" ~compute xs in
+  Alcotest.(check (list string)) "results in input order" (List.map value_of xs) got;
+  Alcotest.(check (list (list string)))
+    "one call, on the misses, in order, duplicates kept" [ [ "b"; "c"; "b" ] ] !calls;
   let s = Ecache.stats c in
-  Alcotest.(check int) "warm peeks don't count" 0 (s.Ecache.hits + s.Ecache.misses);
+  Alcotest.(check int) "hits" 2 s.Ecache.hits;
+  Alcotest.(check int) "misses" 3 s.Ecache.misses;
+  Alcotest.(check int) "puts" 3 s.Ecache.puts;
   Alcotest.(check int) "entries" 3 s.Ecache.entries;
+  (* All hits now: [compute] is not called. *)
+  Alcotest.(check (list string)) "warm results" (List.map value_of xs)
+    (Ecache.batch c ~ns:"enc" ~key_fp:"fp" ~compute xs);
+  Alcotest.(check int) "no further call" 1 (List.length !calls);
   Ecache.close c
 
-let test_concurrent_warm_two_pools () =
+(* Any inputs over a small alphabet, any stored subset: the results are
+   what a per-element find-or-compute-and-put gives, [compute] sees
+   exactly the inputs not stored, and every input counts one hit or one
+   miss. *)
+let batch_dir = lazy (fresh_dir ())
+
+let batch_matches_per_element_prop =
+  qcheck_case ~name:"batch = per-element find/put"
+    QCheck2.Gen.(
+      pair (list_size (int_range 0 40) (int_range 0 9)) (list_size (int_range 0 10) (int_range 0 9)))
+    (fun (picks, stored) ->
+      let name i = Printf.sprintf "v%d" i in
+      let xs = List.map name picks in
+      (* Neither cache is flushed, so both can open one empty dir. *)
+      let open_with_stored () =
+        let c = Ecache.open_ ~dir:(Lazy.force batch_dir) () in
+        List.iter (fun i -> Ecache.put c ~ns:"enc" ~key_fp:"fp" (name i) (value_of (name i))) stored;
+        c
+      in
+      let reference =
+        let c = open_with_stored () in
+        List.map
+          (fun x ->
+            match Ecache.find c ~ns:"enc" ~key_fp:"fp" x with
+            | Some v -> v
+            | None ->
+                Ecache.put c ~ns:"enc" ~key_fp:"fp" x (value_of x);
+                value_of x)
+          xs
+      in
+      let c = open_with_stored () in
+      let before = Ecache.stats c in
+      let calls, compute = recording () in
+      let got = Ecache.batch c ~ns:"enc" ~key_fp:"fp" ~compute xs in
+      let after = Ecache.stats c in
+      let misses = List.filter (fun i -> not (List.mem i stored)) picks in
+      got = reference
+      && List.concat !calls = List.map name misses
+      && after.Ecache.hits - before.Ecache.hits + (after.Ecache.misses - before.Ecache.misses)
+         = List.length xs
+      && after.Ecache.misses - before.Ecache.misses = List.length misses)
+
+let test_batch_length_change_raises () =
+  let c = Ecache.open_ ~dir:(fresh_dir ()) () in
+  Alcotest.check_raises "shorter result"
+    (Invalid_argument "Ecache.batch: compute changed the batch length") (fun () ->
+      ignore (Ecache.batch c ~ns:"enc" ~key_fp:"fp" ~compute:List.tl [ "a"; "b" ]));
+  Alcotest.(check int) "nothing stored" 0 (Ecache.entries c);
+  Ecache.close c
+
+let test_batch_closed_raises () =
+  let c = Ecache.open_ ~dir:(fresh_dir ()) () in
+  Ecache.close c;
+  let calls, compute = recording () in
+  Alcotest.check_raises "batch on a closed cache"
+    (Invalid_argument "Ecache: cache is closed") (fun () ->
+      ignore (Ecache.batch c ~ns:"enc" ~key_fp:"fp" ~compute [ "a" ]));
+  Alcotest.(check int) "compute not called" 0 (List.length !calls)
+
+(* Both parties of an in-process run share one cache from two domains:
+   each batches an overlapping range, a chunk at a time, so their
+   look-ups and stores interleave. *)
+let test_concurrent_batches_two_parties () =
   let dir = fresh_dir () in
   let c = Ecache.open_ ~dir () in
   let xs = inputs 200 in
-  (* Two parties warm overlapping ranges concurrently, each through its
-     own forced pool (exercises the worker path even on 1-core hosts). *)
-  let warm_with lo hi =
-    let pool = Parallel.Pool.create ~force:true 2 in
-    let slice = List.filteri (fun i _ -> i >= lo && i < hi) xs in
-    Ecache.warm c ~pool ~ns:"h2g:test" ~key_fp:"" ~f:value_of slice;
-    Parallel.Pool.shutdown pool
+  let party lo hi () =
+    let mine = List.filteri (fun i _ -> i >= lo && i < hi) xs in
+    Parallel.Pool.map_chunks_seq
+      (fun chunk -> Ecache.batch c ~ns:"h2g:test" ~key_fp:"" ~compute:(List.map value_of) chunk)
+      mine
+    = List.map value_of mine
   in
-  let t1 = Thread.create (fun () -> warm_with 0 150) () in
-  let t2 = Thread.create (fun () -> warm_with 50 200) () in
-  Thread.join t1;
-  Thread.join t2;
+  let a = Parallel.Pool.fork (party 0 150) and b = Parallel.Pool.fork (party 50 200) in
+  Alcotest.(check bool) "first party's results" true (Parallel.Pool.await a);
+  Alcotest.(check bool) "second party's results" true (Parallel.Pool.await b);
   Alcotest.(check int) "all entries present" 200 (Ecache.entries c);
   List.iter
     (fun x ->
       match Ecache.find c ~ns:"h2g:test" ~key_fp:"" x with
-      | Some v -> Alcotest.(check string) "warmed value" (value_of x) v
-      | None -> Alcotest.fail ("missing after concurrent warm: " ^ x))
+      | Some v -> Alcotest.(check string) "stored value" (value_of x) v
+      | None -> Alcotest.fail ("missing after concurrent batches: " ^ x))
     xs;
   Ecache.close c
 
@@ -539,11 +612,14 @@ let () =
           Alcotest.test_case "churned flushes stay compacted" `Quick
             test_churn_stays_compacted;
         ] );
-      ( "warm",
+      ( "batch",
         [
-          Alcotest.test_case "computes misses only" `Quick test_warm_computes_misses_only;
-          Alcotest.test_case "concurrent warm from two pools" `Quick
-            test_concurrent_warm_two_pools;
+          Alcotest.test_case "computes misses only" `Quick test_batch_computes_misses_only;
+          batch_matches_per_element_prop;
+          Alcotest.test_case "length change raises" `Quick test_batch_length_change_raises;
+          Alcotest.test_case "closed cache raises" `Quick test_batch_closed_raises;
+          Alcotest.test_case "concurrent batches from two parties" `Quick
+            test_concurrent_batches_two_parties;
         ] );
       ( "snapshot",
         [

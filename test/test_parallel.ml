@@ -79,44 +79,6 @@ let test_map_chunks () =
            false
          with Invalid_argument _ -> true))
 
-let test_map_reduce () =
-  let xs = List.init 100 (fun i -> i + 1) in
-  List.iter
-    (fun size ->
-      with_pool size (fun p ->
-          Alcotest.(check int)
-            (Printf.sprintf "sum at size=%d" size)
-            (List.fold_left ( + ) 0 xs)
-            (Pool.map_reduce p ~map:Fun.id ~combine:( + ) ~init:0 xs)))
-    [ 1; 2; 4 ];
-  with_pool 2 (fun p ->
-      Alcotest.(check int) "empty list is init" 42
-        (Pool.map_reduce p ~map:Fun.id ~combine:( + ) ~init:42 []))
-
-(* The seed derivations must run on the caller in chunk order, so a
-   stateful seed source (like a DRBG) is consumed identically at every
-   pool size. *)
-let test_map_seeded_deterministic () =
-  let run size =
-    let counter = ref 0 in
-    let seed _chunk_index =
-      incr counter;
-      !counter
-    in
-    let xs = List.init 70 (fun i -> i) in
-    let r = with_pool size (fun p -> Pool.map_seeded p ~seed (fun s x -> (s, x)) xs) in
-    (r, !counter)
-  in
-  let r1, c1 = run 1 in
-  List.iter
-    (fun size ->
-      let r, c = run size in
-      Alcotest.(check (list (pair int int)))
-        (Printf.sprintf "results at size=%d" size)
-        r1 r;
-      Alcotest.(check int) (Printf.sprintf "seed draws at size=%d" size) c1 c)
-    [ 2; 4 ]
-
 (* ------------------------------------------------------------------ *)
 (* Exceptions                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -301,8 +263,6 @@ let () =
           tc "parity across sizes and lengths" `Quick test_map_parity;
           QCheck_alcotest.to_alcotest test_map_qcheck;
           tc "map_chunks" `Quick test_map_chunks;
-          tc "map_reduce" `Quick test_map_reduce;
-          tc "map_seeded deterministic" `Quick test_map_seeded_deterministic;
         ] );
       ( "exceptions",
         [ tc "propagates and pool survives" `Quick test_exception_propagates ] );

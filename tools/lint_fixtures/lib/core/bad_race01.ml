@@ -22,7 +22,12 @@ let bump pool c xs =
   Pool.map pool (fun x -> c.n <- c.n + x) xs (* lint-expect: RACE01 *)
 
 let fill pool (arr : int array) xs =
-  Pool.map_seeded pool ~seed:"s" (fun x -> arr.(x) <- x) xs (* lint-expect: RACE01 *)
+  Pool.map_chunks pool (fun c -> List.iter (fun x -> arr.(x) <- x) c; c) xs (* lint-expect: RACE01 *)
+
+(* A chunk-level map hands its closure to the pool just as [map] does. *)
+let count_chunks pool xs =
+  let n = ref 0 in
+  Pool.map_chunks pool (fun c -> n := !n + List.length c; c) xs (* lint-expect: RACE01 *)
 
 (* A party closure handed to Pool.fork runs on a domain of its own. *)
 let party_total xs =
