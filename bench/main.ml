@@ -503,10 +503,37 @@ let pool ~check:_ =
 let target_fraction = 0.01
 let target_speedup = 10.
 
+(* The warm-run unit costs of the cache [prepare dir] leaves in [dir]:
+   microseconds per entry to load it, and per look-up of [values] in the
+   hash-to-group slice of [cfg]'s domain (the protocols' ["h2g:<domain>"]),
+   every one a hit. *)
+let cache_unit_costs cfg ~prepare values =
+  with_dir (fun dir ->
+      prepare dir;
+      let loaded, load_dt =
+        best (fun () ->
+            let c, dt = time (fun () -> Psi.Ecache.open_ ~dir ()) in
+            let loaded = (Psi.Ecache.stats c).Psi.Ecache.loaded in
+            Psi.Ecache.close c;
+            (loaded, dt))
+      in
+      let c = Psi.Ecache.open_ ~dir () in
+      let miss _ = failwith "bench: a cache look-up missed" in
+      let _, lookup_dt =
+        best (fun () ->
+            time (fun () ->
+                Psi.Ecache.batch c ~ns:("h2g:" ^ cfg.Psi.Protocol.domain) ~key_fp:"" ~compute:miss
+                  values))
+      in
+      Psi.Ecache.close c;
+      (1e6 *. load_dt /. float_of_int loaded, 1e6 *. lookup_dt /. float_of_int (List.length values)))
+
 (* For each churn fraction f: a cold Session.run_incremental, f*n
    replacements per side, then a warm rerun that pays modexps only for
    the changed elements. The warm result and bytes must equal a run
-   that never saw a cache. Target: warm >= 10x cold at 1% churn. *)
+   that never saw a cache. Target: warm >= 10x cold at 1% churn. The
+   cache the warm rerun leaves gives the time model's warm-run unit
+   costs, ungated. *)
 let incremental ~check =
   let emit = emit "incremental" in
   let n = 2_000 in
@@ -554,6 +581,15 @@ let incremental ~check =
       emit ?gate:exact "crypto" (at "warm_ce" point) "Ce" (float_of_int ce);
       emit "model" (at "warm_ce_model" point) "Ce" model.modeled_encryptions;
       emit "model" (at "warm_model" point) "ms" (ms model.modeled_seconds);
+      let load_us, lookup_us =
+        cache_unit_costs cfg
+          ~prepare:(fun dir ->
+            ignore (cold dir);
+            ignore (Session.run_incremental cfg ~cache_dir:dir (ops vs' vr') ()))
+          vs'
+      in
+      emit "cache" (at "load_us_per_entry" point) "us" load_us;
+      emit "cache" (at "lookup_us" point) "us" lookup_us;
       if Float.equal f target_fraction then begin
         emit "core" (at "target_speedup" point) "x" target_speedup;
         if speedup < target_speedup then

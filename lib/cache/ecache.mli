@@ -55,21 +55,39 @@
     value. After a reload, the generation each frame carries orders the
     untouched entries for eviction.
 
+    {2 Representation}
+
+    In memory a slice is the frame bodies it was loaded from or built,
+    kept as they are, plus an open-addressed index of two words per
+    slot, at most three quarters full: an entry's position in the
+    bodies, and its input's hash tag beside the generation that last
+    touched it. A load checks each frame's lengths against its end,
+    then indexes every entry where it lies, allocating nothing per
+    entry; a look-up compares the query with the stored bytes in place
+    and copies out only the value it returns; a store writes the entry
+    into the slice's open body, which the next clean flush appends as
+    it is. With 32-byte inputs and values an entry costs about 9 words
+    of frame bytes and 3 to 5 words of index, against about 20 words in
+    five boxed blocks for a hash table of entries.
+
     {2 Concurrency}
 
     All operations take an internal mutex, so one cache may be shared by
     both protocol parties, each on its own domain. {!batch} holds it for
     two passes only (the look-ups, then the stores) and computes the
     misses outside it. Two parties that miss on one input both compute
-    it and store identical values.
+    it and store identical values. An acquisition that finds the mutex
+    held waits for it and counts one [ecache.lock_waits].
 
     Telemetry (under [ecache.*], recorded when [Obs] is enabled):
     [ecache.hits], [ecache.misses], [ecache.puts] (entries stored by
     {!put} or {!batch}, not those loaded), [ecache.evictions],
     [ecache.corrupt_entries], [ecache.loaded_entries] (entries restored
-    at {!open_}), [ecache.flushes] (flushes that wrote to the file).
+    at {!open_}), [ecache.flushes] (flushes that wrote to the file),
+    [ecache.lock_waits] (acquisitions of the mutex that had to wait).
     {!stats} is an always-on equivalent scoped to one cache instance.
-    Under a trace, {!batch} times its look-up pass and its
+    Under a trace, {!open_} indexes the frames it read in an
+    [ecache/index] span, and {!batch} times its look-up pass and its
     store-and-stitch pass as [ecache/batch] spans, without attributes;
     the computing between them stays in the caller's span. *)
 

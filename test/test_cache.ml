@@ -242,31 +242,115 @@ let test_load_counts_no_puts () =
       Alcotest.(check int) "stats.puts" 0 (Ecache.stats c).Ecache.puts;
       Ecache.close c)
 
+(* The loaded store is the file's frame bodies plus a flat index:
+   loading promotes the bodies' bytes and less than a word per entry
+   besides, where a table of boxed entries promotes ~20 words per
+   entry. Inputs and values are 32 bytes, the size of a 256-bit group
+   element's encoding. *)
+let test_load_promotes_no_block_per_entry () =
+  let dir = fresh_dir () in
+  let n = 20_000 in
+  let elt i = Printf.sprintf "%032d" i in
+  let c = Ecache.open_ ~dir () in
+  ignore
+    (Ecache.batch c ~ns:"enc" ~key_fp:"fp"
+       ~compute:(List.map (fun x -> String.map (fun ch -> Char.chr (Char.code ch + 1)) x))
+       (List.init n elt));
+  Ecache.close c;
+  let bytes = (Unix.stat (cache_file dir)).Unix.st_size in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  let c = Ecache.open_ ~dir () in
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+  Alcotest.(check int) "loaded" n (Ecache.stats c).Ecache.loaded;
+  let per_entry = promoted /. float_of_int n
+  and body_words = float_of_int bytes /. 8. /. float_of_int n in
+  if per_entry > body_words +. 1. then
+    Alcotest.failf "loading promoted %.1f words per entry, bodies are %.1f" per_entry body_words;
+  Ecache.close c
+
 let qcheck_case ?(count = 60) ~name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
 
-(* store → corrupt one byte anywhere → load ≡ miss (or the untouched
-   original); any single-byte flip must never surface a wrong value. *)
+(* FNV-1a-64, the record log's frame checksum. *)
+let fnv64 s off len =
+  let h = ref 0xcbf29ce484222325L in
+  for i = off to off + len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) 0x100000001b3L
+  done;
+  !h
+
+(* The offset and length of each frame body in a cache file. *)
+let frame_bodies data =
+  let rec varint p shift acc =
+    let b = Char.code data.[p] in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then (acc, p + 1) else varint (p + 1) (shift + 7) acc
+  in
+  let rec go p acc =
+    if p >= String.length data then List.rev acc
+    else
+      let len, body = varint p 0 0 in
+      go (body + len + 8) ((body, len) :: acc)
+  in
+  go (String.length ecache_header) []
+
+(* Every [(ns, key_fp, input, value)] a cache file's frames hold, read
+   by the reference decoder: a frame whose checksum fails or whose body
+   does not decode holds none. *)
+let decodable_pairs path =
+  match
+    Wire.Record_log.fold ~kind:"ecache" path ~init:[] (fun acc -> function
+      | Wire.Record_log.Body b -> (
+          match decode_frame b with
+          | ns, key_fp, _, es ->
+              List.fold_left (fun acc (x, v) -> (ns, key_fp, x, v) :: acc) acc es
+          | exception Wire.Buf.Parse_error _ -> acc)
+      | Wire.Record_log.Corrupt -> acc)
+  with
+  | Wire.Record_log.Read { acc; _ } -> acc
+  | Wire.Record_log.Missing | Wire.Record_log.Foreign -> []
+
+(* store → corrupt one byte anywhere → load: any single-byte flip must
+   never surface a wrong value. With [reseal], the flip lands in a frame
+   body and the frame's checksum is recomputed over it, so the damage
+   reaches the body parser: the load must still not raise or hang, and
+   every value served is one a frame of the damaged file holds for that
+   input, byte for byte. *)
 let corrupt_one_byte_prop =
   qcheck_case ~name:"single byte flip never serves a wrong value"
-    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 1 255))
-    (fun (pos_seed, flip) ->
+    QCheck2.Gen.(triple (int_range 0 1_000_000) (int_range 1 255) bool)
+    (fun (pos_seed, flip, reseal) ->
       let dir = fresh_dir () in
-      let xs = inputs 7 in
-      ignore (fill dir "enc" xs);
+      let xs = inputs 7 and ys = [ "late-1"; "late-2"; "late-3" ] in
+      fill_two_frames dir xs ys;
       let data = read_file (cache_file dir) in
       let b = Bytes.of_string data in
-      let pos = pos_seed mod Bytes.length b in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor flip));
+      (if reseal then begin
+         let frames = frame_bodies data in
+         let body, len = List.nth frames (pos_seed mod List.length frames) in
+         let pos = body + (pos_seed / 7 mod len) in
+         Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor flip));
+         Bytes.set_int64_be b (body + len) (fnv64 (Bytes.to_string b) body len)
+       end
+       else
+         let pos = pos_seed mod Bytes.length b in
+         Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor flip)));
       write_file (cache_file dir) (Bytes.to_string b);
+      let held = decodable_pairs (cache_file dir) in
       let c = Ecache.open_ ~dir () in
+      let queries =
+        List.map (fun x -> ("enc", "fp", x)) (xs @ ys)
+        @ List.map (fun (ns, key_fp, x, _) -> (ns, key_fp, x)) held
+      in
       let ok =
         List.for_all
-          (fun x ->
-            match Ecache.find c ~ns:"enc" ~key_fp:"fp" x with
+          (fun (ns, key_fp, x) ->
+            match Ecache.find c ~ns ~key_fp x with
             | None -> true
-            | Some v -> String.equal v (value_of x))
-          xs
+            | Some v -> List.mem (ns, key_fp, x, v) held && (reseal || String.equal v (value_of x)))
+          queries
       in
       Ecache.close c;
       ok)
@@ -591,6 +675,8 @@ let () =
           Alcotest.test_case "closed cache raises" `Quick test_closed_cache_raises;
           Alcotest.test_case "load and flush open store spans" `Quick test_store_spans;
           Alcotest.test_case "loading counts no puts" `Quick test_load_counts_no_puts;
+          Alcotest.test_case "loading promotes no block per entry" `Quick
+            test_load_promotes_no_block_per_entry;
         ] );
       ( "corruption",
         [

@@ -14,6 +14,10 @@
 #     2 removed, 398 unchanged (200 sender + 198 receiver) — and for
 #     the intersection the full 3-lookups-per-element law:
 #     misses = 3*|delta| = 6, hits = 3*(200+200) - 6 = 1194;
+#   - the warm rerun to append to the cache file: the cold run's file is
+#     a byte-prefix of the warm run's;
+#   - a run over empty tables, which opens and closes the cache without
+#     a look-up, to leave the cache file byte-identical;
 #   - after a byte in the middle of the cache file is flipped and the
 #     snapshot is cut short, a rerun to be cold and its stdout to be
 #     byte-identical to the cold reference — damaged state falls back
@@ -47,6 +51,8 @@ trap 'rm -rf "$dir"' EXIT
   done
 } > "$dir/r.csv"
 
+echo "id:int,email:text" > "$dir/empty.csv"
+
 # 1% churn: replace the receiver's last two attribute values.
 sed -e 's/^299,user299@example.org$/299,user1299@example.org/' \
     -e 's/^300,user300@example.org$/300,user1300@example.org/' \
@@ -59,6 +65,7 @@ for op in intersection size equijoin join-size; do
     --csv-s "$dir/s.csv" --csv-r "$dir/r.csv" \
     --cache "$cdir" --delta \
     > "$dir/$op.cold.out" 2> "$dir/$op.cold.err"
+  cp "$cdir/ecache.psi" "$dir/$op.cold.psi"
 
   "$BIN" intersect --group test64 --op "$op" --attr email \
     --csv-s "$dir/s.csv" --csv-r "$dir/r2.csv" \
@@ -103,6 +110,22 @@ for op in intersection size equijoin join-size; do
     exit 1
   fi
 
+  # A clean warm flush appends: the cold run's bytes stay as they were.
+  if ! cmp -s -n "$(wc -c < "$dir/$op.cold.psi")" "$dir/$op.cold.psi" "$cdir/ecache.psi"; then
+    echo "cache_smoke: $op warm run did not append to the cold run's cache file" >&2
+    exit 1
+  fi
+
+  # Opening and closing the cache without a look-up writes nothing.
+  cp "$cdir/ecache.psi" "$dir/$op.warm.psi"
+  "$BIN" intersect --group test64 --op "$op" --attr email \
+    --csv-s "$dir/empty.csv" --csv-r "$dir/empty.csv" \
+    --cache "$cdir" --delta > /dev/null 2>&1
+  if ! cmp -s "$dir/$op.warm.psi" "$cdir/ecache.psi"; then
+    echo "cache_smoke: $op run without a look-up changed the cache file" >&2
+    exit 1
+  fi
+
   # Damage the state the warm run left: flip the middle byte of the
   # cache file and cut the snapshot to half its length.
   size=$(wc -c < "$cdir/ecache.psi")
@@ -143,4 +166,4 @@ if ! grep -q 'hits=1194 misses=6' "$dir/intersection.warm.err"; then
   exit 1
 fi
 
-echo "cache_smoke: ok (4 ops warm == cold byte-identically; counters match |delta|; damaged state recomputes)"
+echo "cache_smoke: ok (4 ops warm == cold byte-identically; counters match |delta|; warm runs append; no look-up, no write; damaged state recomputes)"
