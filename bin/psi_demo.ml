@@ -764,9 +764,9 @@ let aggregate_cmd =
 (* ------------------------------------------------------------------ *)
 
 let run_sql group seed jobs query csv_s s_name csv_r r_name explain_only =
+  let sender = (s_name, Minidb.Csv.load csv_s) and receiver = (r_name, Minidb.Csv.load csv_r) in
   if explain_only then begin
-    match Psi.Sql_private.explain ~sender:(Minidb.Csv.load csv_s) ~receiver:(Minidb.Csv.load csv_r)
-        ~sql:query ~sender_name:s_name ~receiver_name:r_name () with
+    match Psi.Sql_private.explain ~sql:query ~sender ~receiver () with
     | Ok plan -> Printf.printf "plan: %s\n" plan
     | Error e ->
         Printf.eprintf "error: %s\n" e;
@@ -774,10 +774,7 @@ let run_sql group seed jobs query csv_s s_name csv_r r_name explain_only =
   end
   else begin
     let cfg = Psi.Protocol.config ~workers:jobs ~domain:("sql:" ^ s_name ^ ":" ^ r_name) (Crypto.Group.named group) in
-    let t_s = Minidb.Csv.load csv_s and t_r = Minidb.Csv.load csv_r in
-    match
-      Psi.Sql_private.run cfg ~seed ~sql:query ~sender:(s_name, t_s) ~receiver:(r_name, t_r) ()
-    with
+    match Psi.Sql_private.run cfg ~seed ~sql:query ~sender ~receiver () with
     | Ok o ->
         print_string (Minidb.Csv.to_string o.Psi.Sql_private.table);
         Printf.eprintf "-- %d bytes of protocol traffic, %d encryptions\n"

@@ -33,8 +33,9 @@ let () =
   let cfg = Psi.Protocol.config ~domain:"retail:sku" group in
   let run sql =
     Printf.printf "\nSQL> %s\n" sql;
-    (match Psi.Sql_private.explain ~sender:catalog ~receiver:demand ~sql ~sender_name:"catalog"
-             ~receiver_name:"demand" () with
+    (match
+       Psi.Sql_private.explain ~sql ~sender:("catalog", catalog) ~receiver:("demand", demand) ()
+     with
     | Ok plan -> Printf.printf "  -> protocol: %s\n" plan
     | Error e -> Printf.printf "  -> %s\n" e);
     match

@@ -7,6 +7,9 @@
    2. warehouse records for those SKUs     -> private equijoin (typed)
    3. how big is the full record overlap?  -> private equijoin size
 
+   Each question is a SQL query that Psi.Sql_private maps onto the
+   paper's protocol for it.
+
    The manufacturer additionally runs every incoming query through the
    §2.3 audit policy, so a curious partner cannot drain its catalog
    through repeated probing.
@@ -41,42 +44,40 @@ let () =
   Printf.printf "manufacturer: %d SKUs; logistics partner: %d stock rows\n\n"
     (Table.cardinality manufacturer) (Table.cardinality logistics);
 
-  let run spec =
-    Psi.Private_query.run cfg ~audit ~peer:"logistics" spec ~sender:manufacturer
-      ~receiver:logistics ()
+  (* Every query is SQL over the two tables; the manufacturer's audit
+     policy vets each one before any protocol message is sent. *)
+  let run ?(receiver = logistics) sql =
+    Psi.Sql_private.run cfg ~audit ~peer:"logistics" ~sql
+      ~sender:("manufacturer", manufacturer) ~receiver:("logistics", receiver) ()
   in
+  let rows o = Table.rows o.Psi.Sql_private.table in
+  let on_sku = "FROM logistics l, manufacturer m WHERE l.sku = m.sku" in
 
   (* 1. Common SKUs. *)
-  (match run (Psi.Private_query.Intersect { attr = "sku" }) with
-  | Ok { Psi.Private_query.answer = Psi.Private_query.Values vs; total_bytes; _ } ->
-      Printf.printf "1. SKUs stocked by both (%d bytes of protocol traffic):\n" total_bytes;
-      List.iter (fun v -> Printf.printf "   %s\n" (Value.to_string v)) vs
-  | Ok _ -> assert false
+  (match run ("SELECT l.sku " ^ on_sku) with
+  | Ok o ->
+      Printf.printf "1. SKUs stocked by both (%d bytes of protocol traffic):\n"
+        o.Psi.Sql_private.total_bytes;
+      List.iter (fun row -> Printf.printf "   %s\n" (Value.to_string row.(0))) (rows o)
   | Error reason -> Printf.printf "1. DENIED by audit: %s\n" reason);
 
   (* 2. Reorder data for the common SKUs, typed. *)
-  (match
-     run (Psi.Private_query.Equijoin { attr = "sku"; payload = [ "product"; "reorder" ] })
-   with
-  | Ok { Psi.Private_query.answer = Psi.Private_query.Rows rows; _ } ->
+  (match run ("SELECT l.sku, m.product, m.reorder " ^ on_sku) with
+  | Ok o ->
       Printf.printf "\n2. Joined reorder data (only for matching SKUs):\n";
       List.iter
-        (fun (sku, recs) ->
-          List.iter
-            (fun cols ->
-              Printf.printf "   %s -> %s\n" (Value.to_string sku)
-                (String.concat ", " (List.map Value.to_string cols)))
-            recs)
-        rows
-  | Ok _ -> assert false
+        (fun row ->
+          Printf.printf "   %s -> %s, %s\n" (Value.to_string row.(0)) (Value.to_string row.(1))
+            (Value.to_string row.(2)))
+        (rows o)
   | Error reason -> Printf.printf "\n2. DENIED by audit: %s\n" reason);
 
   (* 3. Overall record overlap (a multiset join: the partner has several
      rows per SKU). *)
-  (match run (Psi.Private_query.Equijoin_size { attr = "sku" }) with
-  | Ok { Psi.Private_query.answer = Psi.Private_query.Size n; _ } ->
-      Printf.printf "\n3. |manufacturer >< logistics| on sku = %d rows\n" n
-  | Ok _ -> assert false
+  (match run ("SELECT COUNT(*) " ^ on_sku) with
+  | Ok o ->
+      Printf.printf "\n3. |manufacturer >< logistics| on sku = %s rows\n"
+        (Value.to_string (List.hd (rows o)).(0))
   | Error reason -> Printf.printf "\n3. DENIED by audit: %s\n" reason);
 
   (* 4. A curious partner mounts a differencing attack: re-issue the
@@ -88,12 +89,8 @@ let () =
     | [] | [ _ ] -> ()
     | _ :: rest when i > 3 -> ignore rest
     | _ :: rest ->
-        let probe_table = Table.create (Table.schema logistics) rest in
-        (match
-           Psi.Private_query.run cfg ~audit ~peer:"logistics"
-             (Psi.Private_query.Intersect { attr = "sku" })
-             ~sender:manufacturer ~receiver:probe_table ()
-         with
+        let receiver = Table.create (Table.schema logistics) rest in
+        (match run ~receiver ("SELECT l.sku " ^ on_sku) with
         | Ok _ -> Printf.printf "   probe %d: allowed\n" i
         | Error reason -> Printf.printf "   probe %d: DENIED (%s)\n" i reason);
         probe (i + 1) rest

@@ -35,7 +35,8 @@ type entry = {
 type t = {
   policy : policy;
   mutable entries : entry list; (* newest first *)
-  inputs : (string, Sset.t list) Hashtbl.t; (* allowed input sets per peer *)
+  inputs : (string, (string * Sset.t) list) Hashtbl.t;
+      (* allowed (scope, input set) pairs per peer *)
 }
 
 let create policy = { policy; entries = []; inputs = Hashtbl.create 8 }
@@ -58,7 +59,7 @@ let overlap_fraction new_set old_set =
     float_of_int (Sset.cardinal (Sset.inter new_set old_set))
     /. float_of_int (Sset.cardinal new_set)
 
-let check_query t ~peer ~operation ~input_values =
+let check_query t ~peer ~operation ~scope ~input_values =
   let input = Sset.of_list input_values in
   let decision =
     match t.policy.max_queries_per_peer with
@@ -69,16 +70,18 @@ let check_query t ~peer ~operation ~input_values =
         | None -> Allow
         | Some max_frac -> (
             let previous = Option.value ~default:[] (Hashtbl.find_opt t.inputs peer) in
-            (* An exact repeat reveals nothing new and is allowed; the
-               defence targets differencing probes: near-identical sets
-               whose answers can be subtracted (Dobkin-Jones-Lipton). *)
+            (* An exact repeat (same input set, same scope) reveals
+               nothing new and is allowed; the defence targets
+               differencing probes: near-identical queries whose answers
+               can be subtracted (Dobkin-Jones-Lipton). *)
             match
               List.find_opt
-                (fun old ->
-                  (not (Sset.equal input old)) && overlap_fraction input old > max_frac)
+                (fun (old_scope, old) ->
+                  (not (Sset.equal input old && String.equal scope old_scope))
+                  && overlap_fraction input old > max_frac)
                 previous
             with
-            | Some old ->
+            | Some (_, old) ->
                 Deny
                   (Printf.sprintf
                      "input overlaps an earlier query from %s by %.0f%% (limit %.0f%%)" peer
@@ -101,7 +104,7 @@ let check_query t ~peer ~operation ~input_values =
   (match decision with
   | Allow ->
       Hashtbl.replace t.inputs peer
-        (input :: Option.value ~default:[] (Hashtbl.find_opt t.inputs peer))
+        ((scope, input) :: Option.value ~default:[] (Hashtbl.find_opt t.inputs peer))
   | Deny _ -> ());
   decision
 

@@ -26,7 +26,8 @@ type policy = {
       (** deny a query whose input set overlaps any earlier {e distinct}
           query from the same peer by more than this fraction
           (|new ∩ old| / |new|) — the tracker-style differencing
-          defence. Exact repeats reveal nothing new and pass. *)
+          defence. Exact repeats (same input set and same scope, see
+          {!check_query}) reveal nothing new and pass. *)
 }
 
 (** Everything allowed (audit trail only). *)
@@ -51,12 +52,16 @@ type t
 
 val create : policy -> t
 
-(** [check_query t ~peer ~operation ~input_values] applies the
+(** [check_query t ~peer ~operation ~scope ~input_values] applies the
     count-limit and overlap rules, logs the query, and returns the
     decision. Allowed queries' input sets are remembered for future
-    overlap checks. *)
+    overlap checks. [scope] names whatever else the query fixes besides
+    its input set, such as the responder's own filters when the querier
+    writes them ([""] when there is nothing else): a query that keeps an
+    earlier input set but changes the scope is not an exact repeat, so
+    the overlap rule applies to it. *)
 val check_query :
-  t -> peer:string -> operation:string -> input_values:string list -> decision
+  t -> peer:string -> operation:string -> scope:string -> input_values:string list -> decision
 
 (** [check_result t ~peer ~result_size ~own_set_size] applies the
     result-size rules to a computed answer {e before} it is released,

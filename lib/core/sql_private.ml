@@ -30,9 +30,12 @@ let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
 (* Which side owns a column reference. *)
 let side_of a ~r_schema ~s_schema (q, c) =
+  let owned schema side q =
+    if Schema.mem schema c then side else unsupported "no column %s in %s" c q
+  in
   match q with
-  | Some q when q = a.r_alias -> R_side
-  | Some q when q = a.s_alias -> S_side
+  | Some q when q = a.r_alias -> owned r_schema R_side q
+  | Some q when q = a.s_alias -> owned s_schema S_side q
   | Some q -> unsupported "unknown table alias %s" q
   | None -> (
       match (Schema.mem r_schema c, Schema.mem s_schema c) with
@@ -170,28 +173,29 @@ let apply_filters t filters =
 (* Composite join keys                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* One framing for a tuple of values (a composite join key, or an
+   equijoin's ext(v) payload): the Buf-framed Value.keys, one per
+   column of [cols]. *)
+let frame vs =
+  let w = Buf.writer () in
+  List.iter (fun v -> Buf.write_bytes w (Value.key v)) vs;
+  Buf.contents w
+
+let unframe cols s =
+  let r = Buf.reader s in
+  let vs = List.map (fun _ -> Value.of_key (Buf.read_bytes r)) cols in
+  Buf.expect_end r;
+  vs
+
 (* Single columns use Value.key directly (typed and invertible); tuples
-   are Buf-framed lists of Value.keys. Rows with NULL in any join
-   column never join (SQL semantics). *)
+   are framed. Rows with NULL in any join column never join (SQL
+   semantics). *)
 let key_of_row t cols row =
   let vs = List.map (fun c -> Table.get t row c) cols in
   if List.exists (fun v -> v = Value.Null) vs then None
-  else
-    match vs with
-    | [ v ] -> Some (Value.key v)
-    | vs ->
-        let w = Buf.writer () in
-        List.iter (fun v -> Buf.write_bytes w (Value.key v)) vs;
-        Some (Buf.contents w)
+  else match vs with [ v ] -> Some (Value.key v) | vs -> Some (frame vs)
 
-let decode_key cols s =
-  match cols with
-  | [ _ ] -> [ Value.of_key s ]
-  | cols ->
-      let r = Buf.reader s in
-      let vs = List.map (fun _ -> Value.of_key (Buf.read_bytes r)) cols in
-      Buf.expect_end r;
-      vs
+let decode_key cols s = match cols with [ _ ] -> [ Value.of_key s ] | cols -> unframe cols s
 
 let values_of t cols =
   Table.rows t |> List.filter_map (key_of_row t cols) |> List.sort_uniq String.compare
@@ -206,16 +210,21 @@ type join_field = Key of int (* index into the join tuple *) | Pay of string (* 
 
 type shape =
   | Sh_intersect of { out_names : string list; idxs : int list }
+  | Sh_intersect_size of string
   | Sh_join_size of string
   | Sh_sum of { s_col : string; out : string }
   | Sh_join of { fields : join_field list; out_names : string list }
   | Sh_group_by of { r_class : string; s_class : string; names : string * string * string }
 
 let item_out_name default = function
-  | Sql.Column (_, Some a) | Sql.Count_star (Some a) | Sql.Sum (_, Some a) -> a
+  | Sql.Column (_, Some a)
+  | Sql.Count_star (Some a)
+  | Sql.Count_distinct (_, Some a)
+  | Sql.Sum (_, Some a) ->
+      a
   | Sql.Column (Sql.Col (_, c), None) -> c
   | Sql.Column (Sql.Lit _, None) | Sql.Star -> default
-  | Sql.Count_star None -> "count"
+  | Sql.Count_star None | Sql.Count_distinct (_, None) -> "count"
   | Sql.Sum (Sql.Col (_, c), None) -> "sum_" ^ c
   | Sql.Sum (Sql.Lit _, None) -> default
 
@@ -240,10 +249,20 @@ let recognize a ~r_schema ~s_schema =
     | S_side, c -> index_in a.s_join_cols c
   in
   match (q.Sql.select, q.Sql.group_by) with
-  | [ Sql.Count_star _ ], [] -> Sh_join_size (item_out_name "count" (List.hd q.Sql.select))
-  | [ Sql.Sum (e, _) ], [] -> (
+  | [ (Sql.Count_star _ as itm) ], [] -> Sh_join_size (item_out_name "count" itm)
+  | [ (Sql.Count_distinct (e, _) as itm) ], [] -> (
+      (* |V_R ∩ V_S|: the distinct values of the one join column. *)
+      match (a.r_join_cols, join_index (side e)) with
+      | [ _ ], Some 0 -> Sh_intersect_size (item_out_name "count" itm)
+      | [ _ ], _ -> unsupported "COUNT(DISTINCT) must name the join column"
+      | _ -> unsupported "COUNT(DISTINCT) needs a single-column join key")
+  | [ (Sql.Sum (e, _) as itm) ], [] -> (
       match side e with
-      | S_side, c -> Sh_sum { s_col = c; out = item_out_name "sum" (List.hd q.Sql.select) }
+      | S_side, c -> (
+          match Schema.column_type s_schema c with
+          | Value.TInt -> Sh_sum { s_col = c; out = item_out_name "sum" itm }
+          | Value.TBool | Value.TFloat | Value.TText ->
+              unsupported "private SUM supports integer columns")
       | R_side, _ -> unsupported "SUM must range over the sender's column")
   | items, [] -> (
       (* Columns: join-tuple positions and/or sender payload columns. *)
@@ -261,7 +280,7 @@ let recognize a ~r_schema ~s_schema =
                     | R_side, c ->
                         unsupported "receiver column %s not available in an equijoin" c))
             | Sql.Star -> unsupported "* unsupported across private tables"
-            | Sql.Count_star _ | Sql.Sum _ ->
+            | Sql.Count_star _ | Sql.Count_distinct _ | Sql.Sum _ ->
                 unsupported "aggregates cannot mix with columns without GROUP BY")
           items
       in
@@ -314,10 +333,59 @@ let recognize a ~r_schema ~s_schema =
 
 let shape_name = function
   | Sh_intersect _ -> "intersection (§3.3)"
+  | Sh_intersect_size _ -> "intersection size (§5.1)"
   | Sh_join_size _ -> "equijoin size (§5.2)"
   | Sh_sum _ -> "private equijoin SUM (§7 extension)"
   | Sh_join _ -> "equijoin (§4.3)"
   | Sh_group_by _ -> "private GROUP BY (Figure 2 generalized)"
+
+(* ------------------------------------------------------------------ *)
+(* The §2.3 audit gate                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let operation_name = function
+  | Sh_intersect _ -> "intersect"
+  | Sh_intersect_size _ -> "intersect_size"
+  | Sh_join _ -> "equijoin"
+  | Sh_join_size _ -> "equijoin_size"
+  | Sh_sum _ -> "sum"
+  | Sh_group_by _ -> "group_by"
+
+(* What the query fixes on the sender's side: S's join column and S's
+   own filters (conjunct order aside), in one canonical string. The
+   receiver writes these too, so a query that keeps an earlier R set but
+   changes them is a differencing probe, not an exact repeat. *)
+let sender_scope a =
+  Marshal.to_string (a.s_join_cols, List.sort_uniq compare a.s_filters) [ Marshal.No_sharing ]
+
+(* The sender checks the receiver's query against its policy, then the
+   size of the answer it would release (the result-size rules), before
+   any session starts. [t_s] and [t_r] are already filtered. The input
+   sets are compared as R's join keys, which only a single-column key
+   keeps comparable across queries: a composite key's framed tuples
+   share nothing with the single column's keys they extend. *)
+let audit_gate audit ~peer a shape ~t_s ~t_r =
+  if List.length a.r_join_cols > 1 then
+    unsupported "an audited query needs a single-column join key";
+  let v_r = values_of t_r a.r_join_cols in
+  match
+    Audit.check_query audit ~peer ~operation:(operation_name shape) ~scope:(sender_scope a)
+      ~input_values:v_r
+  with
+  | Audit.Deny reason -> Error reason
+  | Audit.Allow -> (
+      let v_s = values_of t_s a.s_join_cols in
+      let result_size =
+        match shape with
+        | Sh_join_size _ ->
+            Leakage.join_size ~r_values:(multiset_of t_r a.r_join_cols)
+              ~s_values:(multiset_of t_s a.s_join_cols)
+        | Sh_intersect _ | Sh_intersect_size _ | Sh_join _ | Sh_sum _ | Sh_group_by _ ->
+            Leakage.join_size ~r_values:v_r ~s_values:v_s
+      in
+      match Audit.check_result audit ~peer ~result_size ~own_set_size:(List.length v_s) with
+      | Audit.Deny reason -> Error reason
+      | Audit.Allow -> Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -330,11 +398,20 @@ let run_op cfg ~seed op =
   | { Session.results = [ result ]; total_bytes; ops; _ } -> (result, total_bytes, ops)
   | _ -> failwith "sql_private: one operation, one result"
 
+(* [t_s] and [t_r] are already filtered by their owners. *)
 let execute cfg ~seed a ~t_s ~t_r shape =
-  let t_r = apply_filters t_r a.r_filters in
-  let t_s = apply_filters t_s a.s_filters in
   let r_col_ty c = Schema.column_type (Table.schema t_r) c in
   let s_col_ty c = Schema.column_type (Table.schema t_s) c in
+  let size_table op out =
+    match run_op cfg ~seed op with
+    | Session.Size n, total_bytes, ops ->
+        {
+          table = Table.create (Schema.make [ Schema.col out Value.TInt ]) [ [| Value.Int n |] ];
+          total_bytes;
+          ops;
+        }
+    | _ -> failwith "sql_private: a size protocol returned another shape"
+  in
   match shape with
   | Sh_intersect { out_names; idxs } ->
       let inter, total_bytes, ops =
@@ -359,29 +436,17 @@ let execute cfg ~seed a ~t_s ~t_r shape =
           inter
       in
       { table = Table.create (Schema.make cols) rows; total_bytes; ops }
+  | Sh_intersect_size out ->
+      size_table
+        (Session.Intersect_size
+           { s_values = values_of t_s a.s_join_cols; r_values = values_of t_r a.r_join_cols })
+        out
   | Sh_join_size out ->
-      let size, total_bytes, ops =
-        match
-          run_op cfg ~seed
-            (Session.Equijoin_size
-               {
-                 s_values = multiset_of t_s a.s_join_cols;
-                 r_values = multiset_of t_r a.r_join_cols;
-               })
-        with
-        | Session.Size n, bytes, ops -> (n, bytes, ops)
-        | _ -> failwith "sql_private: equijoin size returned another shape"
-      in
-      {
-        table = Table.create (Schema.make [ Schema.col out Value.TInt ]) [ [| Value.Int size |] ];
-        total_bytes;
-        ops;
-      }
+      size_table
+        (Session.Equijoin_size
+           { s_values = multiset_of t_s a.s_join_cols; r_values = multiset_of t_r a.r_join_cols })
+        out
   | Sh_sum { s_col; out } ->
-      (match s_col_ty s_col with
-      | Value.TInt -> ()
-      | Value.TBool | Value.TFloat | Value.TText ->
-          unsupported "private SUM supports integer columns");
       let records =
         List.filter_map
           (fun row ->
@@ -406,26 +471,13 @@ let execute cfg ~seed a ~t_s ~t_r shape =
         ops = Protocol.total r.Aggregate.ops o.Wire.Runner.sender_result.Aggregate.ops;
       }
   | Sh_join { fields; out_names } ->
-      let payload_cols =
-        List.filter_map (function Pay c -> Some c | Key _ -> None) fields
-      in
-      let encode_payload row =
-        let w = Buf.writer () in
-        List.iter
-          (fun c -> Buf.write_bytes w (Value.key (Table.get t_s row c)))
-          payload_cols;
-        Buf.contents w
-      in
-      let decode_payload s =
-        let rd = Buf.reader s in
-        let vs = List.map (fun _ -> Value.of_key (Buf.read_bytes rd)) payload_cols in
-        Buf.expect_end rd;
-        vs
-      in
+      let payload_cols = List.filter_map (function Pay c -> Some c | Key _ -> None) fields in
       let records =
         List.filter_map
           (fun row ->
-            Option.map (fun k -> (k, encode_payload row)) (key_of_row t_s a.s_join_cols row))
+            Option.map
+              (fun k -> (k, frame (List.map (Table.get t_s row) payload_cols)))
+              (key_of_row t_s a.s_join_cols row))
           (Table.rows t_s)
       in
       let matches, total_bytes, ops =
@@ -448,20 +500,17 @@ let execute cfg ~seed a ~t_s ~t_r shape =
         List.concat_map
           (fun (v, recs) ->
             let tuple = decode_key a.r_join_cols v in
+            (* Payload values fill the Pay fields in select order. *)
+            let rec fill fields pay =
+              match (fields, pay) with
+              | Key i :: fs, _ -> List.nth tuple i :: fill fs pay
+              | Pay _ :: fs, p :: ps -> p :: fill fs ps
+              | Pay _ :: _, [] | [], _ :: _ ->
+                  failwith "sql_private: payload does not fit its columns"
+              | [], [] -> []
+            in
             List.map
-              (fun rec_payload ->
-                let pay = decode_payload rec_payload in
-                let pay_at =
-                  let arr = Array.of_list pay in
-                  let i = ref (-1) in
-                  fun () ->
-                    incr i;
-                    arr.(!i)
-                in
-                Array.of_list
-                  (List.map
-                     (function Key i -> List.nth tuple i | Pay _ -> pay_at ())
-                     fields))
+              (fun payload -> Array.of_list (fill fields (unframe payload_cols payload)))
               recs)
           matches
       in
@@ -488,28 +537,32 @@ let execute cfg ~seed a ~t_s ~t_r shape =
         ops = g.Group_by.ops;
       }
 
-let run cfg ?(seed = "sql-private") ~sql ~sender:(s_name, t_s) ~receiver:(r_name, t_r) () =
-  match
-    let query = Sql.parse sql in
-    let a = analyze query ~s_name ~t_s ~r_name ~t_r in
-    let shape = recognize a ~r_schema:(Table.schema t_r) ~s_schema:(Table.schema t_s) in
-    execute cfg ~seed a ~t_s ~t_r shape
-  with
-  | outcome -> Ok outcome
+(* ------------------------------------------------------------------ *)
+(* Entry points                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Parse, analyze and recognize: the one plan path of [run] and
+   [explain]. *)
+let plan ~sql ~sender:(s_name, t_s) ~receiver:(r_name, t_r) =
+  let a = analyze (Sql.parse sql) ~s_name ~t_s ~r_name ~t_r in
+  (a, recognize a ~r_schema:(Table.schema t_r) ~s_schema:(Table.schema t_s))
+
+let guarded f =
+  match f () with
+  | r -> r
   | exception Sql.Parse_error msg -> Error ("parse error: " ^ msg)
   | exception Unsupported msg -> Error ("unsupported query: " ^ msg)
   | exception Invalid_argument msg -> Error msg
 
-let explain ?sender ?receiver ~sql ~sender_name ~receiver_name () =
-  let empty = Table.empty (Schema.make []) in
-  let t_s = Option.value ~default:empty sender in
-  let t_r = Option.value ~default:empty receiver in
-  match
-    let query = Sql.parse sql in
-    let a = analyze query ~s_name:sender_name ~t_s ~r_name:receiver_name ~t_r in
-    recognize a ~r_schema:(Table.schema t_r) ~s_schema:(Table.schema t_s)
-  with
-  | shape -> Ok (shape_name shape)
-  | exception Sql.Parse_error msg -> Error ("parse error: " ^ msg)
-  | exception Unsupported msg -> Error ("unsupported query: " ^ msg)
-  | exception Invalid_argument msg -> Error msg
+let run cfg ?(seed = "sql-private") ?audit ?(peer = "receiver") ~sql ~sender ~receiver () =
+  guarded (fun () ->
+      let a, shape = plan ~sql ~sender ~receiver in
+      let t_s = apply_filters (snd sender) a.s_filters in
+      let t_r = apply_filters (snd receiver) a.r_filters in
+      let gate =
+        match audit with None -> Ok () | Some audit -> audit_gate audit ~peer a shape ~t_s ~t_r
+      in
+      Result.map (fun () -> execute cfg ~seed a ~t_s ~t_r shape) gate)
+
+let explain ~sql ~sender ~receiver () =
+  guarded (fun () -> Ok (shape_name (snd (plan ~sql ~sender ~receiver))))

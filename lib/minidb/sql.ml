@@ -6,6 +6,7 @@ type item =
   | Star
   | Column of expr * string option
   | Count_star of string option
+  | Count_distinct of expr * string option
   | Sum of expr * string option
 
 type table_ref = { table : string; alias : string }
@@ -26,7 +27,7 @@ let expr_equal a b =
   | Lit va, Lit vb -> Value.equal va vb
   | (Col _ | Lit _), _ -> false
 
-let is_star = function Star -> true | Column _ | Count_star _ | Sum _ -> false
+let is_star = function Star -> true | Column _ | Count_star _ | Count_distinct _ | Sum _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                               *)
@@ -151,7 +152,7 @@ let expect p t msg = if peek p = t then advance p else fail_tok p ("expected " ^
 
 let keywords =
   [ "SELECT"; "FROM"; "WHERE"; "AND"; "GROUP"; "BY"; "AS"; "JOIN"; "ON"; "COUNT"; "SUM";
-    "TRUE"; "FALSE"; "NULL" ]
+    "DISTINCT"; "TRUE"; "FALSE"; "NULL" ]
 
 let is_keyword s = List.exists (String.equal (String.uppercase_ascii s)) keywords
 
@@ -212,9 +213,18 @@ let parse_item p =
   else if is_kw p "COUNT" then begin
     advance p;
     expect p TLparen "(";
-    expect p TStar "*";
-    expect p TRparen ")";
-    Count_star (parse_alias_opt p)
+    (* DISTINCT is a keyword, so it parses only here, inside COUNT. *)
+    if is_kw p "DISTINCT" then begin
+      advance p;
+      let e = parse_expr p in
+      expect p TRparen ")";
+      Count_distinct (e, parse_alias_opt p)
+    end
+    else begin
+      expect p TStar "*";
+      expect p TRparen ")";
+      Count_star (parse_alias_opt p)
+    end
   end
   else if is_kw p "SUM" then begin
     advance p;
@@ -335,6 +345,9 @@ let item_to_string = function
   | Column (e, None) -> expr_to_string e
   | Column (e, Some a) -> expr_to_string e ^ " AS " ^ a
   | Count_star a -> "COUNT(*)" ^ (match a with Some a -> " AS " ^ a | None -> "")
+  | Count_distinct (e, a) ->
+      "COUNT(DISTINCT " ^ expr_to_string e ^ ")"
+      ^ (match a with Some a -> " AS " ^ a | None -> "")
   | Sum (e, a) ->
       "SUM(" ^ expr_to_string e ^ ")" ^ (match a with Some a -> " AS " ^ a | None -> "")
 
@@ -405,11 +418,11 @@ let rec eval_pred env row = function
 let item_name i index =
   match i with
   | Star -> invalid_arg "Sql: * cannot be named"
-  | Column (_, Some a) | Count_star (Some a) | Sum (_, Some a) -> a
+  | Column (_, Some a) | Count_star (Some a) | Count_distinct (_, Some a) | Sum (_, Some a) -> a
   | Column (Col (None, c), None) -> c
   | Column (Col (Some q, c), None) -> q ^ "." ^ c
   | Column (Lit _, None) -> Printf.sprintf "lit_%d" index
-  | Count_star None -> "count"
+  | Count_star None | Count_distinct (_, None) -> "count"
   | Sum (e, None) -> "sum_" ^ String.map (fun c -> if c = '.' then '_' else c) (expr_to_string e)
 
 let expr_type env = function
@@ -422,7 +435,9 @@ let expr_type env = function
         true)
 
 let has_aggregate select =
-  List.exists (function Count_star _ | Sum _ -> true | Star | Column _ -> false) select
+  List.exists
+    (function Count_star _ | Count_distinct _ | Sum _ -> true | Star | Column _ -> false)
+    select
 
 let execute resolve q =
   (* Build the working relation and the column lookup. *)
@@ -492,7 +507,7 @@ let execute resolve q =
         | Column (e, _) when not (List.exists (expr_equal e) q.group_by) ->
             invalid_arg
               (Printf.sprintf "Sql: column %s must appear in GROUP BY" (expr_to_string e))
-        | Column _ | Star | Count_star _ | Sum _ -> ())
+        | Column _ | Star | Count_star _ | Count_distinct _ | Sum _ -> ())
       q.select;
     if List.exists is_star q.select then invalid_arg "Sql: * not allowed with aggregates"
     else begin
@@ -527,7 +542,7 @@ let execute resolve q =
                | Column (e, _) ->
                    let ty, _ = expr_type env e in
                    Schema.col ~nullable:true (item_name itm i) ty
-               | Count_star _ -> Schema.col (item_name itm i) Value.TInt
+               | Count_star _ | Count_distinct _ -> Schema.col (item_name itm i) Value.TInt
                | Sum (e, _) ->
                    let ty, _ = expr_type env e in
                    let ty =
@@ -556,6 +571,17 @@ let execute resolve q =
                        in
                        List.nth key idx
                    | Count_star _ -> Value.Int (List.length rows)
+                   | Count_distinct (e, _) ->
+                       (* SQL semantics: NULLs excluded, duplicates once. *)
+                       let keys =
+                         List.filter_map
+                           (fun row ->
+                             match eval_expr env row e with
+                             | Value.Null -> None
+                             | v -> Some (Value.key v))
+                           rows
+                       in
+                       Value.Int (List.length (List.sort_uniq String.compare keys))
                    | Sum (e, _) -> (
                        let vals =
                          List.filter_map
@@ -606,7 +632,8 @@ let execute resolve q =
                  | Column (e, _) ->
                      let ty, _ = expr_type env e in
                      Schema.col ~nullable:true (item_name itm i) ty
-                 | Star | Count_star _ | Sum _ -> invalid_arg "Sql: internal: non-column item in a plain projection")
+                 | Star | Count_star _ | Count_distinct _ | Sum _ ->
+                     invalid_arg "Sql: internal: non-column item in a plain projection")
                items)
         in
         Table.create out_schema
@@ -617,7 +644,8 @@ let execute resolve q =
                     (fun itm ->
                       match itm with
                       | Column (e, _) -> eval_expr env row e
-                      | Star | Count_star _ | Sum _ -> invalid_arg "Sql: internal: non-column item in a plain projection")
+                      | Star | Count_star _ | Count_distinct _ | Sum _ ->
+                          invalid_arg "Sql: internal: non-column item in a plain projection")
                     items))
              (Table.rows env.relation))
   end

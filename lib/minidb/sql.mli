@@ -12,6 +12,7 @@
     query   := SELECT items FROM tables [WHERE pred] [GROUP BY exprs]
     items   := item (',' item)*
     item    := '*' | COUNT '(' '*' ')' [AS id] | SUM '(' expr ')' [AS id]
+             | COUNT '(' DISTINCT expr ')' [AS id]
              | expr [AS id]
     tables  := tref [',' tref] | tref JOIN tref ON pred
     tref    := ident [[AS] ident]
@@ -23,7 +24,8 @@
 
     Restrictions: at most two tables; no OR, no subqueries, no ORDER BY;
     aggregates cannot be mixed with bare columns unless those columns
-    are grouped. *)
+    are grouped; [DISTINCT] is allowed only inside [COUNT], which then
+    counts the distinct non-NULL values of its expression. *)
 
 (** {1 AST} *)
 
@@ -37,6 +39,7 @@ type item =
   | Star
   | Column of expr * string option
   | Count_star of string option
+  | Count_distinct of expr * string option  (** [COUNT(DISTINCT e)] *)
   | Sum of expr * string option
 
 type table_ref = { table : string; alias : string }

@@ -1,6 +1,7 @@
 (* Tests for the query-layer extensions: the third-party intersection
    size (Figure 2's variant), the generalized private GROUP BY, the
-   §2.3 audit policies, and the Private_query planner. *)
+   §2.3 audit policies, and the four paper operations plus the audit
+   gate as SQL queries through Sql_private (the "private-query" group). *)
 
 module Runner = Wire.Runner
 module Group = Crypto.Group
@@ -186,7 +187,7 @@ let test_group_by_multiclass () =
 let test_audit_query_limit () =
   let a = Psi.Audit.create { Psi.Audit.permissive with Psi.Audit.max_queries_per_peer = Some 2 } in
   let q i =
-    Psi.Audit.check_query a ~peer:"r1" ~operation:"intersect"
+    Psi.Audit.check_query a ~peer:"r1" ~operation:"intersect" ~scope:""
       ~input_values:[ string_of_int i ]
   in
   Alcotest.(check bool) "q1" true (q 1 = Psi.Audit.Allow);
@@ -194,18 +195,26 @@ let test_audit_query_limit () =
   Alcotest.(check bool) "q3 denied" true (match q 3 with Psi.Audit.Deny _ -> true | Psi.Audit.Allow -> false);
   (* Another peer is unaffected. *)
   Alcotest.(check bool) "other peer" true
-    (Psi.Audit.check_query a ~peer:"r2" ~operation:"intersect" ~input_values:[ "x" ]
+    (Psi.Audit.check_query a ~peer:"r2" ~operation:"intersect" ~scope:"" ~input_values:[ "x" ]
     = Psi.Audit.Allow)
 
 let test_audit_overlap_defence () =
   let a =
     Psi.Audit.create { Psi.Audit.permissive with Psi.Audit.max_input_overlap = Some 0.5 }
   in
-  let q vs = Psi.Audit.check_query a ~peer:"r" ~operation:"intersect" ~input_values:vs in
+  let q vs = Psi.Audit.check_query a ~peer:"r" ~operation:"intersect" ~scope:"" ~input_values:vs in
   Alcotest.(check bool) "first allowed" true (q [ "a"; "b"; "c"; "d" ] = Psi.Audit.Allow);
   (* Identical repeat reveals nothing new: allowed. *)
   Alcotest.(check bool) "exact repeat allowed" true
     (q [ "a"; "b"; "c"; "d" ] = Psi.Audit.Allow);
+  (* The same set under another scope is not a repeat: it overlaps fully. *)
+  Alcotest.(check bool) "same set, other scope denied" true
+    (match
+       Psi.Audit.check_query a ~peer:"r" ~operation:"intersect" ~scope:"spend > 0"
+         ~input_values:[ "a"; "b"; "c"; "d" ]
+     with
+    | Psi.Audit.Deny _ -> true
+    | Psi.Audit.Allow -> false);
   (* 3/4 of the new query repeats the old one: tracker-style differencing. *)
   Alcotest.(check bool) "tracker denied" true
     (match q [ "a"; "b"; "c"; "e" ] with Psi.Audit.Deny _ -> true | Psi.Audit.Allow -> false);
@@ -224,7 +233,7 @@ let test_audit_result_rules () =
         Psi.Audit.max_result_fraction = Some 0.5;
       }
   in
-  ignore (Psi.Audit.check_query a ~peer:"r" ~operation:"intersect" ~input_values:[ "a" ]);
+  ignore (Psi.Audit.check_query a ~peer:"r" ~operation:"intersect" ~scope:"" ~input_values:[ "a" ]);
   Alcotest.(check bool) "tiny result denied" true
     (match Psi.Audit.check_result a ~peer:"r" ~result_size:2 ~own_set_size:100 with
     | Psi.Audit.Deny _ -> true
@@ -241,7 +250,7 @@ let test_audit_result_rules () =
 let test_audit_trail () =
   let a = Psi.Audit.create Psi.Audit.default_policy in
   ignore
-    (Psi.Audit.check_query a ~peer:"r" ~operation:"intersect" ~input_values:[ "a"; "b" ]);
+    (Psi.Audit.check_query a ~peer:"r" ~operation:"intersect" ~scope:"" ~input_values:[ "a"; "b" ]);
   ignore (Psi.Audit.check_result a ~peer:"r" ~result_size:5 ~own_set_size:50);
   match Psi.Audit.log a with
   | [ e ] ->
@@ -252,72 +261,66 @@ let test_audit_trail () =
   | l -> Alcotest.failf "expected one entry, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
-(* Private_query planner                                               *)
+(* Relational queries through the SQL front door                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_ok spec =
-  match Psi.Private_query.run cfg spec ~sender:customers_s ~receiver:customers_r () with
-  | Ok o -> o
-  | Error e -> Alcotest.failf "unexpected denial: %s" e
+(* The receiver's table is "r", the sender's "s". *)
+let private_sql ?audit ?peer sql =
+  Psi.Sql_private.run cfg ?audit ?peer ~sql ~sender:("s", customers_s)
+    ~receiver:("r", customers_r) ()
+
+let run_ok sql =
+  match private_sql sql with
+  | Ok o -> Table.rows o.Psi.Sql_private.table
+  | Error e -> Alcotest.failf "unexpected rejection: %s" e
+
+let on_email = " from r, s where r.email = s.email"
 
 let test_pq_intersect () =
-  let o = run_ok (Psi.Private_query.Intersect { attr = "email" }) in
-  (match o.Psi.Private_query.answer with
-  | Psi.Private_query.Values vs ->
-      Alcotest.(check (list value)) "values"
-        [ Value.Text "bob@x.com"; Value.Text "cleo@x.com" ]
-        vs
-  | Psi.Private_query.Size _ | Psi.Private_query.Rows _ -> Alcotest.fail "wrong shape");
-  Alcotest.(check int) "|V_S|" 4 o.Psi.Private_query.v_s;
-  Alcotest.(check int) "|V_R|" 3 o.Psi.Private_query.v_r
+  Alcotest.(check (list value)) "values"
+    [ Value.Text "bob@x.com"; Value.Text "cleo@x.com" ]
+    (List.sort Value.compare
+       (List.map (fun row -> row.(0)) (run_ok ("select r.email" ^ on_email))))
 
 let test_pq_intersect_size () =
-  let o = run_ok (Psi.Private_query.Intersect_size { attr = "email" }) in
-  match o.Psi.Private_query.answer with
-  | Psi.Private_query.Size n -> Alcotest.(check int) "size" 2 n
-  | Psi.Private_query.Values _ | Psi.Private_query.Rows _ -> Alcotest.fail "wrong shape"
+  match run_ok ("select count(distinct s.email)" ^ on_email) with
+  | [ [| n |] ] -> Alcotest.(check value) "size" (Value.Int 2) n
+  | _ -> Alcotest.fail "expected one cell"
 
 let test_pq_equijoin_typed_payload () =
-  let o =
-    run_ok (Psi.Private_query.Equijoin { attr = "email"; payload = [ "plan"; "spend" ] })
-  in
-  match o.Psi.Private_query.answer with
-  | Psi.Private_query.Rows rows ->
-      Alcotest.(check int) "two joining values" 2 (List.length rows);
-      let cleo = List.assoc (Value.Text "cleo@x.com") rows in
-      Alcotest.(check (list (list value))) "typed payload round-trip"
-        [ [ Value.Text "pro"; Value.Int 310 ] ]
-        cleo
-  | Psi.Private_query.Values _ | Psi.Private_query.Size _ -> Alcotest.fail "wrong shape"
+  let rows = run_ok ("select r.email, s.plan, s.spend" ^ on_email) in
+  Alcotest.(check int) "two joining values" 2 (List.length rows);
+  Alcotest.(check (list (list value))) "typed payload round-trip"
+    [ [ Value.Text "cleo@x.com"; Value.Text "pro"; Value.Int 310 ] ]
+    (List.filter_map
+       (fun row -> if row.(0) = Value.Text "cleo@x.com" then Some (Array.to_list row) else None)
+       rows)
 
 let test_pq_equijoin_size () =
-  let o = run_ok (Psi.Private_query.Equijoin_size { attr = "email" }) in
-  match o.Psi.Private_query.answer with
-  | Psi.Private_query.Size n ->
-      Alcotest.(check int) "size matches relop"
-        (Relop.equijoin_size customers_r customers_s ~on:("email", "email"))
+  match run_ok ("select count(*)" ^ on_email) with
+  | [ [| n |] ] ->
+      Alcotest.(check value) "size matches relop"
+        (Value.Int (Relop.equijoin_size customers_r customers_s ~on:("email", "email")))
         n
-  | Psi.Private_query.Values _ | Psi.Private_query.Rows _ -> Alcotest.fail "wrong shape"
+  | _ -> Alcotest.fail "expected one cell"
 
 let test_pq_matches_plaintext_all_specs () =
+  let resolve = function "r" -> customers_r | _ -> customers_s in
+  let cells rows =
+    List.sort compare (List.map (fun r -> List.map Value.key (Array.to_list r)) rows)
+  in
   List.iter
-    (fun spec ->
-      let o = run_ok spec in
-      let plain = Psi.Private_query.plaintext spec ~sender:customers_s ~receiver:customers_r in
-      Alcotest.(check bool)
-        ("oracle agreement: " ^
-          (match spec with
-          | Psi.Private_query.Intersect _ -> "intersect"
-          | Psi.Private_query.Intersect_size _ -> "intersect_size"
-          | Psi.Private_query.Equijoin _ -> "equijoin"
-          | Psi.Private_query.Equijoin_size _ -> "equijoin_size"))
-        true
-        (o.Psi.Private_query.answer = plain))
+    (fun select ->
+      let sql = select ^ on_email in
+      Alcotest.(check (list (list string)))
+        ("oracle agreement: " ^ select)
+        (cells (Table.rows (Sql.execute resolve (Sql.parse sql))))
+        (cells (run_ok sql)))
     [
-      Psi.Private_query.Intersect { attr = "email" };
-      Psi.Private_query.Intersect_size { attr = "email" };
-      Psi.Private_query.Equijoin { attr = "email"; payload = [ "plan" ] };
-      Psi.Private_query.Equijoin_size { attr = "email" };
+      "select r.email";
+      "select count(distinct r.email)";
+      "select s.email, s.plan";
+      "select count(*)";
     ]
 
 let test_pq_audit_denies_over_revealing () =
@@ -328,32 +331,83 @@ let test_pq_audit_denies_over_revealing () =
     Psi.Audit.create
       { Psi.Audit.permissive with Psi.Audit.max_result_fraction = Some 0.4 }
   in
-  match
-    Psi.Private_query.run cfg ~audit (Psi.Private_query.Intersect { attr = "email" })
-      ~sender:customers_s ~receiver:customers_r ()
-  with
+  match private_sql ~audit ("select r.email" ^ on_email) with
   | Error reason -> Alcotest.(check bool) "denied with reason" true (String.length reason > 0)
   | Ok _ -> Alcotest.fail "expected denial"
 
 let test_pq_audit_allows_and_logs () =
+  (* Every shape is logged under its operation name, with R's key set as
+     the input and |V_R ∩ V_S| (the join size for COUNT( * )) as the
+     result. *)
   let audit = Psi.Audit.create Psi.Audit.permissive in
-  (match
-     Psi.Private_query.run cfg ~audit ~peer:"acme"
-       (Psi.Private_query.Intersect_size { attr = "email" })
-       ~sender:customers_s ~receiver:customers_r ()
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "unexpected denial: %s" e);
-  Alcotest.(check int) "logged" 1 (Psi.Audit.queries_from audit ~peer:"acme")
+  let shapes =
+    [
+      ("select r.email" ^ on_email, "intersect");
+      ("select count(distinct r.email)" ^ on_email, "intersect_size");
+      ("select s.plan" ^ on_email, "equijoin");
+      ("select count(*)" ^ on_email, "equijoin_size");
+      ("select sum(s.spend)" ^ on_email, "sum");
+      ("select r.region, s.plan, count(*)" ^ on_email ^ " group by r.region, s.plan", "group_by");
+    ]
+  in
+  List.iter
+    (fun (sql, _) ->
+      match private_sql ~audit ~peer:"acme" sql with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "unexpected denial: %s" e)
+    shapes;
+  Alcotest.(check int) "logged" (List.length shapes) (Psi.Audit.queries_from audit ~peer:"acme");
+  Alcotest.(check (list (triple string int (option int))))
+    "operation, |input|, result size"
+    (List.map (fun (_, op) -> (op, 3, Some 2)) shapes)
+    (List.map
+       (fun (e : Psi.Audit.entry) ->
+         (e.Psi.Audit.operation, e.Psi.Audit.input_size, e.Psi.Audit.result_size))
+       (Psi.Audit.log audit))
+
+let test_pq_audit_denial_starts_no_session () =
+  (* A denied query returns its Error before any protocol byte is sent:
+     the executor's session counters stay untouched. *)
+  let audit = Psi.Audit.create { Psi.Audit.permissive with Psi.Audit.min_result_size = Some 3 } in
+  let counter snap name = Option.value ~default:0 (Obs.Metrics.find_counter snap name) in
+  Obs.Runtime.with_enabled (fun () ->
+      Obs.Metrics.reset ();
+      (match private_sql ~audit ("select r.email" ^ on_email) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "expected denial");
+      let snap = Obs.Metrics.snapshot () in
+      Alcotest.(check int) "no session op" 0 (counter snap "session.operations");
+      Alcotest.(check int) "no wire bytes" 0 (counter snap "session.wire_bytes");
+      (* The same query without the policy does reach the wire. *)
+      ignore (run_ok ("select r.email" ^ on_email));
+      let snap = Obs.Metrics.snapshot () in
+      Alcotest.(check bool) "counters see an allowed run" true
+        (counter snap "session.operations" = 1 && counter snap "session.wire_bytes" > 0);
+      Obs.Metrics.reset ())
+
+let test_pq_audit_denies_sender_filter_differencing () =
+  (* The receiver writes the sender's filters too: keeping R's set and
+     dropping one S row by a filter would isolate that row by
+     subtraction, so only the unchanged query passes as an exact
+     repeat. Choosing another S join column is denied the same way. *)
+  let audit = Psi.Audit.create { Psi.Audit.permissive with Psi.Audit.max_input_overlap = Some 0.9 } in
+  let allowed sql = Result.is_ok (private_sql ~audit sql) in
+  Alcotest.(check bool) "first query" true (allowed ("select count(*)" ^ on_email));
+  Alcotest.(check bool) "exact repeat" true (allowed ("select count(*)" ^ on_email));
+  Alcotest.(check bool) "other shape, same scope" true (allowed ("select r.email" ^ on_email));
+  Alcotest.(check bool) "one S row filtered out" false
+    (allowed ("select count(*)" ^ on_email ^ " and s.spend > 0"));
+  Alcotest.(check bool) "other S join column" false
+    (allowed "select count(*) from r, s where r.email = s.plan");
+  (* A composite key's R set is not comparable with a single column's. *)
+  match private_sql ~audit "select count(*) from r, s where r.email = s.email and r.region = s.plan" with
+  | Error reason -> Alcotest.(check bool) "composite key refused" true (String.length reason > 0)
+  | Ok _ -> Alcotest.fail "expected a refusal"
 
 let test_pq_missing_column () =
-  Alcotest.(check bool) "raises Not_found" true
-    (try
-       ignore
-         (Psi.Private_query.run cfg (Psi.Private_query.Intersect { attr = "nope" })
-            ~sender:customers_s ~receiver:customers_r ());
-       false
-     with Not_found -> true)
+  match private_sql "select r.nope from r, s where r.nope = s.email" with
+  | Error reason -> Alcotest.(check bool) "names the column" true (String.length reason > 0)
+  | Ok _ -> Alcotest.fail "expected an error"
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate (private equijoin SUM, §7 future work)                    *)
@@ -570,6 +624,10 @@ let () =
           Alcotest.test_case "all specs match oracle" `Quick test_pq_matches_plaintext_all_specs;
           Alcotest.test_case "audit denies over-revealing" `Quick test_pq_audit_denies_over_revealing;
           Alcotest.test_case "audit allows and logs" `Quick test_pq_audit_allows_and_logs;
+          Alcotest.test_case "audit denial starts no session" `Quick
+            test_pq_audit_denial_starts_no_session;
+          Alcotest.test_case "audit denies sender-filter differencing" `Quick
+            test_pq_audit_denies_sender_filter_differencing;
           Alcotest.test_case "missing column" `Quick test_pq_missing_column;
         ] );
       ( "aggregate",

@@ -58,6 +58,8 @@ let test_parse_roundtrip () =
         "SELECT COUNT(*) FROM people GROUP BY city" );
       ( "select sum(amount) as total from orders",
         "SELECT SUM(amount) AS total FROM orders" );
+      ( "select count(distinct o.person) as n from orders o",
+        "SELECT COUNT(DISTINCT o.person) AS n FROM orders o" );
       ( "select * from people, orders where id = person and age > 20",
         "SELECT * FROM people, orders WHERE id = person AND age > 20" );
       ( "select * from people join orders on id = person where amount <> 3",
@@ -89,6 +91,9 @@ let test_parse_errors () =
       "select * from people where age = 'unterminated";
       "select * from people extra garbage";
       "select count(x) from people";
+      "select distinct a from people";
+      "select sum(distinct a) from people";
+      "select count(distinct *) from people";
       "select * from people where age ! 3";
     ]
 
@@ -105,6 +110,7 @@ let fuzz_parser_never_crashes =
             return "="; return "<"; return ">="; return "'txt'"; return "42"; return "-3.5";
             return "tbl"; return "col"; return "sum"; return "count"; return "join";
             return "on"; return "as"; return "null"; return "'"; return "!"; return "@";
+            return "distinct";
           ]
       in
       map (String.concat " ") (list_size (int_range 0 15) atom))
@@ -192,7 +198,12 @@ let test_whole_table_aggregate () =
   check_cells "count none" (keys [ [ Value.Int 0 ] ])
     (run_sql "select count(*) from people where age > 99");
   check_cells "sum none is null" [ [ Value.key Value.Null ] ]
-    (run_sql "select sum(amount) from orders where amount > 99")
+    (run_sql "select sum(amount) from orders where amount > 99");
+  (* COUNT(DISTINCT): NULLs dropped (bo has no age), duplicates once. *)
+  check_cells "count distinct drops nulls" (keys [ [ Value.Int 2 ] ])
+    (run_sql "select count(distinct age) from people");
+  check_cells "count distinct counts duplicates once" (keys [ [ Value.Int 3 ] ])
+    (run_sql "select count(distinct person) from orders")
 
 let test_two_table_join () =
   let t = run_sql "select name, item from people, orders where id = person" in
@@ -289,7 +300,9 @@ let test_private_intersection () =
 
 let test_private_count () =
   check_against_oracle "count(*) = equijoin size"
-    "select count(*) from people, orders where id = person"
+    "select count(*) from people, orders where id = person";
+  check_against_oracle "count(distinct) = intersection size"
+    "select count(distinct id) from people, orders where id = person"
 
 let test_private_sum () =
   check_against_oracle "sum over join"
@@ -310,6 +323,10 @@ let test_private_with_local_filters () =
     "select count(*) from people, orders where id = person and amount > 3";
   check_against_oracle "receiver-side filter"
     "select count(*) from people, orders where id = person and city = 'berlin'";
+  check_against_oracle "intersection size, sender-side filter"
+    "select count(distinct person) from people, orders where id = person and amount > 3";
+  check_against_oracle "intersection size, receiver-side filter"
+    "select count(distinct id) from people, orders where id = person and city = 'berlin'";
   check_against_oracle "filters on both sides"
     "select sum(amount) from people, orders where id = person and city = 'berlin' and amount < 6"
 
@@ -386,12 +403,16 @@ let test_private_join_on_syntax_and_aliases () =
 
 let test_private_explain () =
   let explain sql =
-    match Psi.Sql_private.explain ~sender:orders ~receiver:people ~sql ~sender_name:"orders" ~receiver_name:"people" () with
+    match
+      Psi.Sql_private.explain ~sql ~sender:("orders", orders) ~receiver:("people", people) ()
+    with
     | Ok s -> s
     | Error e -> "ERROR: " ^ e
   in
   Alcotest.(check string) "intersection" "intersection (§3.3)"
     (explain "select p.id from people p, orders o where p.id = o.person");
+  Alcotest.(check string) "intersection size" "intersection size (§5.1)"
+    (explain "select count(distinct o.person) from people p, orders o where p.id = o.person");
   Alcotest.(check string) "size" "equijoin size (§5.2)"
     (explain "select count(*) from people p, orders o where p.id = o.person");
   Alcotest.(check string) "sum" "private equijoin SUM (§7 extension)"
@@ -426,6 +447,10 @@ let test_private_rejections () =
       ("select sum(age) from people, orders where id = person", "sum over receiver column");
       ("select name, count(*) from people, orders where id = person group by name",
         "one-sided group by");
+      ("select count(distinct id) from people, orders where id = person and name = item",
+        "count(distinct) with a composite join key");
+      ("select count(distinct city) from people, orders where id = person",
+        "count(distinct) over a non-join column");
     ]
 
 (* ------------------------------------------------------------------ *)

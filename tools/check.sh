@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 gate: everything builds, every test passes, no build artifacts
-# are tracked, the telemetry, two-process network, and cross-party
-# tracing smoke tests run end to end, psi_lint reports no new findings,
+# are tracked, every example exits 0, the telemetry, two-process
+# network, and cross-party tracing smoke tests run end to end, psi_lint reports no new findings,
 # and the gated rows of the committed BENCH.json hold on a fresh run.
 set -eu
 cd "$(dirname "$0")/.."
@@ -15,6 +15,7 @@ fi
 
 dune build
 dune runtest
+dune build @examples
 dune build @obs-smoke
 dune build @net-smoke
 dune build @service-smoke
