@@ -37,92 +37,75 @@ let sender cfg ~rng ?(key_bits = 512) ~records ep =
   let e_s = Commutative.gen_key cfg.Protocol.group ~rng in
   let pub, sec = Paillier.keygen ~rng ~bits:key_bits in
   (* Step 1: receive Y_R; publish the Paillier key. *)
-  let y_r = Protocol.elements_of (Protocol.recv_tagged ep tag_y_r) in
-  Channel.send ep (Message.make ~tag:tag_pub (Message.Elements [ Paillier.encode_public pub ]));
-  (* Step 2: second layer on R's set, Y_R order. *)
-  let y_r_enc = Protocol.encrypt_encoded_batch cfg ops e_s y_r in
-  Channel.send ep (Message.make ~tag:tag_y_r_enc (Message.Elements y_r_enc));
-  (* Step 3: (f_eS(h(v)), Enc(x_v)) sorted by the first component. *)
-  let hashed = Protocol.hash_values cfg ops (List.map fst grouped) in
+  let y_r = Protocol.recv_elements cfg ep tag_y_r in
+  Protocol.send_one cfg ep ~tag:tag_pub (Paillier.encode_public pub);
+  (* Step 2: second layer on R's set, Y_R order, streamed. *)
+  Protocol.send_encrypted_stream cfg ops e_s ep ~tag:tag_y_r_enc y_r;
+  (* Step 3: (f_eS(h(v)), Enc(x_v)) sorted by the first component. The
+     Paillier encryptions draw from [rng] in value order. *)
+  let enc_x = Hashtbl.create (List.length grouped) in
+  List.iter
+    (fun (v, x) ->
+      Hashtbl.replace enc_x v
+        (Paillier.encode_ciphertext pub (Paillier.encrypt pub ~rng (Nat.of_int x))))
+    grouped;
   let pairs =
-    List.map2
-      (fun (v, x) (v', h) ->
-        assert (String.equal v v');
-        ( Protocol.encode cfg (Protocol.encrypt_elt cfg ops e_s h),
-          Paillier.encode_ciphertext pub (Paillier.encrypt pub ~rng (Nat.of_int x)) ))
-      grouped hashed
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    List.map
+      (fun (y, v) -> (y, Hashtbl.find enc_x v))
+      (Protocol.own_layer cfg ops e_s (List.map fst grouped))
   in
   ops.Protocol.cipher_ops <- ops.Protocol.cipher_ops + List.length grouped;
-  Channel.send ep (Message.make ~tag:tag_pairs (Message.Ciphertext_pairs pairs));
-  (* Step 5: decrypt the blinded aggregate and return the plaintext. *)
-  let blinded =
-    match Protocol.elements_of (Protocol.recv_tagged ep tag_blinded) with
-    | [ c ] -> Paillier.decode_ciphertext pub c
-    | _ -> failwith "protocol error: expected one blinded ciphertext"
-  in
-  let masked_sum = Paillier.decrypt sec blinded in
   Channel.send ep
-    (Message.make ~tag:tag_sum (Message.Elements [ Nat.to_bytes_be masked_sum ]));
+    (Message.make ~tag:(Protocol.scoped cfg tag_pairs) (Message.Ciphertext_pairs pairs));
+  (* Step 5: decrypt the blinded aggregate and return the plaintext. *)
+  let blinded = Paillier.decode_ciphertext pub (Protocol.recv_one cfg ep tag_blinded) in
+  let masked_sum = Paillier.decrypt sec blinded in
+  Protocol.send_one cfg ep ~tag:tag_sum (Nat.to_bytes_be masked_sum);
   { v_r_count = List.length y_r; ops }
 
 let receiver cfg ~rng ~values ep =
   let ops = Protocol.new_ops () in
-  let v_r = Protocol.dedup values in
   let e_r = Commutative.gen_key cfg.Protocol.group ~rng in
-  let encoded =
-    List.combine (Protocol.hash_encrypt_encode cfg ops e_r v_r) v_r
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  Channel.send ep (Message.make ~tag:tag_y_r (Message.Elements (List.map fst encoded)));
-  let pub =
-    match Protocol.elements_of (Protocol.recv_tagged ep tag_pub) with
-    | [ p ] -> Paillier.decode_public p
-    | _ -> failwith "protocol error: expected one public key"
-  in
+  let own = Protocol.own_layer cfg ops e_r (Protocol.dedup values) in
+  Protocol.send_elements_stream cfg ep ~tag:tag_y_r (List.map fst own);
+  let pub = Paillier.decode_public (Protocol.recv_one cfg ep tag_pub) in
   (* Strip our layer to obtain f_eS(h(v)) for our own values. *)
-  let y_r_enc = Protocol.elements_of (Protocol.recv_tagged ep tag_y_r_enc) in
-  if List.length y_r_enc <> List.length encoded then
-    failwith "protocol error: Y_R_enc count mismatch"
-  else begin
-    let index = Hashtbl.create (List.length encoded) in
-    List.iter2
-      (fun z (_, v) ->
-        let fes_h = Protocol.decrypt_elt cfg ops e_r (Protocol.decode cfg z) in
-        Hashtbl.replace index (Protocol.encode cfg fes_h) v)
-      y_r_enc encoded;
-    let pairs = Protocol.pairs_of (Protocol.recv_tagged ep tag_pairs) in
-    let matched =
-      List.filter_map
-        (fun (key_part, ct) ->
-          Option.map (fun v -> (v, ct)) (Hashtbl.find_opt index key_part))
-        pairs
-    in
-    (* Homomorphically sum the matched ciphertexts, blind, and ask S to
-       decrypt. *)
-    let rho = Bignum.Nat_rand.below ~rng (Paillier.modulus pub) in
-    let acc = ref (Paillier.encrypt pub ~rng rho) in
-    List.iter
-      (fun (_, ct) -> acc := Paillier.add pub !acc (Paillier.decode_ciphertext pub ct))
-      matched;
-    ops.Protocol.cipher_ops <- ops.Protocol.cipher_ops + List.length matched + 1;
-    Channel.send ep
-      (Message.make ~tag:tag_blinded
-         (Message.Elements [ Paillier.encode_ciphertext pub !acc ]));
-    let masked_sum =
-      match Protocol.elements_of (Protocol.recv_tagged ep tag_sum) with
-      | [ s ] -> Nat.of_bytes_be s
-      | _ -> failwith "protocol error: expected one sum"
-    in
-    let n = Paillier.modulus pub in
-    let sum = Bignum.Modular.sub (Nat.rem masked_sum n) rho n in
-    {
-      intersection = List.sort String.compare (List.map fst matched);
-      sum = Nat.to_int_exn sum;
-      v_s_count = List.length pairs;
-      ops;
-    }
-  end
+  let y_r_enc =
+    Protocol.expect_count tag_y_r_enc (List.length own)
+      (Protocol.recv_elements cfg ep tag_y_r_enc)
+  in
+  let fes_hs =
+    Obs.Span.with_ "encrypt-peer"
+      ~attrs:[ ("n", string_of_int (List.length y_r_enc)) ]
+      (fun () -> Protocol.decrypt_encoded_batch cfg ops e_r y_r_enc)
+  in
+  let pairs = Protocol.recv_pairs cfg ep tag_pairs in
+  let matched =
+    Obs.Span.with_ "match" (fun () ->
+        let index = Hashtbl.create (List.length own) in
+        List.iter2 (fun fes_h (_, v) -> Hashtbl.replace index fes_h v) fes_hs own;
+        List.filter_map
+          (fun (key_part, ct) -> Option.map (fun v -> (v, ct)) (Hashtbl.find_opt index key_part))
+          pairs)
+  in
+  (* Homomorphically sum the matched ciphertexts, blind, and ask S to
+     decrypt. *)
+  let rho = Bignum.Nat_rand.below ~rng (Paillier.modulus pub) in
+  let acc = ref (Paillier.encrypt pub ~rng rho) in
+  List.iter
+    (fun (_, ct) -> acc := Paillier.add pub !acc (Paillier.decode_ciphertext pub ct))
+    matched;
+  ops.Protocol.cipher_ops <- ops.Protocol.cipher_ops + List.length matched + 1;
+  Protocol.send_one cfg ep ~tag:tag_blinded (Paillier.encode_ciphertext pub !acc);
+  let masked_sum = Nat.of_bytes_be (Protocol.recv_one cfg ep tag_sum) in
+  let n = Paillier.modulus pub in
+  let sum = Bignum.Modular.sub (Nat.rem masked_sum n) rho n in
+  {
+    intersection = List.sort String.compare (List.map fst matched);
+    sum = Nat.to_int_exn sum;
+    v_s_count = List.length pairs;
+    ops;
+  }
 
 let exact_ops ~v_s ~v_r ~intersection =
   (v_s + v_r, v_s + (3 * v_r), v_s + intersection + 1)

@@ -77,7 +77,7 @@ let sender cfg ~rng ~records ep =
   let e_s = Commutative.gen_key cfg.Protocol.group ~rng in
   let e_s' = Commutative.gen_key cfg.Protocol.group ~rng in
   (* Step 3: receive Y_R. *)
-  let y_r = Protocol.elements_of (Protocol.recv_tagged ep (Protocol.scoped cfg tag_y_r)) in
+  let y_r = Protocol.recv_elements cfg ep tag_y_r in
   (* Step 4: double-encrypt each y under e_S and e'_S, Y_R order.
      Streamed: each chunk is encrypted across the pool while the
      previous chunk is on the wire. The counting batch helpers also
@@ -86,7 +86,7 @@ let sender cfg ~rng ~records ep =
   Obs.Span.with_ "encrypt-peer"
     ~attrs:[ ("n", string_of_int (List.length y_r)) ]
     (fun () ->
-      Protocol.send_pairs_stream cfg ep ~tag:(Protocol.scoped cfg tag_pairs)
+      Protocol.send_pairs_stream cfg ep ~tag:tag_pairs
         ~of_chunk:(fun ys ->
           (* Pulled inside the channel's wire/send span: bill it here. *)
           Obs.Span.with_ "encrypt-peer" (fun () ->
@@ -136,56 +136,48 @@ let sender cfg ~rng ~records ep =
 let receiver cfg ~rng ~values ep =
   Obs.Span.with_ "equijoin/receiver" @@ fun () ->
   let ops = Protocol.new_ops () in
-  let v_r = Protocol.dedup values in
   let e_r = Commutative.gen_key cfg.Protocol.group ~rng in
-  let encoded =
-    List.combine (Protocol.hash_encrypt_encode cfg ops e_r v_r) v_r
-    |> fun ps ->
-    Obs.Span.with_ "reorder" (fun () ->
-        List.sort (fun (a, _) (b, _) -> String.compare a b) ps)
-  in
-  Protocol.send_elements_stream cfg ep ~tag:(Protocol.scoped cfg tag_y_r) (List.map fst encoded);
+  let own = Protocol.own_layer cfg ops e_r (Protocol.dedup values) in
+  Protocol.send_elements_stream cfg ep ~tag:tag_y_r (List.map fst own);
   (* Step 6: peel our own layer off both components; position i of the
      pair list corresponds to our i-th sorted Y_R entry. *)
-  let pairs = Protocol.pairs_of (Protocol.recv_tagged ep (Protocol.scoped cfg tag_pairs)) in
-  if List.length pairs <> List.length encoded then
-    failwith "protocol error: pairs count mismatch"
-  else begin
-    let keyed =
-      Obs.Span.with_ "encrypt-peer"
-        ~attrs:[ ("n", string_of_int (List.length pairs)) ]
-        (fun () ->
-          let fes_hs = Protocol.decrypt_encoded_batch cfg ops e_r (List.map fst pairs) in
-          let kappas = Protocol.decrypt_encoded_batch cfg ops e_r (List.map snd pairs) in
-          List.map2
-            (fun ((_, v), fes_h) kappa -> (Protocol.encode cfg fes_h, (v, kappa)))
-            (List.combine encoded fes_hs)
-            kappas)
-    in
-    let index = Hashtbl.create (List.length keyed) in
-    List.iter (fun (k, vk) -> Hashtbl.replace index k vk) keyed;
-    (* Step 7: match S's ext pairs against our keys and decrypt. *)
-    let ext_pairs = Protocol.pairs_of (Protocol.recv_tagged ep (Protocol.scoped cfg tag_ext)) in
-    Obs.Span.with_ "match"
-      ~attrs:[ ("n", string_of_int (List.length ext_pairs)) ]
-    @@ fun () ->
-    let matches = ref [] in
-    let collisions = ref [] in
-    List.iter
-      (fun (key_part, ciphertext) ->
-        match Hashtbl.find_opt index key_part with
-        | None -> ()
-        | Some (v, kappa) -> (
-            match decode_ext (decrypt_ext cfg ops ~kappa ciphertext) with
-            | v', records when String.equal v v' -> matches := (v, records) :: !matches
-            | _ -> collisions := v :: !collisions
-            | exception (Buf.Parse_error _ | Invalid_argument _) ->
-                collisions := v :: !collisions))
-      ext_pairs;
-    {
-      matches = List.sort (fun (a, _) (b, _) -> String.compare a b) !matches;
-      v_s_count = List.length ext_pairs;
-      collisions = List.sort String.compare !collisions;
-      ops;
-    }
-  end
+  let pairs =
+    Protocol.expect_count tag_pairs (List.length own) (Protocol.recv_pairs cfg ep tag_pairs)
+  in
+  let keyed =
+    Obs.Span.with_ "encrypt-peer"
+      ~attrs:[ ("n", string_of_int (List.length pairs)) ]
+      (fun () ->
+        let fes_hs = Protocol.decrypt_encoded_batch cfg ops e_r (List.map fst pairs) in
+        let kappas = Protocol.decrypt_encoded_batch cfg ops e_r (List.map snd pairs) in
+        List.map2
+          (fun ((_, v), fes_h) kappa -> (fes_h, (v, Protocol.decode cfg kappa)))
+          (List.combine own fes_hs)
+          kappas)
+  in
+  let index = Hashtbl.create (List.length keyed) in
+  List.iter (fun (k, vk) -> Hashtbl.replace index k vk) keyed;
+  (* Step 7: match S's ext pairs against our keys and decrypt. *)
+  let ext_pairs = Protocol.recv_pairs cfg ep tag_ext in
+  Obs.Span.with_ "match"
+    ~attrs:[ ("n", string_of_int (List.length ext_pairs)) ]
+  @@ fun () ->
+  let matches = ref [] in
+  let collisions = ref [] in
+  List.iter
+    (fun (key_part, ciphertext) ->
+      match Hashtbl.find_opt index key_part with
+      | None -> ()
+      | Some (v, kappa) -> (
+          match decode_ext (decrypt_ext cfg ops ~kappa ciphertext) with
+          | v', records when String.equal v v' -> matches := (v, records) :: !matches
+          | _ -> collisions := v :: !collisions
+          | exception (Buf.Parse_error _ | Invalid_argument _) ->
+              collisions := v :: !collisions))
+    ext_pairs;
+  {
+    matches = List.sort (fun (a, _) (b, _) -> String.compare a b) !matches;
+    v_s_count = List.length ext_pairs;
+    collisions = List.sort String.compare !collisions;
+    ops;
+  }

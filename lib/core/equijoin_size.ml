@@ -1,5 +1,3 @@
-module Message = Wire.Message
-module Channel = Wire.Channel
 module Commutative = Crypto.Commutative
 
 type sender_report = {
@@ -33,38 +31,34 @@ let duplicate_distribution encoded =
   Hashtbl.fold (fun d n acc -> (d, n) :: acc) tbl []
   |> List.sort (fun (d1, _) (d2, _) -> Int.compare d1 d2)
 
-(* Encrypt a multiset: one real exponentiation per distinct element,
-   replicated by multiplicity (the honest op count). *)
-let encrypt_multiset cfg ops key encoded =
+(* Each distinct item's image, repeated by the item's multiplicity in
+   [m]: one real exponentiation per distinct element (the honest op
+   count). *)
+let replicate m distinct images =
+  List.concat (List.map2 (fun s c -> List.init (Sset.Multi.count m s) (fun _ -> c)) distinct images)
+
+(* Steps 1-2 on a multiset: the own layer of each distinct value,
+   repeated. It comes sorted, so the copies stay adjacent and in order. *)
+let own_multiset cfg ops key values =
+  let m = Sset.Multi.of_list values in
+  let own = Protocol.own_layer cfg ops key (Sset.Multi.distinct m) in
+  replicate m (List.map snd own) (List.map fst own)
+
+let peer_multiset cfg ops key encoded =
   let m = Sset.Multi.of_list encoded in
   let distinct = Sset.Multi.distinct m in
-  Protocol.encrypt_encoded_batch cfg ops key distinct
-  |> List.map2 (fun s c -> List.init (Sset.Multi.count m s) (fun _ -> c)) distinct
-  |> List.concat
-
-let hash_and_encrypt_multiset cfg ops key values =
-  (* Hash/encrypt each distinct value once, then replicate. *)
-  let m = Sset.Multi.of_list values in
-  let distinct = Sset.Multi.distinct m in
-  Protocol.hash_encrypt_encode cfg ops key distinct
-  |> List.map2 (fun v c -> List.init (Sset.Multi.count m v) (fun _ -> c)) distinct
-  |> List.concat
-  |> fun encoded -> Obs.Span.with_ "reorder" (fun () -> Protocol.sort_encoded encoded)
+  replicate m distinct (Protocol.peer_layer cfg ops key distinct)
 
 let sender cfg ~rng ~values ep =
   Obs.Span.with_ "equijoin_size/sender" @@ fun () ->
   let ops = Protocol.new_ops () in
   let e_s = Commutative.gen_key cfg.Protocol.group ~rng in
-  let y_s = hash_and_encrypt_multiset cfg ops e_s values in
-  let y_r = Protocol.elements_of (Protocol.recv_tagged ep (Protocol.scoped cfg tag_y_r)) in
-  Protocol.send_elements_stream cfg ep ~tag:(Protocol.scoped cfg tag_y_s) y_s;
-  let z_r =
-    Obs.Span.with_ "encrypt-peer"
-      ~attrs:[ ("n", string_of_int (List.length y_r)) ]
-      (fun () -> encrypt_multiset cfg ops e_s y_r)
-    |> fun es -> Obs.Span.with_ "reorder" (fun () -> Protocol.sort_encoded es)
-  in
-  Protocol.send_elements_stream cfg ep ~tag:(Protocol.scoped cfg tag_z_r) z_r;
+  let y_s = own_multiset cfg ops e_s values in
+  let y_r = Protocol.recv_elements cfg ep tag_y_r in
+  Protocol.send_elements_stream cfg ep ~tag:tag_y_s y_s;
+  let z_r = peer_multiset cfg ops e_s y_r in
+  Protocol.send_elements_stream cfg ep ~tag:tag_z_r
+    (Obs.Span.with_ "reorder" (fun () -> Protocol.sort_encoded z_r));
   {
     v_r_multiset_size = List.length y_r;
     r_duplicate_distribution = duplicate_distribution y_r;
@@ -75,15 +69,10 @@ let receiver cfg ~rng ~values ep =
   Obs.Span.with_ "equijoin_size/receiver" @@ fun () ->
   let ops = Protocol.new_ops () in
   let e_r = Commutative.gen_key cfg.Protocol.group ~rng in
-  let y_r = hash_and_encrypt_multiset cfg ops e_r values in
-  Protocol.send_elements_stream cfg ep ~tag:(Protocol.scoped cfg tag_y_r) y_r;
-  let y_s = Protocol.elements_of (Protocol.recv_tagged ep (Protocol.scoped cfg tag_y_s)) in
-  let z_s =
-    Obs.Span.with_ "encrypt-peer"
-      ~attrs:[ ("n", string_of_int (List.length y_s)) ]
-      (fun () -> Sset.Multi.of_list (encrypt_multiset cfg ops e_r y_s))
-  in
-  let z_r = Sset.Multi.of_list (Protocol.elements_of (Protocol.recv_tagged ep (Protocol.scoped cfg tag_z_r))) in
+  Protocol.send_elements_stream cfg ep ~tag:tag_y_r (own_multiset cfg ops e_r values);
+  let y_s = Protocol.recv_elements cfg ep tag_y_s in
+  let z_s = Sset.Multi.of_list (peer_multiset cfg ops e_r y_s) in
+  let z_r = Sset.Multi.of_list (Protocol.recv_elements cfg ep tag_z_r) in
   let join_size = Obs.Span.with_ "match" (fun () -> Sset.Multi.join_size z_s z_r) in
   (* §5.2 leakage, reconstructed from R's own view: bucket the distinct
      double encryptions by (d = multiplicity in Z_R, d' = in Z_S). *)

@@ -89,11 +89,12 @@ let check_distinct cmp xs =
 let encode cfg x = Group.encode_elt cfg.group x
 let decode cfg s = Group.decode_elt cfg.group s
 
-(* Per-element crypto work through the session's cache: plain
-   [compute ss] without one. With one, [ss] are inputs of the cache's
-   [(ns, key_fp)] slice and [compute] sees only the misses, so the ops
-   tallies it keeps count the work actually done — the quantity the
-   amortized Ce·|Δ| model is checked against. *)
+(* Per-element crypto work, on encodings, through the session's cache:
+   plain [compute ss] without one. With one, [ss] are inputs of the
+   cache's [(ns, key_fp)] slice and [compute] sees only the misses, so
+   the ops tallies it keeps count the work actually done — the quantity
+   the amortized Ce·|Δ| model is checked against. Every step below
+   takes this one path, cache or not. *)
 let through cfg ~ns ~key_fp compute ss =
   match cfg.ecache with
   | None -> compute ss
@@ -106,57 +107,38 @@ let through cfg ~ns ~key_fp compute ss =
    keyed by the key fingerprint, so a `Fresh exponent misses everything
    and a cached ciphertext is only ever served under the key that made
    it. *)
-let hash_elts cfg ops vs =
-  ops.hashes <- ops.hashes + List.length vs;
-  Hash_to_group.hash_batch ?pool:(pool_of cfg) cfg.group ~domain:cfg.domain vs
-
 let hash_encoded cfg ops vs =
   through cfg ~ns:("h2g:" ^ cfg.domain) ~key_fp:""
-    (fun vs -> List.map (encode cfg) (hash_elts cfg ops vs))
+    (fun vs ->
+      ops.hashes <- ops.hashes + List.length vs;
+      List.map (encode cfg)
+        (Hash_to_group.hash_batch ?pool:(pool_of cfg) cfg.group ~domain:cfg.domain vs))
     vs
-
-let encrypt_elts cfg ops key xs =
-  ops.encryptions <- ops.encryptions + List.length xs;
-  Commutative.encrypt_batch ?pool:(pool_of cfg) cfg.group key xs
-
-let decrypt_elts cfg ops key xs =
-  ops.encryptions <- ops.encryptions + List.length xs;
-  Commutative.decrypt_batch ?pool:(pool_of cfg) cfg.group key xs
 
 let encrypt_encoded cfg ops key ss =
   through cfg ~ns:"enc" ~key_fp:(Commutative.fingerprint key)
-    (fun ss -> List.map (encode cfg) (encrypt_elts cfg ops key (List.map (decode cfg) ss)))
+    (fun ss ->
+      ops.encryptions <- ops.encryptions + List.length ss;
+      List.map (encode cfg)
+        (Commutative.encrypt_batch ?pool:(pool_of cfg) cfg.group key (List.map (decode cfg) ss)))
     ss
 
 let decrypt_encoded cfg ops key ss =
   through cfg ~ns:"dec" ~key_fp:(Commutative.fingerprint key)
-    (fun ss -> List.map (encode cfg) (decrypt_elts cfg ops key (List.map (decode cfg) ss)))
+    (fun ss ->
+      ops.encryptions <- ops.encryptions + List.length ss;
+      List.map (encode cfg)
+        (Commutative.decrypt_batch ?pool:(pool_of cfg) cfg.group key (List.map (decode cfg) ss)))
     ss
 
-(* The element-valued entry points. The cache holds encodings only, so
-   it is the cached path that encodes and decodes here; without a cache
-   the elements go straight through. *)
+(* The element-valued entry points, over the encoded steps. *)
 let hash_values cfg ops vs =
-  let hs =
-    match cfg.ecache with
-    | None -> hash_elts cfg ops vs
-    | Some _ -> List.map (decode cfg) (hash_encoded cfg ops vs)
-  in
-  check_distinct Bignum.Nat.compare hs;
-  List.combine vs hs
+  let hs = hash_encoded cfg ops vs in
+  check_distinct String.compare hs;
+  List.combine vs (List.map (decode cfg) hs)
 
 let encrypt_batch cfg ops key xs =
-  match cfg.ecache with
-  | None -> encrypt_elts cfg ops key xs
-  | Some _ -> List.map (decode cfg) (encrypt_encoded cfg ops key (List.map (encode cfg) xs))
-
-let encrypt_elt cfg ops key x =
-  ops.encryptions <- ops.encryptions + 1;
-  Commutative.encrypt cfg.group key x
-
-let decrypt_elt cfg ops key y =
-  ops.encryptions <- ops.encryptions + 1;
-  Commutative.decrypt cfg.group key y
+  List.map (decode cfg) (encrypt_encoded cfg ops key (List.map (encode cfg) xs))
 
 (* Run [f] over [xs] a slice at a time, in order, on the calling
    thread: what [f] allocates for one slice (hashes, decoded elements,
@@ -168,37 +150,36 @@ let in_slices cfg f xs =
   let workers = match pool_of cfg with None -> 1 | Some pool -> Parallel.Pool.size pool in
   Parallel.Pool.map_chunks_seq ~chunk:(workers * Parallel.Pool.default_chunk) f xs
 
-(* Steps 1-2 on a party's own (distinct) values: f_key(h(v)), encoded,
-   for each v in order, a slice at a time. With a cache the hash
-   slice's encodings feed the encryption slice as they are, so no hit
-   is decoded or re-encoded. The collision check sorts the encodings
-   rather than the hashes; f_key permutes QR_p, so two values share a
-   hash iff they share an encoding. *)
-let hash_encrypt_encode cfg ops key vs =
+let encrypt_encoded_batch cfg ops key ss = in_slices cfg (encrypt_encoded cfg ops key) ss
+let decrypt_encoded_batch cfg ops key ss = in_slices cfg (decrypt_encoded cfg ops key) ss
+let sort_encoded ss = List.sort String.compare ss
+
+(* The opening every two-party protocol shares, steps 1-2 on a party's
+   own (distinct) values: f_key(h(v)), encoded, a slice at a time (the
+   hash slice's encodings feed the encryption slice as they are), then
+   reordered lexicographically (§3.3 footnote 3: the order must not
+   reveal which value is which). Each encoding keeps its value beside
+   it for the party's own matching step. The collision check sorts the
+   encodings rather than the hashes; f_key permutes QR_p, so two values
+   share a hash iff they share an encoding. *)
+let own_layer cfg ops key vs =
+  Obs.Span.with_ "own-set" @@ fun () ->
   let es =
     in_slices cfg
       (fun s ->
-        match cfg.ecache with
-        | None ->
-            let hs = Obs.Span.with_ "hash" (fun () -> hash_elts cfg ops s) in
-            Obs.Span.with_ "encrypt-own" (fun () ->
-                List.map (encode cfg) (encrypt_elts cfg ops key hs))
-        | Some _ ->
-            let hs = Obs.Span.with_ "hash" (fun () -> hash_encoded cfg ops s) in
-            Obs.Span.with_ "encrypt-own" (fun () -> encrypt_encoded cfg ops key hs))
+        let hs = Obs.Span.with_ "hash" (fun () -> hash_encoded cfg ops s) in
+        Obs.Span.with_ "encrypt-own" (fun () -> encrypt_encoded cfg ops key hs))
       vs
   in
   check_distinct String.compare es;
-  es
+  Obs.Span.with_ "reorder" (fun () ->
+      List.sort (fun (a, _) (b, _) -> String.compare a b) (List.combine es vs))
 
-let encrypt_encoded_batch cfg ops key ss = in_slices cfg (encrypt_encoded cfg ops key) ss
-
-let decrypt_encoded_batch cfg ops key ss =
-  match cfg.ecache with
-  | None -> decrypt_elts cfg ops key (List.map (decode cfg) ss)
-  | Some _ -> List.map (decode cfg) (decrypt_encoded cfg ops key ss)
-
-let sort_encoded ss = List.sort String.compare ss
+(* f_key over the peer's list, in its order. *)
+let peer_layer cfg ops key ys =
+  Obs.Span.with_ "encrypt-peer"
+    ~attrs:[ ("n", string_of_int (List.length ys)) ]
+    (fun () -> encrypt_encoded_batch cfg ops key ys)
 
 let rec is_sorted = function
   | [] | [ _ ] -> true
@@ -233,13 +214,14 @@ let chunked_producer xs ~of_chunk =
         rest := tl;
         Some (of_chunk chunk)
 
-(* Stream [Elements] under [tag]: each encoded element of [ss] is
-   re-encrypted (order-preserving) chunk by chunk as the transport
+(* The peer layer, streamed under [tag]: each encoded element of [ss]
+   is re-encrypted (order-preserving) chunk by chunk as the transport
    drains the previous chunk. The channel pulls chunks from inside its
    [wire/send] span, so each chunk's encryption opens its own
    [encrypt-peer] span: the trace bills it to crypto, not the wire. *)
 let send_encrypted_stream cfg ops key ep ~tag ss =
-  Wire.Channel.send_elements_stream ep ~tag
+  Obs.Span.with_ "encrypt-peer" ~attrs:[ ("n", string_of_int (List.length ss)) ] @@ fun () ->
+  Wire.Channel.send_elements_stream ep ~tag:(scoped cfg tag)
     ~width:(Group.element_bytes cfg.group)
     ~count:(List.length ss)
     (chunked_producer ss ~of_chunk:(fun chunk ->
@@ -249,18 +231,22 @@ let send_encrypted_stream cfg ops key ep ~tag ss =
    for sends whose shuffle point forces the whole batch to exist
    before the first byte may leave). *)
 let send_elements_stream cfg ep ~tag ss =
-  Wire.Channel.send_elements_stream ep ~tag
+  Wire.Channel.send_elements_stream ep ~tag:(scoped cfg tag)
     ~width:(Group.element_bytes cfg.group)
     ~count:(List.length ss)
     (chunked_producer ss ~of_chunk:(fun c -> c))
 
 (* Streamed [Element_pairs] with a per-chunk transform. *)
 let send_pairs_stream cfg ep ~tag ~of_chunk ps =
-  Wire.Channel.send_pairs_stream ep ~tag
+  Wire.Channel.send_pairs_stream ep ~tag:(scoped cfg tag)
     ~width:(Group.element_bytes cfg.group)
     ~count:(List.length ps)
     (chunked_producer ps ~of_chunk)
 
+(* One item as a one-element [Elements] message: a key, a blinded
+   ciphertext, a sum. *)
+let send_one cfg ep ~tag x =
+  Wire.Channel.send ep (Wire.Message.make ~tag:(scoped cfg tag) (Wire.Message.Elements [ x ]))
 
 let recv_tagged ep tag =
   let m = Wire.Channel.recv ep in
@@ -280,8 +266,20 @@ let pairs_of = function
   | Wire.Message.Elements _ | Wire.Message.Element_triples _ ->
       failwith "protocol error: expected a pair list"
 
-let triples_of = function
-  | Wire.Message.Element_triples ts -> ts
-  | Wire.Message.Elements _ | Wire.Message.Element_pairs _
-  | Wire.Message.Ciphertext_pairs _ ->
-      failwith "protocol error: expected a triple list"
+(* The protocol modules' receives: each scopes its tag and checks the
+   payload's shape, so a malformed peer fails here and nowhere else. *)
+let recv_elements cfg ep tag = elements_of (recv_tagged ep (scoped cfg tag))
+let recv_pairs cfg ep tag = pairs_of (recv_tagged ep (scoped cfg tag))
+
+let recv_one cfg ep tag =
+  match recv_elements cfg ep tag with
+  | [ x ] -> x
+  | xs ->
+      failwith
+        (Printf.sprintf "protocol error: %s: expected one item, got %d" tag (List.length xs))
+
+let expect_count tag n xs =
+  let got = List.length xs in
+  if got <> n then
+    failwith (Printf.sprintf "protocol error: %s count mismatch (expected %d, got %d)" tag n got)
+  else xs

@@ -1,12 +1,16 @@
 (** Shared machinery for the four protocols of Agrawal, Evfimievski &
-    Srikant (SIGMOD 2003).
+    Srikant (SIGMOD 2003) and the intersection-sum [Aggregate].
 
     Values are arbitrary strings (the join-attribute values [V] of the
     paper). Each party hashes its values into [QR_p] (random-oracle
     style), encrypts them under a private commutative-encryption key, and
     ships {e lexicographically reordered} encodings — the reordering is
     load-bearing for security (§3.3 footnote 3) and the test suite
-    asserts it on every transcript. *)
+    asserts it on every transcript.
+
+    Every two-party protocol opens the same way ({!own_layer}: [R]
+    sends [Y_R]) and puts its key on the peer's list ({!peer_layer});
+    the protocol modules keep only what they do with the result. *)
 
 module Group = Crypto.Group
 
@@ -24,13 +28,13 @@ type config = {
           values is trivially parallelizable"); realized with OCaml 5
           domains *)
   ecache : Ecache.t option;
-      (** persistent per-element crypto-work cache. When set, each
-          slice of the bulk hash, encrypt and decrypt steps goes
-          through one {!Ecache.batch} call, on wire encodings: only the
-          misses are computed (and tick an ops counter), making a
-          repeat run cost [Ce·|Δ|]; results are byte-identical to a
-          cold run. [None] (the default) runs every step on group
-          elements, with no cache code on the path. *)
+      (** persistent per-element crypto-work cache. The bulk hash,
+          encrypt and decrypt steps work on wire encodings, cache or
+          not. When set, each slice of them goes through one
+          {!Ecache.batch} call: only the misses are computed (and tick
+          an ops counter), making a repeat run cost [Ce·|Δ|]; results
+          are byte-identical to a cold run. [None] (the default)
+          computes every slice. *)
   scope : string;
       (** message-tag namespace prefix. [""] (the default) leaves every
           wire tag exactly as before; a sharded sub-protocol sets e.g.
@@ -89,8 +93,11 @@ val record_run : op:string -> ops:ops -> [ `Receiver of int * int | `Sender of i
     ({!Wire.Runner.run_on}) with their own streams split from [drbg]:
     ["sender"] first, then ["receiver"] (["sender#<a>"]/["receiver#<a>"]
     with [~attempt:a]). [endpoints] defaults to a fresh memory channel.
-    The session executor uses it, as do the entry points that stay
-    outside it ([Aggregate.run], [Intersection_size.run_to_third_party]). *)
+    The session executor ({!Shard}) runs every operation through it.
+    [Aggregate.run] and [Intersection_size.run_to_third_party] stay
+    outside the executor and call it directly; the latter runs the
+    two-party size protocol's halves, [S] up to [Z_R] and [R] up to
+    [Z_S]. *)
 val launch :
   ?endpoints:Wire.Channel.endpoint * Wire.Channel.endpoint ->
   ?attempt:int ->
@@ -105,18 +112,27 @@ val launch :
     values (without duplicates) that occur in [T.A]". *)
 val dedup : string list -> string list
 
-(** [hash_values cfg ops vs] is [(v, h(v))] for each [v] (parallel per
-    [cfg.workers]). *)
-val hash_values : config -> ops -> string list -> (string * Group.elt) list
+(** [own_layer cfg ops key vs] is steps 1–2 on a party's own distinct
+    values [vs]: each is hashed into [QR_p], encrypted under [key] and
+    encoded, and the encodings are sorted, each beside its value:
+    [(encoding of f_key(h v), v)] in lexicographic order of the
+    encoding. Counts [length vs] hashes and encryptions; works a slice
+    at a time, so the hashes and ciphertexts of the whole set never
+    exist at once.
+    Spans: [own-set], around one [hash] and one [encrypt-own] per
+    slice, then [reorder].
+    @raise Failure if two values hash alike (§3.2.2 collision check). *)
+val own_layer :
+  config -> ops -> Crypto.Commutative.key -> string list -> (string * string) list
 
-(** [hash_encrypt_encode cfg ops key vs] is the encoding of
-    [f_key (h v)] for each of the distinct values [vs], in order:
-    [List.map (encode cfg) (encrypt_batch cfg ops key (List.map snd
-    (hash_values cfg ops vs)))], with the same counts and the same
-    collision check, run a slice of the values at a time so that the
-    hashes and ciphertexts of the whole set never exist at once. *)
-val hash_encrypt_encode :
-  config -> ops -> Crypto.Commutative.key -> string list -> string list
+(** [peer_layer cfg ops key ys] is [f_key] over the peer's list [ys]
+    of encodings, in its order, in an [encrypt-peer] span. Counts
+    [length ys] encryptions. *)
+val peer_layer : config -> ops -> Crypto.Commutative.key -> string list -> string list
+
+(** [hash_values cfg ops vs] is [(v, h(v))] for each [v] (parallel per
+    [cfg.workers]), with the collision check of {!own_layer}. *)
+val hash_values : config -> ops -> string list -> (string * Group.elt) list
 
 (** [encrypt_batch cfg ops key xs] encrypts each element (parallel per
     [cfg.workers]) and counts [length xs] encryptions. *)
@@ -130,13 +146,7 @@ val encrypt_encoded_batch :
 
 (** [decrypt_encoded_batch cfg ops key ss] is the inverse direction. *)
 val decrypt_encoded_batch :
-  config -> ops -> Crypto.Commutative.key -> string list -> Group.elt list
-
-(** [encrypt_elt cfg ops key x] applies [f_e] and counts one [Ce]. *)
-val encrypt_elt : config -> ops -> Crypto.Commutative.key -> Group.elt -> Group.elt
-
-(** [decrypt_elt cfg ops key y] applies [f_e^-1] and counts one [Ce]. *)
-val decrypt_elt : config -> ops -> Crypto.Commutative.key -> Group.elt -> Group.elt
+  config -> ops -> Crypto.Commutative.key -> string list -> string list
 
 (** [sort_encoded ss] reorders encodings lexicographically. *)
 val sort_encoded : string list -> string list
@@ -146,15 +156,17 @@ val sort_encoded : string list -> string list
     Chunked producers over {!Wire.Channel.send_elements_stream}: the
     frame on the wire is byte-identical to the equivalent batch send
     (same items, same order), so leakage shapes are unchanged — only
-    the production schedule overlaps compute with I/O. *)
+    the production schedule overlaps compute with I/O. Each send
+    scopes its [tag] ({!scoped}). *)
 
 (** Elements per streamed chunk (64). *)
 val stream_chunk : int
 
-(** [send_encrypted_stream cfg ops key ep ~tag ss] encrypts each
-    wire-encoded element of [ss] under [key] ({e order-preserving})
-    and streams the results: chunk [k+1] is encrypted across the pool
-    while chunk [k] is on the wire. Counts [length ss] encryptions. *)
+(** [send_encrypted_stream cfg ops key ep ~tag ss] is {!peer_layer}
+    streamed: it encrypts each wire-encoded element of [ss] under [key]
+    ({e order-preserving}) and sends the results, chunk [k+1] encrypted
+    across the pool while chunk [k] is on the wire. Counts [length ss]
+    encryptions, in an [encrypt-peer] span. *)
 val send_encrypted_stream :
   config ->
   ops ->
@@ -182,6 +194,10 @@ val send_pairs_stream :
   'a list ->
   unit
 
+(** [send_one cfg ep ~tag x] sends the one item [x] (a key, a
+    ciphertext, a sum) as an [Elements] message. *)
+val send_one : config -> Wire.Channel.endpoint -> tag:string -> string -> unit
+
 (** [is_sorted ss] checks lexicographic (non-strict) order — used by the
     security tests on transcripts. *)
 val is_sorted : string list -> bool
@@ -193,9 +209,26 @@ val decode : config -> string -> Group.elt
     @raise Failure on tag mismatch (protocol error). *)
 val recv_tagged : Wire.Channel.endpoint -> string -> Wire.Message.payload
 
-(** [elements_of payload] / [pairs_of payload] / [triples_of payload]
-    project a payload, raising [Failure] on shape mismatch. *)
+(** [elements_of payload] projects an [Elements] payload.
+    @raise Failure on another shape. *)
 val elements_of : Wire.Message.payload -> string list
 
-val pairs_of : Wire.Message.payload -> (string * string) list
-val triples_of : Wire.Message.payload -> (string * string * string) list
+(** {1 Checked receives}
+
+    The protocol modules receive through these: each scopes its tag
+    ({!scoped}) and checks the payload, raising [Failure] on a wrong
+    tag, a wrong shape or a wrong count. *)
+
+(** [recv_elements cfg ep tag] is the element list of the next message. *)
+val recv_elements : config -> Wire.Channel.endpoint -> string -> string list
+
+(** [recv_pairs cfg ep tag] is the pair list ([Element_pairs] or
+    [Ciphertext_pairs]) of the next message. *)
+val recv_pairs : config -> Wire.Channel.endpoint -> string -> (string * string) list
+
+(** [recv_one cfg ep tag] is the single item of the next message. *)
+val recv_one : config -> Wire.Channel.endpoint -> string -> string
+
+(** [expect_count tag n xs] is [xs] if it has [n] items — the peer's
+    answer to our [n]-item list under [tag]. *)
+val expect_count : string -> int -> 'a list -> 'a list

@@ -216,18 +216,6 @@ type shape =
   | Sh_join of { fields : join_field list; out_names : string list }
   | Sh_group_by of { r_class : string; s_class : string; names : string * string * string }
 
-let item_out_name default = function
-  | Sql.Column (_, Some a)
-  | Sql.Count_star (Some a)
-  | Sql.Count_distinct (_, Some a)
-  | Sql.Sum (_, Some a) ->
-      a
-  | Sql.Column (Sql.Col (_, c), None) -> c
-  | Sql.Column (Sql.Lit _, None) | Sql.Star -> default
-  | Sql.Count_star None | Sql.Count_distinct (_, None) -> "count"
-  | Sql.Sum (Sql.Col (_, c), None) -> "sum_" ^ c
-  | Sql.Sum (Sql.Lit _, None) -> default
-
 let index_in l x =
   let rec go i = function
     | [] -> None
@@ -236,6 +224,10 @@ let index_in l x =
   in
   go 0 l
 
+(* Answer columns are named by [Sql.item_name], as the plaintext
+   evaluator names them. Every item named here has passed [side] or its
+   own pattern, so it is no literal and no [*], and the index (which only
+   a literal's name shows) is 0. *)
 let recognize a ~r_schema ~s_schema =
   let q = a.query in
   let side e =
@@ -249,18 +241,18 @@ let recognize a ~r_schema ~s_schema =
     | S_side, c -> index_in a.s_join_cols c
   in
   match (q.Sql.select, q.Sql.group_by) with
-  | [ (Sql.Count_star _ as itm) ], [] -> Sh_join_size (item_out_name "count" itm)
+  | [ (Sql.Count_star _ as itm) ], [] -> Sh_join_size (Sql.item_name itm 0)
   | [ (Sql.Count_distinct (e, _) as itm) ], [] -> (
       (* |V_R ∩ V_S|: the distinct values of the one join column. *)
       match (a.r_join_cols, join_index (side e)) with
-      | [ _ ], Some 0 -> Sh_intersect_size (item_out_name "count" itm)
+      | [ _ ], Some 0 -> Sh_intersect_size (Sql.item_name itm 0)
       | [ _ ], _ -> unsupported "COUNT(DISTINCT) must name the join column"
       | _ -> unsupported "COUNT(DISTINCT) needs a single-column join key")
   | [ (Sql.Sum (e, _) as itm) ], [] -> (
       match side e with
       | S_side, c -> (
           match Schema.column_type s_schema c with
-          | Value.TInt -> Sh_sum { s_col = c; out = item_out_name "sum" itm }
+          | Value.TInt -> Sh_sum { s_col = c; out = Sql.item_name itm 0 }
           | Value.TBool | Value.TFloat | Value.TText ->
               unsupported "private SUM supports integer columns")
       | R_side, _ -> unsupported "SUM must range over the sender's column")
@@ -273,10 +265,10 @@ let recognize a ~r_schema ~s_schema =
             | Sql.Column (e, _) -> (
                 let s = side e in
                 match join_index s with
-                | Some i -> (Key i, item_out_name (snd s) itm)
+                | Some i -> (Key i, Sql.item_name itm 0)
                 | None -> (
                     match s with
-                    | S_side, c -> (Pay c, item_out_name c itm)
+                    | S_side, c -> (Pay c, Sql.item_name itm 0)
                     | R_side, c ->
                         unsupported "receiver column %s not available in an equijoin" c))
             | Sql.Star -> unsupported "* unsupported across private tables"
@@ -311,23 +303,20 @@ let recognize a ~r_schema ~s_schema =
           | S_side, R_side -> (c2, c1)
           | _ -> unsupported "GROUP BY must name one column from each table"
         in
+        let name itm = Sql.item_name itm 0 in
         let names =
           match items with
-          | [ Sql.Column (e1, _); Sql.Column (e2, _); Sql.Count_star _ ] -> (
+          | [ (Sql.Column (e1, _) as i1); (Sql.Column (e2, _) as i2); (Sql.Count_star _ as i3) ]
+            -> (
               match (g_side e1, g_side e2) with
               | (R_side, rc), (S_side, sc) when rc = r_class && sc = s_class ->
-                  ( item_out_name rc (List.nth items 0),
-                    item_out_name sc (List.nth items 1),
-                    item_out_name "count" (List.nth items 2) )
+                  (name i1, name i2, name i3)
               | (S_side, sc), (R_side, rc) when rc = r_class && sc = s_class ->
-                  ( item_out_name rc (List.nth items 1),
-                    item_out_name sc (List.nth items 0),
-                    item_out_name "count" (List.nth items 2) )
+                  (name i2, name i1, name i3)
               | _ -> unsupported "SELECT must list the GROUP BY columns and COUNT( * )")
           | _ -> unsupported "SELECT must list the GROUP BY columns and COUNT( * )"
         in
-        match names with
-        | rn, sn, cn -> Sh_group_by { r_class; s_class; names = (rn, sn, cn) }
+        Sh_group_by { r_class; s_class; names }
       end)
   | _, _ -> unsupported "unsupported GROUP BY shape"
 

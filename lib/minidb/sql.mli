@@ -62,6 +62,14 @@ val pp_query : Format.formatter -> query -> unit
 
 (** {1 Local evaluation} *)
 
+(** [item_name item index] is the name {!execute} gives the answer
+    column of the [index]-th select item: its alias, else the column as
+    written ([c] or [q.c]), ["count"] for either count, ["sum_"]
+    followed by the summed column with dots as underscores, and
+    ["lit_<index>"] for a literal.
+    @raise Invalid_argument on [Star]. *)
+val item_name : item -> int -> string
+
 (** [execute resolve q] evaluates [q] against the tables returned by
     [resolve name].
     @raise Invalid_argument for semantic errors (unknown table/column,

@@ -352,10 +352,11 @@ let prop_pool_size_invariance =
         [ 2; 4 ])
 
 (* Golden transcripts: SHA-256 of the encoded sender and receiver
-   views of all four protocols at seed "kern". The digests were taken
-   before the move to a single 30-bit Montgomery kernel, so any change
-   to limb width, kernel or arena staging that moved a byte shows up
-   here. *)
+   views of all four protocols and of [Aggregate] at seed "kern". The
+   four protocols' digests were taken before the move to a single
+   30-bit Montgomery kernel, so any change to limb width, kernel or
+   arena staging that moved a byte shows up here; [Aggregate]'s were
+   taken before it moved onto the shared opening and streamed sends. *)
 let view_digest msgs = Crypto.Sha256.hexdigest (String.concat "" (List.map Message.encode msgs))
 
 let golden_views =
@@ -374,6 +375,9 @@ let golden_views =
         ( "equijoin_size",
           "d816de6797cd15d5180ae4d38ca16a14e3bda74a8ba9ef8f9a8faf6f82a06770",
           "44222836e6f7daf32eed1b60022ca4414e697b3eac8208a6ed5d5ca49e414040" );
+        ( "aggregate",
+          "86f40a6403bacf2f2ab915eedee9b13a836e5f66e674c0c71e6c064da8a81996",
+          "6fad6a3393f25a647224150afc5c235ddbd1f0b7db3f2ef384b76ef81efc75fd" );
       ] );
     ( Group.Test256,
       [
@@ -389,51 +393,85 @@ let golden_views =
         ( "equijoin_size",
           "1e77ec4bd65675570ac155302cb61c243765f21fcff50314a47614a7da31fc9f",
           "909795a7f1afb82b4a1919decadd2991e6689758a08f5184c3a253371adf0773" );
+        ( "aggregate",
+          "63bd0e8e2095b458e40d92a8a448f65439842387c594f892e0294a85f16ccf3f",
+          "d33cb8869745ea8d5d6b387a63284699a5dd18d27a808ef5e7c6eedd86e6b8e3" );
       ] );
   ]
 
-let test_golden_transcripts () =
+(* The golden runs of one group: the four protocols and the
+   Paillier intersection-sum, each over a fresh channel at seed "kern". *)
+let golden_runs cfg =
   let vs = vs1 and vr = vr1 in
   let records = List.mapi (fun i v -> (v, Printf.sprintf "%s#%d" v i)) vs in
+  let sums = List.mapi (fun i v -> (v, 10 * (i + 1))) vs in
+  [
+    ( "intersection",
+      views
+        (launch ~seed:"kern"
+           (Psi.Intersection.sender cfg ~values:vs)
+           (Psi.Intersection.receiver cfg ~values:vr)) );
+    ( "equijoin",
+      views
+        (launch ~seed:"kern"
+           (Psi.Equijoin.sender cfg ~records)
+           (Psi.Equijoin.receiver cfg ~values:vr)) );
+    ( "intersection_size",
+      views
+        (launch ~seed:"kern"
+           (Psi.Intersection_size.sender cfg ~values:vs)
+           (Psi.Intersection_size.receiver cfg ~values:vr)) );
+    ( "equijoin_size",
+      views
+        (launch ~seed:"kern"
+           (Psi.Equijoin_size.sender cfg ~values:vs)
+           (Psi.Equijoin_size.receiver cfg ~values:vr)) );
+    ( "aggregate",
+      views
+        (launch ~seed:"kern"
+           (Psi.Aggregate.sender cfg ~key_bits:128 ~records:sums)
+           (Psi.Aggregate.receiver cfg ~values:vr)) );
+  ]
+
+let check_golden ?(label = "") cfg_of =
   List.iter
     (fun (spec, golden) ->
-      let cfg = P.config (Group.named spec) in
-      let oi =
-        launch ~seed:"kern"
-          (Psi.Intersection.sender cfg ~values:vs)
-          (Psi.Intersection.receiver cfg ~values:vr)
-      in
-      let oj =
-        launch ~seed:"kern"
-          (Psi.Equijoin.sender cfg ~records)
-          (Psi.Equijoin.receiver cfg ~values:vr)
-      in
-      let os =
-        launch ~seed:"kern"
-          (Psi.Intersection_size.sender cfg ~values:vs)
-          (Psi.Intersection_size.receiver cfg ~values:vr)
-      in
-      let oz =
-        launch ~seed:"kern"
-          (Psi.Equijoin_size.sender cfg ~values:vs)
-          (Psi.Equijoin_size.receiver cfg ~values:vr)
-      in
-      let actual =
-        [
-          ("intersection", views oi);
-          ("equijoin", views oj);
-          ("intersection_size", views os);
-          ("equijoin_size", views oz);
-        ]
-      in
       List.iter2
         (fun (name, sv, rv) (name', (sview, rview)) ->
           assert (name = name');
-          let label side = Printf.sprintf "%s %s %s" (Group.name_to_string spec) name side in
-          Alcotest.(check string) (label "sender") sv (view_digest sview);
-          Alcotest.(check string) (label "receiver") rv (view_digest rview))
-        golden actual)
+          let side s = Printf.sprintf "%s%s %s %s" label (Group.name_to_string spec) name s in
+          Alcotest.(check string) (side "sender") sv (view_digest sview);
+          Alcotest.(check string) (side "receiver") rv (view_digest rview))
+        golden
+        (golden_runs (cfg_of spec)))
     golden_views
+
+let test_golden_transcripts () = check_golden (fun spec -> P.config (Group.named spec))
+
+(* The element cache is transparent: a fresh cache attached to the
+   config (misses on the first protocol, hash hits on the later ones)
+   leaves every transcript byte-identical to the golden digests. *)
+let test_golden_with_cache () =
+  let opened = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (c, dir) ->
+          Psi.Ecache.close c;
+          Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+          Sys.rmdir dir)
+        !opened)
+    (fun () ->
+      check_golden ~label:"cached "
+        (fun spec ->
+          let dir =
+            Filename.concat (Filename.get_temp_dir_name ())
+              (Printf.sprintf "psi-golden-cache-%d-%s" (Unix.getpid ())
+                 (Group.name_to_string spec))
+          in
+          let c = Psi.Ecache.open_ ~dir () in
+          opened := (c, dir) :: !opened;
+          P.config ~ecache:c (Group.named spec)))
 
 (* The executor's 1-bucket plan is the monolithic run: its one-sided
    ops, driven without a handshake, reproduce the golden digests above
@@ -477,7 +515,8 @@ let test_golden_one_bucket () =
               Alcotest.(check string) (side "sender") sv (view_digest o.Runner.sender_view);
               Alcotest.(check string) (side "receiver") rv
                 (view_digest o.Runner.receiver_view))
-            golden ops)
+            (List.filter (fun (name, _, _) -> List.mem_assoc name ops) golden)
+            ops)
         golden_views)
     [
       ("monolithic", Psi.Shard.monolithic);
@@ -992,9 +1031,11 @@ let test_simulator_rejects_impossible_size () =
 (* Robustness: malformed peers cause clean failures                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Drive R's side of the intersection protocol against a scripted fake
-   sender and return R's outcome. *)
-let against_fake_sender script =
+(* Drive R's side of a protocol (the intersection's by default) against
+   a scripted fake sender and return R's outcome. *)
+let intersection_receiver ~rng ep = ignore (Psi.Intersection.receiver cfg ~rng ~values:vr1 ep)
+
+let against_fake_sender ?(receiver = intersection_receiver) script =
   let s_ep, r_ep = Wire.Channel.create () in
   let rng = Crypto.Drbg.to_rng (Crypto.Drbg.create ~seed:"robust") in
   let t =
@@ -1004,9 +1045,7 @@ let against_fake_sender script =
         Wire.Channel.close s_ep)
       ()
   in
-  let result =
-    try Ok (Psi.Intersection.receiver cfg ~rng ~values:vr1 r_ep) with e -> Error e
-  in
+  let result = try Ok (receiver ~rng r_ep) with e -> Error e in
   Thread.join t;
   result
 
@@ -1030,14 +1069,47 @@ let test_robust_wrong_tag () =
          Wire.Channel.send ep
            (Message.make ~tag:"equijoin/pairs" (Message.Elements []))))
 
+(* The count check itself must fire, not a later shape or decode error. *)
+let expect_count_mismatch name result =
+  let mentions_count msg =
+    let n = String.length msg and k = String.length "count mismatch" in
+    let rec at i = i + k <= n && (String.sub msg i k = "count mismatch" || at (i + 1)) in
+    at 0
+  in
+  match result with
+  | Error (Failure msg) when mentions_count msg -> ()
+  | Error e -> Alcotest.failf "%s: unexpected exception %s" name (Printexc.to_string e)
+  | Ok () -> Alcotest.failf "%s: protocol accepted a short list" name
+
 let test_robust_count_mismatch () =
-  expect_protocol_error "count mismatch"
+  let recv_y_r ep = P.elements_of (Wire.Channel.recv ep).Message.payload in
+  expect_count_mismatch "intersection Y_R_enc"
     (against_fake_sender (fun ep ->
-         let yr = P.elements_of (Wire.Channel.recv ep).Message.payload in
+         let yr = recv_y_r ep in
          Wire.Channel.send ep (Message.make ~tag:"intersection/Y_S" (Message.Elements []));
          (* Echo one element short. *)
          Wire.Channel.send ep
-           (Message.make ~tag:"intersection/Y_R_enc" (Message.Elements (List.tl yr)))))
+           (Message.make ~tag:"intersection/Y_R_enc" (Message.Elements (List.tl yr)))));
+  expect_count_mismatch "equijoin pairs"
+    (against_fake_sender
+       ~receiver:(fun ~rng ep -> ignore (Psi.Equijoin.receiver cfg ~rng ~values:vr1 ep))
+       (fun ep ->
+         let yr = recv_y_r ep in
+         Wire.Channel.send ep
+           (Message.make ~tag:"equijoin/pairs"
+              (Message.Element_pairs (List.map (fun y -> (y, y)) (List.tl yr))))));
+  expect_count_mismatch "aggregate Y_R_enc"
+    (against_fake_sender
+       ~receiver:(fun ~rng ep -> ignore (Psi.Aggregate.receiver cfg ~rng ~values:vr1 ep))
+       (fun ep ->
+         let yr = recv_y_r ep in
+         let rng = Crypto.Drbg.to_rng (Crypto.Drbg.create ~seed:"robust-paillier") in
+         let pub, _ = Crypto.Paillier.keygen ~rng ~bits:128 in
+         Wire.Channel.send ep
+           (Message.make ~tag:"aggregate/pub"
+              (Message.Elements [ Crypto.Paillier.encode_public pub ]));
+         Wire.Channel.send ep
+           (Message.make ~tag:"aggregate/Y_R_enc" (Message.Elements (List.tl yr)))))
 
 let test_robust_out_of_range_element () =
   expect_protocol_error "out-of-range element"
@@ -1317,6 +1389,53 @@ let test_traced_parties_distinct () =
   Alcotest.(check (option string)) "sender label" (Some "S") s_party;
   Alcotest.(check (option string)) "receiver label" (Some "R") r_party;
   Alcotest.(check bool) "distinct threads" true (s_thread <> r_thread)
+
+(* perfbench attributes each span's self time to a per-layer metric by
+   name: hash, encrypt-own and encrypt-peer to crypto, reorder and match
+   to core. A traced in-process run of every two-party protocol opens
+   all five under its party roots. *)
+let test_layer_span_vocabulary () =
+  let records = List.mapi (fun i v -> (v, Printf.sprintf "%s#%d" v i)) vs1 in
+  let sums = List.mapi (fun i v -> (v, i + 1)) vs1 in
+  let run sender receiver () = ignore (launch ~seed:"t:spans" sender receiver) in
+  let cases =
+    [
+      ( "intersection",
+        run (Psi.Intersection.sender cfg ~values:vs1) (Psi.Intersection.receiver cfg ~values:vr1)
+      );
+      ( "intersection_size",
+        run
+          (Psi.Intersection_size.sender cfg ~values:vs1)
+          (Psi.Intersection_size.receiver cfg ~values:vr1) );
+      ("equijoin", run (Psi.Equijoin.sender cfg ~records) (Psi.Equijoin.receiver cfg ~values:vr1));
+      ( "equijoin_size",
+        run (Psi.Equijoin_size.sender cfg ~values:vs1) (Psi.Equijoin_size.receiver cfg ~values:vr1)
+      );
+      ( "aggregate",
+        run
+          (Psi.Aggregate.sender cfg ~key_bits:128 ~records:sums)
+          (Psi.Aggregate.receiver cfg ~values:vr1) );
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      let (), roots, _ = Obs.trace f in
+      let opened = Hashtbl.create 16 in
+      let rec walk s =
+        Hashtbl.replace opened (Obs.Span.name s) ();
+        List.iter walk (Obs.Span.children s)
+      in
+      List.iter
+        (fun r ->
+          if String.starts_with ~prefix:"party:" (Obs.Span.name r) then
+            List.iter walk (Obs.Span.children r))
+        roots;
+      List.iter
+        (fun span ->
+          Alcotest.(check bool) (Printf.sprintf "%s opens %s" name span) true
+            (Hashtbl.mem opened span))
+        [ "hash"; "encrypt-own"; "encrypt-peer"; "reorder"; "match" ])
+    cases
 
 (* A run started from inside a party while every party slot is held
    runs its sender on a systhread instead of a domain. Its transcript
@@ -1700,6 +1819,8 @@ let () =
           Alcotest.test_case "worker validation" `Quick test_parallel_workers_validated;
           prop_pool_size_invariance;
           Alcotest.test_case "golden transcript digests" `Quick test_golden_transcripts;
+          Alcotest.test_case "golden digests with a cache attached" `Quick
+            test_golden_with_cache;
           Alcotest.test_case "1-bucket plan = golden digests" `Quick test_golden_one_bucket;
           Alcotest.test_case "nested run falls back to a thread, same transcript" `Quick
             test_nested_run_falls_back;
@@ -1871,6 +1992,7 @@ let () =
             test_tracing_leaves_transcript_identical;
           Alcotest.test_case "traced parties carry distinct labels" `Quick
             test_traced_parties_distinct;
+          Alcotest.test_case "per-layer span vocabulary" `Quick test_layer_span_vocabulary;
           Alcotest.test_case "§3.2.2 collision probability" `Quick
             test_collision_probability_paper_example;
           Alcotest.test_case "executor publishes run tallies" `Quick

@@ -49,7 +49,11 @@ let test_third_party_size () =
   let payload = 2 * (3 + 4) * k in
   Alcotest.(check bool) "comm ~ 2(|V_R|+|V_S|)k" true
     (r.Psi.Intersection_size.total_bytes >= payload
-    && r.Psi.Intersection_size.total_bytes <= payload + 256)
+    && r.Psi.Intersection_size.total_bytes <= payload + 256);
+  (* Pinned: the exact bytes, and Ce = 2(|V_S| + |V_R|). *)
+  Alcotest.(check int) "total bytes" 236 r.Psi.Intersection_size.total_bytes;
+  Alcotest.(check int) "encryptions" 14 r.Psi.Intersection_size.ops.Psi.Protocol.encryptions;
+  Alcotest.(check int) "hashes" 7 r.Psi.Intersection_size.ops.Psi.Protocol.hashes
 
 let test_third_party_size_empty () =
   let r =

@@ -285,9 +285,15 @@ let run_private sql =
   | Ok o -> o
   | Error e -> Alcotest.failf "unexpected rejection: %s" e
 
+let column_names t = List.map (fun c -> c.Schema.name) (Schema.columns (Table.schema t))
+
+(* Same answer as the plaintext evaluator: the same column names (so a
+   CSV header matches) and the same cells. *)
 let check_against_oracle name sql =
   let private_t = (run_private sql).Psi.Sql_private.table in
   let local_t = run_sql sql in
+  Alcotest.(check (list string)) (name ^ ": column names") (column_names local_t)
+    (column_names private_t);
   Alcotest.(check (list (list string))) name (cells local_t) (cells private_t)
 
 let test_private_intersection () =
@@ -306,17 +312,24 @@ let test_private_count () =
 
 let test_private_sum () =
   check_against_oracle "sum over join"
-    "select sum(amount) from people, orders where id = person"
+    "select sum(amount) from people, orders where id = person";
+  check_against_oracle "sum over a qualified column"
+    "select sum(orders.amount) from people, orders where people.id = orders.person"
 
 let test_private_equijoin_payload () =
   check_against_oracle "payload columns"
     "select item, amount from people, orders where id = person";
   check_against_oracle "payload with join key"
-    "select id, item, amount from people, orders where id = person"
+    "select id, item, amount from people, orders where id = person";
+  check_against_oracle "qualified payload and join key"
+    "select people.id, orders.item from people, orders where people.id = orders.person"
 
 let test_private_group_by () =
   check_against_oracle "contingency table"
-    "select city, item, count(*) from people, orders where id = person group by city, item"
+    "select city, item, count(*) from people, orders where id = person group by city, item";
+  check_against_oracle "qualified contingency table"
+    "select people.city, orders.item, count(*) from people, orders where people.id = \
+     orders.person group by people.city, orders.item"
 
 let test_private_with_local_filters () =
   check_against_oracle "sender-side filter"
