@@ -4,8 +4,10 @@
            every scenario, printing each row and writing BENCH.json in
            the current directory (run it from the repository root: the
            lint scenario reads lib/ and bin/)
-         dune exec bench/main.exe -- --check BENCH.json [--inject-slowdown F]
-           the gated scenarios only, diffed against the file (Rows.diff)
+         dune exec bench/main.exe -- --check BENCH.json
+           the gated scenarios only, diffed against the file (Rows.diff),
+           then against themselves with a 2x slowdown injected
+           (Rows.self_test), which every floor and ceiling row must fail
 
    The scenarios: the paper's tables, the §6.1 model against measured
    counts, modexp pool scaling with the kernel ablation, the
@@ -20,9 +22,9 @@
    the same keys as the full run's. --check exits 1 when a check
    fails, 3 when no floor or ceiling row could be compared on this box
    (the committed core count differs), 0 otherwise. PSI_BENCH_SLACK
-   (default 1.6) is the floor/ceiling slack; --inject-slowdown F
-   divides fresh floors and multiplies fresh ceilings by F, to show the
-   gate trips on a real regression. *)
+   (default 1.6) is the floor/ceiling slack. The self-test shows the
+   gate trips on a real regression from the same readings, so the
+   harness runs once. *)
 
 module Json = Obs.Export.Json
 module Session = Psi.Session
@@ -906,7 +908,7 @@ let rev_check header =
         (Printf.sprintf "%s is %san ancestor of HEAD" rev (if ok then "" else "not "))
   | _ -> check false "committed file has no usable git_rev"
 
-let check_bench path inject =
+let check_bench path =
   let slack =
     match Sys.getenv_opt "PSI_BENCH_SLACK" with
     | None -> 1.6
@@ -916,14 +918,13 @@ let check_bench path inject =
         | _ -> failwith ("bench: PSI_BENCH_SLACK must be a number >= 1, not " ^ s))
   in
   let header, committed = Rows.parse (In_channel.with_open_bin path In_channel.input_all) in
-  if inject <> 1. then
-    Printf.printf "injecting a %gx slowdown into fresh measurements\n%!" inject;
   List.iter (fun (run, gated) -> if gated then run ~check:true) scenarios;
+  let fresh = List.rev !rows in
   let cores = Domain.recommended_domain_count () in
   let same_box = Option.bind (Json.member "cores" header) Json.to_i = Some cores in
   let checks =
-    rev_check header
-    :: Rows.diff ~slack ~inject ~same_box ~committed ~fresh:(List.rev !rows)
+    (rev_check header :: Rows.diff ~slack ~inject:1. ~same_box ~committed ~fresh)
+    @ Rows.self_test ~slack fresh
   in
   print_newline ();
   List.iter
@@ -941,14 +942,10 @@ let check_bench path inject =
 
 let () =
   let usage () =
-    prerr_endline "usage: main.exe [--check BENCH.json [--inject-slowdown F]]";
+    prerr_endline "usage: main.exe [--check BENCH.json]";
     exit 2
   in
   match List.tl (Array.to_list Sys.argv) with
   | [] -> write_bench ()
-  | [ "--check"; path ] -> check_bench path 1.
-  | [ "--check"; path; "--inject-slowdown"; f ] -> (
-      match float_of_string_opt f with
-      | Some v when v > 0. -> check_bench path v
-      | _ -> usage ())
+  | [ "--check"; path ] -> check_bench path
   | _ -> usage ()

@@ -116,3 +116,34 @@ let diff ~slack ~inject ~same_box ~committed ~fresh =
                    c.value slack))
         c.gate)
     committed
+
+(* [self_test ~slack fresh] shows the gate would trip on a real
+   regression without measuring twice: the fresh readings become their
+   own baseline, a 2x slowdown is injected into them, and every floor
+   and ceiling row must then fail. One check per such row, passing when
+   the injected comparison failed; with no such row, one failing
+   check. *)
+let self_test ~slack fresh =
+  let injected =
+    List.filter (fun c -> c.timed)
+      (diff ~slack ~inject:2. ~same_box:true ~committed:fresh ~fresh)
+  in
+  if injected = [] then
+    [
+      {
+        row = "self-test";
+        outcome = Fail;
+        timed = false;
+        detail = "no floor or ceiling row to inject a slowdown into";
+      };
+    ]
+  else
+    List.map
+      (fun c ->
+        {
+          row = "self-test/" ^ c.row;
+          outcome = (match c.outcome with Fail -> Pass | Pass | Skip -> Fail);
+          timed = false;
+          detail = "injected 2x must fail: " ^ c.detail;
+        })
+      injected

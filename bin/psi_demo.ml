@@ -455,11 +455,8 @@ let run_net group seed jobs buckets spill_dir listen connect csv attr op max_con
                 Wire.Channel.close ep
               with
               | () -> report_net_stats ep
-              | exception (Wire.Protocol_error msg | Failure msg) ->
-                  Printf.eprintf "net: session failed: %s\n%!" msg
-              | exception Wire.Timeout { what; waited_s } ->
-                  Printf.eprintf "net: session timed out (%s after %.1fs)\n%!"
-                    what waited_s))
+              | exception e ->
+                  Printf.eprintf "net: session failed: %s\n%!" (Wire.Errors.to_string e)))
   | None, Some hostport ->
       let host, port = parse_hostport hostport in
       let ep = Wire.Channel.of_transport (connect_with_retry ~host ~port) in

@@ -1,7 +1,7 @@
 (* psi_lint — crypto-hygiene static analyzer for the protocol stack.
 
    Scans lib/ and bin/ (by default) for the rule families documented in
-   docs/STATIC_ANALYSIS.md. Token rules (CT01, RNG01, EXN01, WIRE01,
+   docs/STATIC_ANALYSIS.md. Token rules (CT01, RNG01, EXN01, ERR01, WIRE01,
    DBG01, DOM01, OBS01) run per file over the token stream; semantic
    rules (SEC01, CT02, RACE01) run after the parse/resolve/taint phases
    over the whole program at once. Exit status 0 iff there are no

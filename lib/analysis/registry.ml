@@ -5,8 +5,8 @@
 
 let token_rules : Rule.t list =
   [
-    Rules_ct.rule; Rules_rng.rule; Rules_exn.rule; Rules_wire.rule; Rules_dbg.rule;
-    Rules_dom.rule; Rules_obs.rule;
+    Rules_ct.rule; Rules_rng.rule; Rules_exn.rule; Rules_exn.Err.rule; Rules_wire.rule;
+    Rules_dbg.rule; Rules_dom.rule; Rules_obs.rule;
   ]
 
 let sem_rules : Rule.sem list = [ Rules_sec.rule; Rules_ct2.rule; Rules_race.rule ]

@@ -59,6 +59,13 @@ let has_text (t : Lexer.token) s = String.equal t.text s
 let is_sym t s = is_kind t Lexer.Symbol && has_text t s
 let is_ident t s = is_kind t Lexer.Ident && has_text t s
 
+(* Top-level items start at column 1 (the lexer is 1-based): [let]/[and]
+   bindings and the structural keywords between them. Everything else
+   (nested lets, match arms) stays inside the current item. *)
+let starts_item (t : Lexer.token) =
+  t.col = 1 && t.kind = Lexer.Ident
+  && List.mem t.text [ "let"; "and"; "module"; "type"; "open"; "exception" ]
+
 (* [qualified_at toks i] reads the longest dotted path starting at a
    [Uident] at index [i]: for [Stdlib.compare] it returns
    (["Stdlib"; "compare"], next_index). Stops before a [.(] projection

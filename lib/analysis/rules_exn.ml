@@ -75,3 +75,93 @@ let rule : Rule.t =
     applies = (fun _ -> true);
     check;
   }
+
+(* ERR01 — a receive path raises a typed error.
+
+   Whether a reconnect can cure a failure is decided in one place,
+   [Wire.Errors]: a malformed, mistagged or miscounted frame is a
+   [Protocol_error] (transient), an element outside the group a
+   [Peer_violation] (fatal), and [Failure] means a local bug, which the
+   retry loop never retries. A [failwith] on a receive path turns the
+   peer's fault into our bug. Counted per top-level item, as OBS01
+   counts spans: an item that reads a frame ([Channel.recv],
+   [Protocol.recv_*], [recv_tagged], [elements_of], [pairs_of], or a
+   local [recv_*] helper) may not also [failwith] or raise [Failure]. *)
+
+module Err = struct
+  let id = "ERR01"
+  let frame_readers = [ "recv_tagged"; "elements_of"; "pairs_of" ]
+
+  let reads_frame path =
+    match List.rev path with
+    | "recv" :: "Channel" :: _ -> true
+    | f :: "Protocol" :: _ when String.starts_with ~prefix:"recv_" f -> true
+    | [ f ] -> List.mem f frame_readers || String.starts_with ~prefix:"recv_" f
+    | f :: _ -> List.mem f frame_readers
+    | [] -> false
+
+  let check ~file (toks : Lexer.token array) =
+    let toks = Array.of_list (Lexer.significant (Array.to_list toks)) in
+    let n = Array.length toks in
+    let findings = ref [] in
+    (* Per current item: the failures raised, and whether it reads. *)
+    let raises = ref [] and reads = ref false in
+    let flush () =
+      if !reads then
+        List.iter
+          (fun tok ->
+            findings :=
+              Rule.finding ~rule:id ~file tok
+                "Failure on a receive path: raise Wire.Errors.Protocol_error (a \
+                 reconnect may cure it) or Peer_violation (none can)"
+              :: !findings)
+          (List.rev !raises);
+      raises := [];
+      reads := false
+    in
+    (* A name being bound, not called. *)
+    let bound i =
+      i > 0
+      && List.exists (Rule.is_ident toks.(i - 1)) [ "let"; "and"; "rec"; "val" ]
+    in
+    let i = ref 0 in
+    while !i < n do
+      let t = toks.(!i) in
+      if Rule.starts_item t then flush ();
+      match t.kind with
+      | Lexer.Uident ->
+          let path, next = Rule.qualified_at toks !i in
+          if reads_frame path then reads := true
+          else if String.equal (Rule.path_string path) "Stdlib.failwith" then
+            raises := t :: !raises;
+          i := max next (!i + 1)
+      | Lexer.Ident when String.equal t.text "failwith" && not (bound !i) ->
+          raises := t :: !raises;
+          incr i
+      | Lexer.Ident when String.equal t.text "raise" ->
+          let j = if !i + 1 < n && Rule.is_sym toks.(!i + 1) "(" then !i + 2 else !i + 1 in
+          if j < n && toks.(j).kind = Lexer.Uident && String.equal toks.(j).text "Failure"
+          then raises := t :: !raises;
+          incr i
+      | Lexer.Ident when reads_frame [ t.text ] && not (bound !i) ->
+          reads := true;
+          incr i
+      | _ -> incr i
+    done;
+    flush ();
+    List.rev !findings
+
+  let rule : Rule.t =
+    {
+      id;
+      summary = "lib/core, lib/wire: a binding that reads a frame raises no Failure";
+      description =
+        "Receive paths classify what they reject through Wire.Errors: \
+         Protocol_error when a reconnect may cure it, Peer_violation when none \
+         can. A Failure there reads as a local bug, so the peer's fault is \
+         neither retried nor reported as the peer's.";
+      scope = "lib/core/, lib/wire/";
+      applies = Rule.any_dir [ "lib/core/"; "lib/wire/" ];
+      check;
+    }
+end

@@ -23,13 +23,6 @@ let is_span_call name path =
   | Some ("Span", f) -> String.equal f name
   | _ -> false
 
-(* Top-level items start at column 1 (the lexer is 1-based): [let]/[and]
-   bindings and the structural keywords between them. Everything else
-   (nested lets, match arms) stays inside the current item. *)
-let starts_item (t : Lexer.token) =
-  t.col = 1 && t.kind = Lexer.Ident
-  && List.mem t.text [ "let"; "and"; "module"; "type"; "open"; "exception" ]
-
 let check ~file (toks : Lexer.token array) =
   let n = Array.length toks in
   let findings = ref [] in
@@ -57,7 +50,7 @@ let check ~file (toks : Lexer.token array) =
   let i = ref 0 in
   while !i < n do
     let t = toks.(!i) in
-    if starts_item t then flush ();
+    if Rule.starts_item t then flush ();
     if t.kind = Lexer.Uident then begin
       let path, next = Rule.qualified_at toks !i in
       if is_span_call "enter" path then enters := t :: !enters

@@ -20,16 +20,23 @@ let xor a b = String.init (String.length a) (fun i -> Char.chr (Char.code a.[i] 
 let elements_of = function
   | Message.Elements es -> es
   | Message.Element_pairs _ | Message.Element_triples _ | Message.Ciphertext_pairs _ ->
-      failwith "ot: unexpected payload shape"
+      Wire.Errors.protocol_errorf "ot: unexpected payload shape"
 
 let triples_of = function
   | Message.Element_triples ts -> ts
   | Message.Elements _ | Message.Element_pairs _ | Message.Ciphertext_pairs _ ->
-      failwith "ot: unexpected payload shape"
+      Wire.Errors.protocol_errorf "ot: unexpected payload shape"
+
+(* The peer's group elements: a malformed one is its violation. *)
+let decode g s =
+  match Group.decode_elt g s with
+  | Ok x -> x
+  | Error e -> Wire.Errors.peer_violationf "ot: %s" e
 
 let recv_tagged ep tag =
   let m = Channel.recv ep in
-  if m.Message.tag <> tag then failwith ("ot: expected " ^ tag) else m.Message.payload
+  if m.Message.tag <> tag then Wire.Errors.protocol_errorf "ot: expected %s" tag
+  else m.Message.payload
 
 let sender g ~rng ~pairs ep =
   Array.iter
@@ -42,12 +49,13 @@ let sender g ~rng ~pairs ep =
   let c = Group.random_element g ~rng in
   Channel.send ep (Message.make ~tag:tag_setup (Message.Elements [ Group.encode_elt g c ]));
   let pks = elements_of (recv_tagged ep tag_keys) in
-  if List.length pks <> Array.length pairs then failwith "ot: key count mismatch"
+  if List.length pks <> Array.length pairs then
+    Wire.Errors.protocol_errorf "ot: key count mismatch"
   else begin
     let payload =
       List.mapi
         (fun i pk0_enc ->
-          let pk0 = Group.decode_elt g pk0_enc in
+          let pk0 = decode g pk0_enc in
           let pk1 = Group.mul g c (Group.inv_elt g pk0) in
           let r = Group.random_exponent g ~rng in
           let gr = Group.pow g (Group.generator g) r in
@@ -63,8 +71,8 @@ let sender g ~rng ~pairs ep =
 let receiver g ~rng ~choices ep =
   let c =
     match elements_of (recv_tagged ep tag_setup) with
-    | [ e ] -> Group.decode_elt g e
-    | _ -> failwith "ot: bad setup"
+    | [ e ] -> decode g e
+    | _ -> Wire.Errors.protocol_errorf "ot: bad setup"
   in
   let secrets = Array.map (fun _ -> Group.random_exponent g ~rng) choices in
   let pk0s =
@@ -78,12 +86,13 @@ let receiver g ~rng ~choices ep =
   in
   Channel.send ep (Message.make ~tag:tag_keys (Message.Elements pk0s));
   let payload = Array.of_list (triples_of (recv_tagged ep tag_payload)) in
-  if Array.length payload <> Array.length choices then failwith "ot: payload count mismatch"
+  if Array.length payload <> Array.length choices then
+    Wire.Errors.protocol_errorf "ot: payload count mismatch"
   else
     Array.mapi
       (fun i choice ->
         let gr_enc, e0, e1 = payload.(i) in
-        let gr = Group.decode_elt g gr_enc in
+        let gr = decode g gr_enc in
         let key = Group.pow g gr secrets.(i) in
         let e = if choice then e1 else e0 in
         xor e (pad g key ~index:i ~branch:(if choice then 1 else 0) ~len:(String.length e)))

@@ -21,7 +21,7 @@ let sender ~group ~w ~label_bytes ~seed ~rng ~values ep =
   let n_b =
     match Channel.recv ep with
     | { Message.tag; payload = Message.Elements [ n ] } when tag = tag_count -> int_of_string n
-    | _ -> failwith "yao: expected count"
+    | _ -> Wire.Errors.protocol_errorf "yao: expected count"
   in
   let circuit = Circuit.brute_force_intersection ~w ~n_a:(List.length values) ~n_b in
   let garbled = Garble.garble ~label_bytes ~seed circuit in
@@ -42,13 +42,13 @@ let receiver ~group ~w ~rng ~values ep =
     match Channel.recv ep with
     | { Message.tag; payload = Message.Elements [ v ] } when tag = tag_view ->
         Garble.decode_view v
-    | _ -> failwith "yao: expected view"
+    | _ -> Wire.Errors.protocol_errorf "yao: expected view"
   in
   let a_labels =
     match Channel.recv ep with
     | { Message.tag; payload = Message.Elements ls } when tag = tag_a_labels ->
         Array.of_list ls
-    | _ -> failwith "yao: expected garbler labels"
+    | _ -> Wire.Errors.protocol_errorf "yao: expected garbler labels"
   in
   let choices = bits_of_values ~w values in
   let b_labels = Ot.receiver group ~rng ~choices ep in

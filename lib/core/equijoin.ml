@@ -49,8 +49,12 @@ let decrypt_ext cfg (ops : Protocol.ops) ~kappa ciphertext =
   ops.Protocol.cipher_ops <- ops.Protocol.cipher_ops + 1;
   match cfg.Protocol.cipher with
   | Perfect_cipher.Mul_cipher ->
-      Perfect_cipher.Mul.decrypt cfg.Protocol.group ~key:kappa
-        (Crypto.Group.decode_elt cfg.Protocol.group ciphertext)
+      let c =
+        match Crypto.Group.decode_elt cfg.Protocol.group ciphertext with
+        | Ok c -> c
+        | Error e -> raise (Buf.Parse_error ("ext ciphertext: " ^ e))
+      in
+      Perfect_cipher.Mul.decrypt cfg.Protocol.group ~key:kappa c
   | Perfect_cipher.Stream_cipher ->
       Perfect_cipher.Stream.decrypt cfg.Protocol.group ~key:kappa ciphertext
 

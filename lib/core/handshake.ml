@@ -12,15 +12,17 @@ let fingerprint cfg =
       Crypto.Perfect_cipher.scheme_to_string cfg.Protocol.cipher;
     ]
 
+(* A disagreement is the peer's configuration, not the wire's: a
+   reconnect would meet it again. *)
 let check mine theirs =
   if not (String.equal mine theirs) then
-    failwith
+    Wire.Errors.peer_violationf
       "handshake failed: parties disagree on group/domain/cipher configuration"
 
 let recv_fp ep =
   match Channel.recv ep with
   | { Message.tag = t; payload = Message.Elements [ fp ] } when t = tag -> fp
-  | _ -> failwith "handshake failed: unexpected message"
+  | _ -> Wire.Errors.protocol_errorf "handshake failed: unexpected message"
 
 (* Both sides derive the same 128-bit trace id from the fingerprints
    they exchange anyway — zero extra wire bytes, transcripts stay

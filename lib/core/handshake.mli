@@ -29,9 +29,11 @@ val trace_id : initiator_fp:string -> responder_fp:string -> string
 
 (** [initiate cfg ep] sends this side's fingerprint, waits for the
     peer's, and checks. Installs trace context as party ["R"].
-    @raise Failure on mismatch. *)
+    @raise Wire.Errors.Peer_violation when the configurations disagree.
+    @raise Wire.Errors.Protocol_error when the peer's frame is not a
+    handshake. *)
 val initiate : Protocol.config -> Wire.Channel.endpoint -> unit
 
-(** [respond cfg ep] is the passive side (party ["S"]).
-    @raise Failure on mismatch. *)
+(** [respond cfg ep] is the passive side (party ["S"]), with the
+    errors of {!initiate}. *)
 val respond : Protocol.config -> Wire.Channel.endpoint -> unit

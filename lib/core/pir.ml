@@ -35,9 +35,11 @@ let sender ~rng ~records ep =
     | pub_enc :: cts ->
         let pub = Paillier.decode_public pub_enc in
         (pub, List.map (Paillier.decode_ciphertext pub) cts)
-    | [] -> failwith "pir: empty query"
+    | [] -> Wire.Errors.protocol_errorf "pir: empty query"
   in
-  if List.length query <> List.length records then failwith "pir: query length mismatch"
+  if List.length query <> List.length records then
+    Wire.Errors.protocol_errorf "pir: query of %d ciphertexts for %d records"
+      (List.length query) (List.length records)
   else begin
     let cb = chunk_bytes pub in
     let n_chunks = (width + cb - 1) / cb in
@@ -78,13 +80,23 @@ let receiver ~rng ?(key_bits = 512) ~count ~index ep =
       (Message.make ~tag:tag_query (Message.Elements (Paillier.encode_public pub :: query)));
     match Protocol.elements_of (Protocol.recv_tagged ep tag_reply) with
     | header :: chunks ->
-        let width =
-          let r = Buf.reader header in
-          let w = Buf.read_varint r in
-          Buf.expect_end r;
-          w
-        in
         let cb = chunk_bytes pub in
+        let n = List.length chunks in
+        (* The width is the peer's claim; it sizes nothing until the
+           chunks actually sent are shown to hold exactly that many
+           bytes. *)
+        let width =
+          match
+            let r = Buf.reader header in
+            let w = Buf.read_varint r in
+            Buf.expect_end r;
+            w
+          with
+          | w when w > (n - 1) * cb && w <= n * cb -> w
+          | w -> Wire.Errors.protocol_errorf "pir: width %d does not fit %d chunk(s)" w n
+          | exception Buf.Parse_error msg ->
+              Wire.Errors.protocol_errorf "pir: malformed reply header: %s" msg
+        in
         let buf = Buffer.create width in
         List.iteri
           (fun k ct ->
@@ -93,8 +105,11 @@ let receiver ~rng ?(key_bits = 512) ~count ~index ep =
             let v = Paillier.decrypt sec (Paillier.decode_ciphertext pub ct) in
             Buffer.add_string buf (Nat.to_bytes_be ~width:len v))
           chunks;
-        { record = unframe (Buffer.contents buf) }
-    | [] -> failwith "pir: empty reply"
+        (match unframe (Buffer.contents buf) with
+        | record -> { record }
+        | exception Buf.Parse_error msg ->
+            Wire.Errors.protocol_errorf "pir: malformed record: %s" msg)
+    | [] -> Wire.Errors.protocol_errorf "pir: empty reply"
   end
 
 let run ?(seed = "pir-seed") ?key_bits ~records ~index () =

@@ -87,7 +87,22 @@ let check_distinct cmp xs =
   done
 
 let encode cfg x = Group.encode_elt cfg.group x
-let decode cfg s = Group.decode_elt cfg.group s
+
+(* A party's own encodings (its hashes, its ciphertexts) are in QR_p by
+   construction: decoding one can only fail on a local bug. *)
+let decode cfg s =
+  match Group.decode_elt cfg.group s with
+  | Ok x -> x
+  | Error e -> invalid_arg ("Protocol.decode: " ^ e)
+
+(* An element the peer sent: the commutative cipher is defined on QR_p
+   only (§3, Example 1), so anything else — wrong width, out of range,
+   a non-residue such as p-1 — is the peer's violation. *)
+let decode_peer cfg s =
+  match Group.decode_elt cfg.group s with
+  | Ok x when Group.is_element cfg.group x -> x
+  | Ok _ -> Wire.Errors.peer_violationf "element outside QR_p"
+  | Error e -> Wire.Errors.peer_violationf "%s" e
 
 (* Per-element crypto work, on encodings, through the session's cache:
    plain [compute ss] without one. With one, [ss] are inputs of the
@@ -115,7 +130,7 @@ let hash_encoded cfg ops vs =
         (Hash_to_group.hash_batch ?pool:(pool_of cfg) cfg.group ~domain:cfg.domain vs))
     vs
 
-let encrypt_encoded cfg ops key ss =
+let encrypt_encoded ~decode cfg ops key ss =
   through cfg ~ns:"enc" ~key_fp:(Commutative.fingerprint key)
     (fun ss ->
       ops.encryptions <- ops.encryptions + List.length ss;
@@ -123,12 +138,14 @@ let encrypt_encoded cfg ops key ss =
         (Commutative.encrypt_batch ?pool:(pool_of cfg) cfg.group key (List.map (decode cfg) ss)))
     ss
 
+(* Decryption only ever peels our layer off what the peer sent back. *)
 let decrypt_encoded cfg ops key ss =
   through cfg ~ns:"dec" ~key_fp:(Commutative.fingerprint key)
     (fun ss ->
       ops.encryptions <- ops.encryptions + List.length ss;
       List.map (encode cfg)
-        (Commutative.decrypt_batch ?pool:(pool_of cfg) cfg.group key (List.map (decode cfg) ss)))
+        (Commutative.decrypt_batch ?pool:(pool_of cfg) cfg.group key
+           (List.map (decode_peer cfg) ss)))
     ss
 
 (* The element-valued entry points, over the encoded steps. *)
@@ -138,7 +155,7 @@ let hash_values cfg ops vs =
   List.combine vs (List.map (decode cfg) hs)
 
 let encrypt_batch cfg ops key xs =
-  List.map (decode cfg) (encrypt_encoded cfg ops key (List.map (encode cfg) xs))
+  List.map (decode cfg) (encrypt_encoded ~decode cfg ops key (List.map (encode cfg) xs))
 
 (* Run [f] over [xs] a slice at a time, in order, on the calling
    thread: what [f] allocates for one slice (hashes, decoded elements,
@@ -150,7 +167,9 @@ let in_slices cfg f xs =
   let workers = match pool_of cfg with None -> 1 | Some pool -> Parallel.Pool.size pool in
   Parallel.Pool.map_chunks_seq ~chunk:(workers * Parallel.Pool.default_chunk) f xs
 
-let encrypt_encoded_batch cfg ops key ss = in_slices cfg (encrypt_encoded cfg ops key) ss
+let encrypt_encoded_batch cfg ops key ss =
+  in_slices cfg (encrypt_encoded ~decode:decode_peer cfg ops key) ss
+
 let decrypt_encoded_batch cfg ops key ss = in_slices cfg (decrypt_encoded cfg ops key) ss
 let sort_encoded ss = List.sort String.compare ss
 
@@ -168,7 +187,7 @@ let own_layer cfg ops key vs =
     in_slices cfg
       (fun s ->
         let hs = Obs.Span.with_ "hash" (fun () -> hash_encoded cfg ops s) in
-        Obs.Span.with_ "encrypt-own" (fun () -> encrypt_encoded cfg ops key hs))
+        Obs.Span.with_ "encrypt-own" (fun () -> encrypt_encoded ~decode cfg ops key hs))
       vs
   in
   check_distinct String.compare es;
@@ -251,20 +270,20 @@ let send_one cfg ep ~tag x =
 let recv_tagged ep tag =
   let m = Wire.Channel.recv ep in
   if m.Wire.Message.tag <> tag then
-    failwith
-      (Printf.sprintf "protocol error: expected message %S, got %S" tag m.Wire.Message.tag)
+    Wire.Errors.protocol_errorf "protocol error: expected message %S, got %S" tag
+      m.Wire.Message.tag
   else m.Wire.Message.payload
 
 let elements_of = function
   | Wire.Message.Elements es -> es
   | Wire.Message.Element_pairs _ | Wire.Message.Element_triples _
   | Wire.Message.Ciphertext_pairs _ ->
-      failwith "protocol error: expected an element list"
+      Wire.Errors.protocol_errorf "protocol error: expected an element list"
 
 let pairs_of = function
   | Wire.Message.Element_pairs ps | Wire.Message.Ciphertext_pairs ps -> ps
   | Wire.Message.Elements _ | Wire.Message.Element_triples _ ->
-      failwith "protocol error: expected a pair list"
+      Wire.Errors.protocol_errorf "protocol error: expected a pair list"
 
 (* The protocol modules' receives: each scopes its tag and checks the
    payload's shape, so a malformed peer fails here and nowhere else. *)
@@ -275,11 +294,12 @@ let recv_one cfg ep tag =
   match recv_elements cfg ep tag with
   | [ x ] -> x
   | xs ->
-      failwith
-        (Printf.sprintf "protocol error: %s: expected one item, got %d" tag (List.length xs))
+      Wire.Errors.protocol_errorf "protocol error: %s: expected one item, got %d" tag
+        (List.length xs)
 
 let expect_count tag n xs =
   let got = List.length xs in
   if got <> n then
-    failwith (Printf.sprintf "protocol error: %s count mismatch (expected %d, got %d)" tag n got)
+    Wire.Errors.protocol_errorf "protocol error: %s count mismatch (expected %d, got %d)" tag
+      n got
   else xs

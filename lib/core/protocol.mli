@@ -127,7 +127,10 @@ val own_layer :
 
 (** [peer_layer cfg ops key ys] is [f_key] over the peer's list [ys]
     of encodings, in its order, in an [encrypt-peer] span. Counts
-    [length ys] encryptions. *)
+    [length ys] encryptions. Every element it computes on (each cache
+    miss) must decode into [QR_p].
+    @raise Wire.Errors.Peer_violation on an element of the wrong width,
+    out of range, or outside [QR_p]. *)
 val peer_layer : config -> ops -> Crypto.Commutative.key -> string list -> string list
 
 (** [hash_values cfg ops vs] is [(v, h(v))] for each [v] (parallel per
@@ -140,11 +143,13 @@ val encrypt_batch :
   config -> ops -> Crypto.Commutative.key -> Group.elt list -> Group.elt list
 
 (** [encrypt_encoded_batch cfg ops key ss] decodes, encrypts and
-    re-encodes a batch of wire-encoded elements. *)
+    re-encodes a batch of the peer's wire-encoded elements, with the
+    membership check of {!peer_layer}. *)
 val encrypt_encoded_batch :
   config -> ops -> Crypto.Commutative.key -> string list -> string list
 
-(** [decrypt_encoded_batch cfg ops key ss] is the inverse direction. *)
+(** [decrypt_encoded_batch cfg ops key ss] is the inverse direction,
+    on what the peer sent back, with the same check. *)
 val decrypt_encoded_batch :
   config -> ops -> Crypto.Commutative.key -> string list -> string list
 
@@ -166,7 +171,8 @@ val stream_chunk : int
     streamed: it encrypts each wire-encoded element of [ss] under [key]
     ({e order-preserving}) and sends the results, chunk [k+1] encrypted
     across the pool while chunk [k] is on the wire. Counts [length ss]
-    encryptions, in an [encrypt-peer] span. *)
+    encryptions, in an [encrypt-peer] span; [ss] are the peer's, checked
+    as in {!peer_layer}. *)
 val send_encrypted_stream :
   config ->
   ops ->
@@ -203,21 +209,26 @@ val send_one : config -> Wire.Channel.endpoint -> tag:string -> string -> unit
 val is_sorted : string list -> bool
 
 val encode : config -> Group.elt -> string
+
+(** [decode cfg s] decodes one of this party's own encodings, which
+    are in [QR_p] by construction (no residuosity test).
+    @raise Invalid_argument if [s] is not an element: a local bug. *)
 val decode : config -> string -> Group.elt
 
 (** [recv_tagged ep tag] receives one message and checks its tag.
-    @raise Failure on tag mismatch (protocol error). *)
+    @raise Wire.Errors.Protocol_error on a tag mismatch. *)
 val recv_tagged : Wire.Channel.endpoint -> string -> Wire.Message.payload
 
 (** [elements_of payload] projects an [Elements] payload.
-    @raise Failure on another shape. *)
+    @raise Wire.Errors.Protocol_error on another shape. *)
 val elements_of : Wire.Message.payload -> string list
 
 (** {1 Checked receives}
 
     The protocol modules receive through these: each scopes its tag
-    ({!scoped}) and checks the payload, raising [Failure] on a wrong
-    tag, a wrong shape or a wrong count. *)
+    ({!scoped}) and checks the payload, raising
+    {!Wire.Errors.Protocol_error} — which a resilient session retries —
+    on a wrong tag, a wrong shape or a wrong count. *)
 
 (** [recv_elements cfg ep tag] is the element list of the next message. *)
 val recv_elements : config -> Wire.Channel.endpoint -> string -> string list

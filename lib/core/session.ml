@@ -214,16 +214,6 @@ type resilient_report = {
   receiver_views : Wire.Message.t list list;
 }
 
-(* Errors a reconnect can plausibly cure: a peer (or fault proxy)
-   closing, a deadline expiring, a frame mangled in flight, a protocol
-   step detecting divergence. Everything else is a programming error
-   and propagates immediately. *)
-let transient = function
-  | Wire.Errors.Protocol_error _ | Wire.Errors.Timeout _ | Wire.Buf.Parse_error _
-  | Failure _ ->
-      true
-  | _ -> false
-
 let run_resilient ?(resilience = default_resilience) cfg ?(seed = "session")
     ?(shard = Shard.monolithic) ~connect operations =
   let drbg = Crypto.Drbg.create ~seed in
@@ -256,7 +246,7 @@ let run_resilient ?(resilience = default_resilience) cfg ?(seed = "session")
     | outcome ->
         finish ();
         outcome
-    | exception e when transient e ->
+    | exception e when Wire.Errors.transient e ->
         finish ();
         Obs.Metrics.incr m_retries;
         (* Flight-recorder trail: every retry/reconnect leaves a note;

@@ -49,7 +49,8 @@ type report = {
     a [?shard] plan of [k > 1] buckets, each op runs as [k] pipelined
     sub-protocols with per-bucket keys and bounded peak memory —
     results identical to the monolithic run.
-    @raise Failure on handshake or protocol errors. *)
+    @raise Wire.Errors.Protocol_error or {!Wire.Errors.Peer_violation}
+    on a peer's fault (the classes are {!Wire.Errors}'). *)
 val run : Protocol.config -> ?seed:string -> ?shard:Shard.plan -> op list -> unit -> report
 
 (** Wire name of an operation: ["intersect"], ["intersect_size"],
@@ -172,14 +173,18 @@ type resilient_report = {
     key material per attempt, so replays never reuse encryption keys.
     Checkpoints are consumed when the run completes.
 
-    Transient failures ({!Wire.Errors.Protocol_error},
-    {!Wire.Errors.Timeout}, {!Wire.Buf.Parse_error}, [Failure]) trigger
-    reconnection with exponential backoff; other exceptions propagate.
+    A failure {!Wire.Errors.transient} accepts ({!Wire.Errors.Protocol_error}:
+    a closed connection, a malformed frame, a wrong tag, shape or count;
+    {!Wire.Errors.Timeout}) triggers a reconnection with exponential
+    backoff. Everything else propagates from the attempt that raised
+    it: a {!Wire.Errors.Peer_violation} (configuration disagreement, an
+    element outside [QR_p]) because a reconnect meets the same peer,
+    and [Failure]/[Invalid_argument] because they are local bugs.
     Retries, reconnects and replays are published to {!Obs.Metrics} as
     [session.retries] / [session.reconnects] / [session.replays].
 
-    @raise Failure (or the last transient error) after [max_attempts]
-    failed attempts. *)
+    @raise Wire.Errors.Protocol_error or {!Wire.Errors.Timeout} (the
+    last one) after [max_attempts] failed attempts. *)
 val run_resilient :
   ?resilience:resilience ->
   Protocol.config ->

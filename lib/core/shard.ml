@@ -562,8 +562,8 @@ let recv_hello cfg ep =
   | Message.Elements [ d; token; peer_token ] -> (
       match int_of_string_opt d with
       | Some n when n >= 0 && n <= max_buckets -> { done_ = n; token; peer_token }
-      | _ -> failwith "shard resume failed: malformed bucket count")
-  | _ -> failwith "shard resume failed: unexpected message"
+      | _ -> Wire.Errors.protocol_errorf "shard resume failed: malformed bucket count")
+  | _ -> Wire.Errors.protocol_errorf "shard resume failed: unexpected message"
 
 (* Where this party's run of one op starts: its own valid progress,
    the receiver's restored bucket results, and the frame exchange

@@ -118,12 +118,12 @@ let random_element g ~rng =
 let encode_elt g x = Nat.to_bytes_be ~width:g.bytes x
 
 let decode_elt g s =
-  if String.length s <> g.bytes then invalid_arg "Group.decode_elt: wrong width"
+  if String.length s <> g.bytes then
+    Error (Printf.sprintf "element of %d bytes, expected %d" (String.length s) g.bytes)
   else begin
     let x = Nat.of_bytes_be s in
-    if Nat.is_zero x || Nat.compare x g.p >= 0 then
-      invalid_arg "Group.decode_elt: out of range"
-    else x
+    if Nat.is_zero x || Nat.compare x g.p >= 0 then Error "element out of range [1, p-1]"
+    else Ok x
   end
 
 let equal_elt = Nat.equal

@@ -53,7 +53,10 @@ val element_bytes : t -> int
 
 (** {1 Operations} *)
 
-(** [is_element g x] tests membership: [1 <= x < p] and Legendre 1. *)
+(** [is_element g x] tests membership: [1 <= x < p] and Legendre 1
+    (computed as a Jacobi symbol). The identity [1] is a member, so it
+    passes: membership rules out [0], [p-1] and every other
+    non-residue, not degenerate residues. *)
 val is_element : t -> Bignum.Nat.t -> bool
 
 val mul : t -> elt -> elt -> elt
@@ -99,9 +102,11 @@ val random_element : t -> rng:Bignum.Nat_rand.rng -> elt
 (** [encode_elt g x] is the fixed-width big-endian encoding of [x]. *)
 val encode_elt : t -> elt -> string
 
-(** [decode_elt g s] parses {!encode_elt} output.
-    @raise Invalid_argument on wrong width or out-of-range value. *)
-val decode_elt : t -> string -> elt
+(** [decode_elt g s] parses {!encode_elt} output: [Ok x] when [s] is
+    {!element_bytes} wide and [1 <= x < p], [Error reason] otherwise.
+    Total, because [s] usually comes from a peer. It does not test
+    residuosity: {!is_element} does, at the cost of a Jacobi symbol. *)
+val decode_elt : t -> string -> (elt, string) result
 
 val equal_elt : elt -> elt -> bool
 val compare_elt : elt -> elt -> int

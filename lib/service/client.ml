@@ -68,7 +68,7 @@ let close t =
        Proto.parse_bye (Wire.Channel.recv t.ep)
      with
     | () -> ()
-    | exception (Wire.Errors.Protocol_error _ | Wire.Errors.Timeout _) -> ());
+    | exception e when Wire.Errors.transient e -> ());
     Wire.Channel.close t.ep;
     release t.fd
   end

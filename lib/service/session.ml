@@ -137,10 +137,8 @@ let serve cfg tenants admission ~draining conn =
        before closing, or the close would RST the busy frame out from
        under the client's read. *)
     Wire.Channel.set_timeout ep (Some 1.0);
-    (try ignore (Wire.Channel.recv ep : Wire.Message.t) with
-    | Wire.Errors.Protocol_error _ | Wire.Errors.Timeout _
-    | Wire.Buf.Parse_error _ ->
-        ());
+    (try ignore (Wire.Channel.recv ep : Wire.Message.t)
+     with e when Wire.Errors.transient e -> ());
     Log.logf "session: rejected peer %s: %s" (Listener.peer conn) reason;
     finish
       { tenant = None; session_id = None; ops_served = 0; bytes = outcome_bytes ep;
@@ -182,20 +180,13 @@ let serve cfg tenants admission ~draining conn =
                     served;
                   Completed
             end
-          with
-          | Wire.Errors.Protocol_error msg | Failure msg ->
-              Obs.Metrics.incr m_failures;
-              Log.logf "session: failed (%s)" msg;
-              Failed msg
-          | Wire.Errors.Timeout { what; waited_s } ->
-              Obs.Metrics.incr m_failures;
-              let msg = Printf.sprintf "timeout: %s after %.1fs" what waited_s in
-              Log.logf "session: failed (%s)" msg;
-              Failed msg
-          | Wire.Buf.Parse_error msg ->
-              Obs.Metrics.incr m_failures;
-              Log.logf "session: failed (malformed frame: %s)" msg;
-              Failed ("malformed frame: " ^ msg)
+          with e ->
+            (* One session's fault, whatever its class, ends that
+               session only: the daemon logs it and keeps serving. *)
+            let msg = Wire.Errors.to_string e in
+            Obs.Metrics.incr m_failures;
+            Log.logf "session: failed (%s)" msg;
+            Failed msg
         in
         finish
           {

@@ -32,7 +32,10 @@ type config = {
 type status =
   | Completed  (** clean [psid/bye] exchange *)
   | Rejected of string  (** busy or denied before any protocol work *)
-  | Failed of string  (** mid-session fault (timeout, protocol error) *)
+  | Failed of string
+      (** mid-session fault of any class, as {!Wire.Errors.to_string}
+          prints it: timeout, protocol error, peer violation or local
+          bug *)
 
 type outcome = {
   tenant : string option;  (** authenticated tenant, once known *)

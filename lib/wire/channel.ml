@@ -168,7 +168,11 @@ let recv ?timeout_s ?(max_bytes = max_frame_bytes) ep =
   if Obs.Runtime.is_enabled () then
     Obs.Metrics.observe h_recv_wait_ns
       (Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0));
-  let m = Message.decode bytes in
+  let m =
+    match Message.decode bytes with
+    | m -> m
+    | exception Buf.Parse_error msg -> Errors.protocol_errorf "malformed frame: %s" msg
+  in
   ep.c.messages_received <- ep.c.messages_received + 1;
   ep.c.bytes_received <- ep.c.bytes_received + String.length bytes;
   if ep.record_views then ep.c.received_log <- m :: ep.c.received_log;

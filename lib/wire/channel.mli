@@ -83,9 +83,8 @@ val max_frame_bytes : int
     @raise Errors.Timeout when the deadline ([?timeout_s], or the
     endpoint default from {!set_timeout}) expires first.
     @raise Errors.Protocol_error if the peer closed the channel with no
-    message pending, or on an oversized frame.
-    @raise Buf.Parse_error if the frame does not decode to a
-    {!Message.t}. *)
+    message pending, on an oversized frame, or (["malformed frame: …"])
+    if the frame does not decode to a {!Message.t}. *)
 val recv : ?timeout_s:float -> ?max_bytes:int -> endpoint -> Message.t
 
 (** [close ep] half-closes: wakes a peer blocked in {!recv}; frames

@@ -14,11 +14,14 @@
     - {e delay} — the frame arrives late (possibly after the peer's
       deadline);
     - {e truncate} — the peer gets a prefix of the frame, which fails
-      to decode ({!Buf.Parse_error});
+      to decode ({!Errors.Protocol_error} ["malformed frame: …"]);
     - {e duplicate} — the frame arrives twice; the second copy trips
-      the receiver's tag check;
+      the receiver's tag or count check ({!Errors.Protocol_error});
     - {e disconnect} — the underlying transport is closed mid-session
       ({!Errors.Protocol_error}).
+
+    Every one of them is {!Errors.transient}; none is a
+    {!Errors.Peer_violation}.
 
     The injected-fault counts are available both from {!stats} and as
     [wire.fault.*] counters in {!Obs.Metrics} when telemetry is on. *)

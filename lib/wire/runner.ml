@@ -41,12 +41,7 @@ let run_on (s_ep, r_ep) ~sender ~receiver =
   | Error se, Error re -> (
       (* When both fail, surface the root cause: a "peer closed" error
          is the echo of the other side's crash, not the crash itself. *)
-      match (se, re) with
-      | Errors.Protocol_error m, _ when String.equal m Errors.peer_closed_message ->
-          raise re
-      | _, Errors.Protocol_error m when String.equal m Errors.peer_closed_message ->
-          raise se
-      | _ -> raise se)
+      if Errors.is_peer_closed se then raise re else raise se)
   | Error e, Ok _ | Ok _, Error e -> raise e
 
 let run ~sender ~receiver = run_on (Channel.create ()) ~sender ~receiver

@@ -94,7 +94,7 @@ module Memory = struct
       end
       else if s.fin then begin
         Mutex.unlock s.mutex;
-        raise (Errors.Protocol_error Errors.peer_closed_message)
+        raise Errors.peer_closed
       end
       else
         match deadline with
@@ -186,7 +186,7 @@ module Socket = struct
       if k = 0 then
         if at_boundary && !off = 0 then
           (* EOF between frames: a clean shutdown by the peer. *)
-          raise (Errors.Protocol_error Errors.peer_closed_message)
+          raise Errors.peer_closed
         else
           Errors.protocol_errorf
             "Transport.Socket: peer closed mid-frame (%d of %d bytes)" !off

@@ -3,6 +3,7 @@
 
 exception Protocol_error = Errors.Protocol_error
 exception Timeout = Errors.Timeout
+exception Peer_violation = Errors.Peer_violation
 
 module Errors = Errors
 module Buf = Buf

@@ -67,6 +67,24 @@ let test_inject () =
     [ ("s/l/el_per_s", Fail); ("s/l/wall_ms", Fail) ]
     (outcomes ~inject:2. c fresh)
 
+let test_self_test () =
+  let fresh =
+    [ row ~gate:Floor "el_per_s" 1600.; row ~gate:Ceiling "wall_ms" 100.; row ~gate:Exact "ce" 240. ]
+  in
+  let outcomes slack =
+    List.map (fun (c : Rows.check) -> (c.row, c.outcome)) (Rows.self_test ~slack fresh)
+  in
+  check "2x injected into the readings themselves fails every timed row"
+    [ ("self-test/s/l/el_per_s", Pass); ("self-test/s/l/wall_ms", Pass) ]
+    (outcomes 1.6);
+  check "a slack that absorbs 2x is caught"
+    [ ("self-test/s/l/el_per_s", Fail); ("self-test/s/l/wall_ms", Fail) ]
+    (outcomes 2.5);
+  check "nothing to inject into fails"
+    [ ("self-test", Fail) ]
+    (List.map (fun (c : Rows.check) -> (c.row, c.outcome))
+       (Rows.self_test ~slack:1.6 [ row ~gate:Exact "ce" 240. ]))
+
 let test_json_roundtrip () =
   let rows = [ row ~gate:Exact "ce" 240.; row "ratio" 0.1; row ~gate:Ceiling "ms" 1e-3 ] in
   let text = Obs.Export.Json.to_string (Rows.document rows) in
@@ -87,6 +105,7 @@ let () =
           tc "other box" `Quick test_other_box;
           tc "missing fresh row" `Quick test_missing;
           tc "inject slowdown" `Quick test_inject;
+          tc "self-test" `Quick test_self_test;
           tc "json roundtrip" `Quick test_json_roundtrip;
         ] );
     ]

@@ -240,6 +240,76 @@ let test_unrecoverable_raises () =
   | _ -> Alcotest.fail "expected the blackhole session to fail"
   | exception (Wire.Timeout _ | Wire.Protocol_error _) -> ()
 
+(* A transport that passes each outgoing frame, numbered from 1,
+   through [f] before [inner] sends it: a stand-in for a buggy local
+   stack or a misbehaving peer, where a fault schedule models the
+   wire. *)
+let tampered ~f inner =
+  let sends = ref 0 in
+  let forward frame =
+    incr sends;
+    Transport.send inner (f !sends frame)
+  in
+  Transport.Conn
+    ( (module struct
+        type conn = unit
+
+        let name = "tampered"
+        let send () frame = forward frame
+
+        let send_stream () ~total produce =
+          let b = Buffer.create total in
+          Seq.iter (Buffer.add_string b) (Seq.of_dispenser produce);
+          forward (Buffer.contents b)
+
+        let recv ?deadline ?max_bytes () = Transport.recv ?deadline ?max_bytes inner
+        let close () = Transport.close inner
+      end),
+      () )
+
+(* [connect] whose sender endpoint sends through [tampered ~f]; counts
+   the connections made. *)
+let tampered_connect ~f =
+  let connects = ref 0 in
+  let connect ~attempt:_ =
+    incr connects;
+    let a, b = Transport.Memory.pair () in
+    (Channel.of_transport (tampered ~f a), Channel.of_transport b)
+  in
+  (connect, connects)
+
+let retrying = { chaos_resilience with Session.max_attempts = 5; recv_timeout_s = Some 10. }
+
+(* [Failure] is a local bug: the first attempt's is final, however many
+   reconnects the policy allows. *)
+let test_local_failure_not_retried () =
+  let connect, connects =
+    tampered_connect ~f:(fun n frame -> if n = 3 then failwith "local bug" else frame)
+  in
+  match Session.run_resilient ~resilience:retrying cfg ~connect all_ops with
+  | _ -> Alcotest.fail "expected the local failure to surface"
+  | exception Failure _ -> Alcotest.(check int) "attempts" 1 !connects
+
+(* A peer whose Y_S carries p-1, a non-residue, violates the protocol;
+   a reconnect would meet the same peer, so there is none. *)
+let test_peer_violation_not_retried () =
+  let g = cfg.Psi.Protocol.group in
+  let p_minus_1 = Crypto.Group.encode_elt g (Bignum.Nat.sub (Crypto.Group.p g) Bignum.Nat.one) in
+  let rewrite _ frame =
+    match Message.decode frame with
+    | { Message.tag = "intersection/Y_S"; payload = Message.Elements (_ :: rest) } ->
+        Message.encode
+          (Message.make ~tag:"intersection/Y_S" (Message.Elements (p_minus_1 :: rest)))
+    | _ -> frame
+  in
+  let connect, connects = tampered_connect ~f:rewrite in
+  match
+    Session.run_resilient ~resilience:retrying cfg ~connect
+      [ Session.Intersect { s_values; r_values } ]
+  with
+  | _ -> Alcotest.fail "expected the non-residue to be refused"
+  | exception Wire.Peer_violation _ -> Alcotest.(check int) "attempts" 1 !connects
+
 let test_retry_metrics () =
   let _, _, snapshot =
     Obs.trace (fun () ->
@@ -329,6 +399,10 @@ let () =
           Alcotest.test_case "unrecoverable surfaces typed error" `Quick
             test_unrecoverable_raises;
           Alcotest.test_case "retry metrics" `Quick test_retry_metrics;
+          Alcotest.test_case "local Failure is not retried" `Quick
+            test_local_failure_not_retried;
+          Alcotest.test_case "peer violation is not retried" `Quick
+            test_peer_violation_not_retried;
           Alcotest.test_case "flight-recorder forensic trail" `Quick
             test_ring_forensic_trail;
         ] );

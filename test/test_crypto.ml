@@ -312,12 +312,21 @@ let test_group_encode_decode () =
     let x = Group.random_element g256 ~rng:test_rng in
     let s = Group.encode_elt g256 x in
     Alcotest.(check int) "fixed width" (Group.element_bytes g256) (String.length s);
-    Alcotest.check nat "roundtrip" x (Group.decode_elt g256 s)
+    Alcotest.check nat "roundtrip" x (Result.get_ok (Group.decode_elt g256 s))
   done;
-  Alcotest.check_raises "wrong width" (Invalid_argument "Group.decode_elt: wrong width")
-    (fun () -> ignore (Group.decode_elt g256 "short"));
-  Alcotest.check_raises "zero" (Invalid_argument "Group.decode_elt: out of range")
-    (fun () -> ignore (Group.decode_elt g256 (String.make (Group.element_bytes g256) '\x00')))
+  (* The decoder is total: what a peer could send is an [Error]. *)
+  let bytes = Group.element_bytes g256 in
+  let rejects what s =
+    Alcotest.(check bool) what true (Result.is_error (Group.decode_elt g256 s))
+  in
+  rejects "wrong width" "short";
+  rejects "zero" (String.make bytes '\x00');
+  rejects "p itself" (Group.encode_elt g256 (Group.p g256));
+  (* p-1 decodes (it is in range) but is no residue: membership is a
+     separate test. *)
+  let p_minus_1 = Result.get_ok (Group.decode_elt g256 (Group.encode_elt g256 (Nat.sub (Group.p g256) Nat.one))) in
+  Alcotest.(check bool) "p-1 outside QR_p" false (Group.is_element g256 p_minus_1);
+  Alcotest.(check bool) "1 is the identity" true (Group.is_element g256 Nat.one)
 
 let test_group_of_prime_rejects () =
   Alcotest.check_raises "too small" (Invalid_argument "Group.of_prime: p too small")

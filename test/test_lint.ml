@@ -184,6 +184,43 @@ let test_exn01_suppressed () =
   Alcotest.(check bool) "clean" true (Driver.clean o)
 
 (* ------------------------------------------------------------------ *)
+(* ERR01                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let test_err01_fires () =
+  let fires src = check_rules src [ "ERR01" ] (new_rules (analyze ~path:"lib/core/fixture.ml" src)) in
+  fires "let f ep = match Channel.recv ep with _ -> failwith \"bad frame\"";
+  fires "let f cfg ep = if Protocol.recv_one cfg ep \"t\" = \"\" then raise (Failure \"x\")";
+  (* The failure may come before the read in the same item. *)
+  fires "let f p ep = if p then failwith \"x\" else elements_of (recv_tagged ep \"t\")";
+  fires "let f ep = Stdlib.failwith (recv_hello ep)"
+
+let test_err01_negatives () =
+  let ok path src = check_rules src [] (new_rules (analyze ~path src)) in
+  (* Typed errors on the receive path. *)
+  ok "lib/core/fixture.ml"
+    "let f ep = match Channel.recv ep with _ -> Wire.Errors.protocol_errorf \"bad\"";
+  (* Each top-level item on its own: a failing neighbour that reads
+     nothing is a local invariant. *)
+  ok "lib/core/fixture.ml"
+    "let g xs = if xs = [] then failwith \"empty\" else xs\nlet f ep = g (elements_of (Channel.recv ep))";
+  (* Defining a reader is not reading. *)
+  ok "lib/core/fixture.ml" "let elements_of = function [] -> failwith \"x\" | l -> l";
+  (* Channel.received is the transcript, not a read. *)
+  ok "lib/core/fixture.ml" "let f ep = match Channel.received ep with [] -> failwith \"x\" | l -> l";
+  (* Outside lib/core and lib/wire. *)
+  ok "lib/service/fixture.ml" "let f ep = match Channel.recv ep with _ -> failwith \"x\""
+
+let test_err01_suppressed () =
+  let src =
+    "(* psi-lint: allow ERR01 — fixture: the caller maps Failure itself *)\n\
+     let f ep = match Channel.recv ep with _ -> failwith \"x\""
+  in
+  let o = analyze ~path:"lib/core/fixture.ml" src in
+  check_rules "suppressed" [ "ERR01" ] (suppressed_rules o);
+  Alcotest.(check bool) "clean" true (Driver.clean o)
+
+(* ------------------------------------------------------------------ *)
 (* WIRE01                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -614,6 +651,12 @@ let () =
         ] );
       ( "rng01",
         [ tc "fires" `Quick test_rng01_fires; tc "suppressed" `Quick test_rng01_suppressed ] );
+      ( "err01",
+        [
+          tc "fires" `Quick test_err01_fires;
+          tc "negatives" `Quick test_err01_negatives;
+          tc "suppressed" `Quick test_err01_suppressed;
+        ] );
       ( "exn01",
         [
           tc "fires" `Quick test_exn01_fires;

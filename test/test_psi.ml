@@ -890,7 +890,9 @@ let profile cfg view =
       List.iter
         (fun e ->
           Alcotest.(check bool) "valid group element" true
-            (Group.is_element cfg.P.group (Group.decode_elt cfg.P.group e)))
+            (match Group.decode_elt cfg.P.group e with
+             | Ok x -> Group.is_element cfg.P.group x
+             | Error _ -> false))
         es;
       (m.Message.tag, List.length es))
     view
@@ -1049,18 +1051,19 @@ let against_fake_sender ?(receiver = intersection_receiver) script =
   Thread.join t;
   result
 
-let expect_protocol_error name result =
-  match result with
-  | Error (Wire.Protocol_error msg) ->
-      Alcotest.(check bool) (name ^ ": " ^ msg) true
-        (String.length msg > 0)
-  | Error (Failure msg) ->
-      Alcotest.(check bool) (name ^ ": " ^ msg) true
-        (String.length msg > 0)
-  | Error (Invalid_argument msg) ->
+(* Each malformed input ends in the one class that names it: a framing
+   fault is a [Protocol_error] (a reconnect may cure it), an element
+   outside the group a [Peer_violation] (none can). *)
+let expect_error ~cls name result =
+  match (cls, result) with
+  | `Protocol, Error (Wire.Protocol_error msg) | `Violation, Error (Wire.Peer_violation msg)
+    ->
       Alcotest.(check bool) (name ^ ": " ^ msg) true (String.length msg > 0)
-  | Error e -> Alcotest.failf "%s: unexpected exception %s" name (Printexc.to_string e)
-  | Ok _ -> Alcotest.failf "%s: protocol accepted malformed input" name
+  | _, Error e -> Alcotest.failf "%s: unexpected exception %s" name (Printexc.to_string e)
+  | _, Ok _ -> Alcotest.failf "%s: protocol accepted malformed input" name
+
+let expect_protocol_error = expect_error ~cls:`Protocol
+let expect_peer_violation = expect_error ~cls:`Violation
 
 let test_robust_wrong_tag () =
   expect_protocol_error "wrong tag"
@@ -1077,7 +1080,7 @@ let expect_count_mismatch name result =
     at 0
   in
   match result with
-  | Error (Failure msg) when mentions_count msg -> ()
+  | Error (Wire.Protocol_error msg) when mentions_count msg -> ()
   | Error e -> Alcotest.failf "%s: unexpected exception %s" name (Printexc.to_string e)
   | Ok () -> Alcotest.failf "%s: protocol accepted a short list" name
 
@@ -1112,7 +1115,7 @@ let test_robust_count_mismatch () =
            (Message.make ~tag:"aggregate/Y_R_enc" (Message.Elements (List.tl yr)))))
 
 let test_robust_out_of_range_element () =
-  expect_protocol_error "out-of-range element"
+  expect_peer_violation "out-of-range element"
     (against_fake_sender (fun ep ->
          let _ = Wire.Channel.recv ep in
          (* An all-zero "element" is not in [1, p-1]. *)
@@ -1121,11 +1124,36 @@ let test_robust_out_of_range_element () =
            (Message.make ~tag:"intersection/Y_S" (Message.Elements [ bogus ]))))
 
 let test_robust_wrong_width_element () =
-  expect_protocol_error "wrong width"
+  expect_peer_violation "wrong width"
     (against_fake_sender (fun ep ->
          let _ = Wire.Channel.recv ep in
          Wire.Channel.send ep
            (Message.make ~tag:"intersection/Y_S" (Message.Elements [ "short" ]))))
+
+(* p-1 is in range but no residue (p = 3 mod 4): outside QR_p, where
+   the commutative cipher is not defined. It must be refused wherever
+   R puts its key on what S sent — Z_S in the intersection, the peeled
+   Y_R_enc in the intersection-sum. *)
+let test_robust_non_residue_element () =
+  let p_minus_1 = P.encode cfg (Bignum.Nat.sub (Group.p g64) Bignum.Nat.one) in
+  expect_peer_violation "p-1 in intersection/Y_S"
+    (against_fake_sender (fun ep ->
+         let _ = Wire.Channel.recv ep in
+         Wire.Channel.send ep
+           (Message.make ~tag:"intersection/Y_S" (Message.Elements [ p_minus_1 ]))));
+  expect_peer_violation "p-1 in aggregate/Y_R_enc"
+    (against_fake_sender
+       ~receiver:(fun ~rng ep -> ignore (Psi.Aggregate.receiver cfg ~rng ~values:vr1 ep))
+       (fun ep ->
+         let yr = P.elements_of (Wire.Channel.recv ep).Message.payload in
+         let rng = Crypto.Drbg.to_rng (Crypto.Drbg.create ~seed:"robust-paillier") in
+         let pub, _ = Crypto.Paillier.keygen ~rng ~bits:128 in
+         Wire.Channel.send ep
+           (Message.make ~tag:"aggregate/pub"
+              (Message.Elements [ Crypto.Paillier.encode_public pub ]));
+         Wire.Channel.send ep
+           (Message.make ~tag:"aggregate/Y_R_enc"
+              (Message.Elements (p_minus_1 :: List.tl yr)))))
 
 let test_robust_wrong_payload_shape () =
   expect_protocol_error "pairs instead of elements"
@@ -1888,7 +1916,7 @@ let () =
                         ~sender:(fun ep -> Psi.Handshake.respond cfg256 ep)
                         ~receiver:(fun ep -> Psi.Handshake.initiate cfg ep));
                    false
-                 with Failure _ -> true));
+                 with Wire.Peer_violation _ -> true));
           Alcotest.test_case "domain mismatch detected" `Quick (fun () ->
               let cfg_b = P.config ~domain:"other" g64 in
               Alcotest.(check bool) "fails" true
@@ -1898,7 +1926,7 @@ let () =
                         ~sender:(fun ep -> Psi.Handshake.respond cfg_b ep)
                         ~receiver:(fun ep -> Psi.Handshake.initiate cfg ep));
                    false
-                 with Failure _ -> true));
+                 with Wire.Peer_violation _ -> true));
           Alcotest.test_case "cipher mismatch detected" `Quick (fun () ->
               let cfg_b = P.config ~cipher:Crypto.Perfect_cipher.Mul_cipher g64 in
               Alcotest.(check bool) "fails" true
@@ -1908,7 +1936,7 @@ let () =
                         ~sender:(fun ep -> Psi.Handshake.respond cfg_b ep)
                         ~receiver:(fun ep -> Psi.Handshake.initiate cfg ep));
                    false
-                 with Failure _ -> true));
+                 with Wire.Peer_violation _ -> true));
           Alcotest.test_case "workers do not affect fingerprint" `Quick (fun () ->
               Alcotest.(check string) "equal"
                 (Psi.Handshake.fingerprint (P.config ~workers:1 g64))
@@ -1977,6 +2005,8 @@ let () =
           Alcotest.test_case "count mismatch rejected" `Quick test_robust_count_mismatch;
           Alcotest.test_case "out-of-range element rejected" `Quick test_robust_out_of_range_element;
           Alcotest.test_case "wrong-width element rejected" `Quick test_robust_wrong_width_element;
+          Alcotest.test_case "non-residue element rejected" `Quick
+            test_robust_non_residue_element;
           Alcotest.test_case "wrong payload shape rejected" `Quick test_robust_wrong_payload_shape;
           Alcotest.test_case "early close fails cleanly" `Quick test_robust_early_close;
         ] );

@@ -561,6 +561,38 @@ let test_pir_index_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* A sender whose reply header claims a 2^40-byte record but sends one
+   chunk: the receiver refuses the claim with a typed error before
+   sizing anything by it. *)
+let test_pir_width_bound () =
+  let rng = Crypto.Drbg.to_rng (Crypto.Drbg.create ~seed:"pir-width") in
+  let lying_sender ep =
+    let pub =
+      match P.elements_of (P.recv_tagged ep "pir/query") with
+      | pub_enc :: _ -> Crypto.Paillier.decode_public pub_enc
+      | [] -> Alcotest.fail "empty query"
+    in
+    let header =
+      let w = Wire.Buf.writer () in
+      Wire.Buf.write_varint w (1 lsl 40);
+      Wire.Buf.contents w
+    in
+    let chunk =
+      Crypto.Paillier.encode_ciphertext pub (Crypto.Paillier.encrypt pub ~rng Bignum.Nat.zero)
+    in
+    Wire.Channel.send ep
+      (Wire.Message.make ~tag:"pir/reply" (Wire.Message.Elements [ header; chunk ]))
+  in
+  let before = Gc.allocated_bytes () in
+  (match
+     Runner.run ~sender:lying_sender
+       ~receiver:(Psi.Pir.receiver ~rng ~key_bits:128 ~count:2 ~index:0)
+   with
+  | _ -> Alcotest.fail "a 2^40-byte width was accepted"
+  | exception Wire.Protocol_error _ -> ());
+  Alcotest.(check bool) "nothing large allocated" true
+    (Gc.allocated_bytes () -. before < float_of_int (64 lsl 20))
+
 let test_pir_query_hides_index () =
   (* S's view: the public key plus [count] ciphertexts — same shape and
      sizes whatever the index. *)
@@ -654,6 +686,7 @@ let () =
           Alcotest.test_case "multi-chunk records" `Quick test_pir_long_records_chunked;
           Alcotest.test_case "index validation" `Quick test_pir_index_validation;
           Alcotest.test_case "query shape hides index" `Quick test_pir_query_hides_index;
+          Alcotest.test_case "reply width bounded by its chunks" `Quick test_pir_width_bound;
         ] );
       ( "value-keys",
         [ Alcotest.test_case "of_key inverts key" `Quick test_value_of_key_roundtrip ] );

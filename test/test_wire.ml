@@ -339,11 +339,11 @@ let test_zero_byte_frame () =
   let a, b = Transport.Memory.pair () in
   let ep = Channel.of_transport b in
   Transport.send a "";
-  Alcotest.(check bool) "zero-byte frame is a parse error" true
+  Alcotest.(check bool) "zero-byte frame is a malformed frame" true
     (try
        ignore (Channel.recv ep);
        false
-     with Buf.Parse_error _ -> true)
+     with Wire.Protocol_error _ -> true)
 
 let test_recv_timeout () =
   let _, b = Channel.create () in
@@ -619,11 +619,11 @@ let test_fault_duplicate () =
 let test_fault_truncate () =
   let a, b, stats = fault_pair (Fault.plan ~truncate:1.0 ~seed:"trunc" ()) in
   Channel.send a m1;
-  Alcotest.(check bool) "truncated frame fails to parse" true
+  Alcotest.(check bool) "truncated frame is a malformed frame" true
     (try
        ignore (Channel.recv ~timeout_s:1. b);
        false
-     with Buf.Parse_error _ -> true);
+     with Wire.Protocol_error _ -> true);
   Alcotest.(check int) "truncation counted" 1 stats.Fault.truncates
 
 let test_fault_cut_after () =
@@ -658,7 +658,7 @@ let test_fault_determinism () =
        while true do
          match Channel.recv ~timeout_s:0.01 b with
          | _ -> incr received
-         | exception Buf.Parse_error _ -> incr received
+         | exception Wire.Protocol_error _ -> incr received
        done
      with Wire.Timeout _ -> ());
     (stats.Fault.drops, stats.Fault.truncates, stats.Fault.duplicates, !received)

@@ -1,12 +1,14 @@
 #!/bin/sh
 # Perf-regression gate, run by `dune build @bench-gate`.
 #
-# Two passes of the bench harness's --check over the committed
-# BENCH.json: the first must pass, the second injects a synthetic 2x
-# slowdown and must fail, which shows the floor and ceiling rows were
-# really compared. main.exe exits 3 only when no floor or ceiling row
-# could be compared (the file was taken on a box with another core
-# count); the exact rows still gate then.
+# One run of the bench harness's --check over the committed BENCH.json.
+# It diffs fresh readings against the file, then injects a 2x slowdown
+# into the same readings, taken as their own baseline, and requires
+# every floor and ceiling row to fail: that shows the rows were really
+# compared, without measuring twice. main.exe exits 3 only when no
+# floor or ceiling row of the file could be compared (it was taken on a
+# box with another core count); the exact rows and the self-test still
+# gate then.
 #
 # Usage: bench_gate.sh path/to/main.exe BENCH.json
 set -eu
@@ -19,19 +21,6 @@ status=0
 "$bench" --check "$file" || status=$?
 case $status in
   0) ;;
-  3) echo "bench gate: no floor/ceiling row compared on this box; exact rows passed" ;;
+  3) echo "bench gate: no floor/ceiling row compared on this box; exact rows and self-test passed" ;;
   *) exit 1 ;;
-esac
-
-echo
-echo "== bench gate: injected 2x slowdown (must fail) =="
-status=0
-"$bench" --check "$file" --inject-slowdown 2 || status=$?
-case $status in
-  1) echo "bench gate: injected regression correctly detected" ;;
-  3) echo "bench gate: injection not exercised on this box" ;;
-  *)
-    echo "bench gate: --inject-slowdown 2 exited $status instead of failing" >&2
-    exit 1
-    ;;
 esac
