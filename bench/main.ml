@@ -376,16 +376,19 @@ let socket ~attempt:_ =
 
 let rng = Crypto.Drbg.to_rng (Crypto.Drbg.create ~seed:"bench-kernel")
 
-(* 2000 Test256 elements under one key, and their encryptions. *)
-let batch =
+(* 2000 elements of [g] under one key, and their encryptions. *)
+let batch_of g =
   lazy
-    (let key = Crypto.Commutative.gen_key test256 ~rng in
-     let xs = List.init 2_000 (fun _ -> Group.random_element test256 ~rng) in
+    (let key = Crypto.Commutative.gen_key g ~rng in
+     let xs = List.init 2_000 (fun _ -> Group.random_element g ~rng) in
      let w = Group.precompute_exp (Crypto.Commutative.exponent key) in
-     (key, xs, w, List.map (fun x -> Group.pow_pre test256 x w) xs))
+     (key, xs, w, List.map (fun x -> Group.pow_pre g x w) xs))
+
+let batch = batch_of test256
+let batch64 = batch_of test64
 
 (* Modexps/s of [f] over the batch, whose results it must reproduce. *)
-let modexps f =
+let modexps ?(batch = batch) f =
   let _, xs, _, expected = Lazy.force batch in
   let got, dt = best (fun () -> time f) in
   if not (List.for_all2 Group.equal_elt expected got) then
@@ -399,6 +402,24 @@ let encrypt_batch jobs =
     ?gate:(if jobs = 1 then Some Rows.Floor else None)
     "pool" (at "encrypt_batch" (Printf.sprintf "jobs=%d" jobs)) "modexps/s"
     (modexps (fun () -> Crypto.Commutative.encrypt_batch ?pool test256 key xs))
+
+(* The QR_p membership check's share of the peer layer: Group.is_element
+   over the peer's list, against Protocol.peer_layer (decode, check,
+   encrypt) over the same encodings, one worker and no cache. *)
+let membership_share name (key, xs, _, _) =
+  let g = Group.named name in
+  let cfg = Psi.Protocol.config g in
+  let ys = List.map (Psi.Protocol.encode cfg) xs in
+  let check =
+    snd (best (fun () -> time (fun () -> List.for_all (Group.is_element g) xs)))
+  in
+  let layer =
+    snd
+      (best (fun () ->
+           time (fun () -> Psi.Protocol.peer_layer cfg (Psi.Protocol.new_ops ()) key ys)))
+  in
+  emit "kernel" "core" (at "membership_share" (Group.name_to_string name)) "share"
+    (check /. layer)
 
 (* Single core: batch encryption (the pool sweep's smallest point),
    then the ablation of one Montgomery call per element against the
@@ -414,6 +435,9 @@ let kernel ~check =
       (modexps (fun () -> List.map (fun x -> Group.pow_pre test256 x w) xs));
     emit "bignum" (at "pow_batch" kernel) "modexps/s"
       (modexps (fun () -> Group.pow_batch test256 xs w));
+    (let _, xs64, w64, _ = Lazy.force batch64 in
+     emit "bignum" (at "pow_batch" (Group.kernel_name test64)) "modexps/s"
+       (modexps ~batch:batch64 (fun () -> Group.pow_batch test64 xs64 w64)));
     let p256 = Group.p test256 and x256 = Group.random_element test256 ~rng in
     let e256 = Bignum.Nat_rand.below ~rng (Group.q test256) in
     let mont = Bignum.Modular.Mont.create p256 in
@@ -440,7 +464,9 @@ let kernel ~check =
         let x = Group.random_element g ~rng in
         us "bignum" ("jacobi@" ^ Group.name_to_string name) (fun () ->
             Bignum.Prime.jacobi x (Group.p g)))
-      Group.[ Test256; Modp1536 ];
+      Group.[ Test64; Test256; Modp1536 ];
+    membership_share Group.Test64 (Lazy.force batch64);
+    membership_share Group.Test256 (Lazy.force batch);
     us "crypto" "sha256@1KiB" (fun () -> Crypto.Sha256.digest (String.make 1024 'm'));
     us "bignum" "pow_montgomery@256" (fun () -> Bignum.Modular.Mont.pow mont x256 e256);
     us "bignum" "pow_binary@256" (fun () -> Bignum.Modular.pow_binary x256 e256 p256);

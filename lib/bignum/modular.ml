@@ -389,6 +389,58 @@ module Mont = struct
     Array.unsafe_set dst 7 t7;
     Array.unsafe_set dst 8 t8
 
+  (* Mechanically unrolled from [mont_mul_loop] at [n = 3] (59- to
+     88-bit moduli, so Test64): the same straight-line CIOS as
+     [mont_mul_w9], same carry bound and lazy output. [dst] may alias
+     [a] or [b]. *)
+  let mont_mul_w3 ~(ml : int array) ~m' (a : int array) (b : int array)
+      (dst : int array) =
+    let b0 = Array.unsafe_get b 0 in
+    let b1 = Array.unsafe_get b 1 in
+    let b2 = Array.unsafe_get b 2 in
+    let q0 = Array.unsafe_get ml 0 in
+    let q1 = Array.unsafe_get ml 1 in
+    let q2 = Array.unsafe_get ml 2 in
+    let t0 = 0 in
+    let t1 = 0 in
+    let t2 = 0 in
+    let ai = Array.unsafe_get a 0 in
+    let u = t0 + (ai * b0) in
+    let mi = u * m' land base_mask in
+    let c = (u + (mi * q0)) lsr base_bits in
+    let v = t1 + (ai * b1) + (mi * q1) + c in
+    let t0 = v land base_mask in
+    let c = v lsr base_bits in
+    let v = t2 + (ai * b2) + (mi * q2) + c in
+    let t1 = v land base_mask in
+    let c = v lsr base_bits in
+    let t2 = c in
+    let ai = Array.unsafe_get a 1 in
+    let u = t0 + (ai * b0) in
+    let mi = u * m' land base_mask in
+    let c = (u + (mi * q0)) lsr base_bits in
+    let v = t1 + (ai * b1) + (mi * q1) + c in
+    let t0 = v land base_mask in
+    let c = v lsr base_bits in
+    let v = t2 + (ai * b2) + (mi * q2) + c in
+    let t1 = v land base_mask in
+    let c = v lsr base_bits in
+    let t2 = c in
+    let ai = Array.unsafe_get a 2 in
+    let u = t0 + (ai * b0) in
+    let mi = u * m' land base_mask in
+    let c = (u + (mi * q0)) lsr base_bits in
+    let v = t1 + (ai * b1) + (mi * q1) + c in
+    let t0 = v land base_mask in
+    let c = v lsr base_bits in
+    let v = t2 + (ai * b2) + (mi * q2) + c in
+    let t1 = v land base_mask in
+    let c = v lsr base_bits in
+    let t2 = c in
+    Array.unsafe_set dst 0 t0;
+    Array.unsafe_set dst 1 t1;
+    Array.unsafe_set dst 2 t2
+
   type ctx = {
     m : Nat.t;
     n : int; (* limb count: the least with 4m < 2^(30n) *)
@@ -403,10 +455,12 @@ module Mont = struct
   let modulus c = c.m
 
   let kernel_name c =
-    if c.n = 9 then "mont30x9-unrolled" else Printf.sprintf "mont30x%d" c.n
+    if c.n = 9 || c.n = 3 then Printf.sprintf "mont30x%d-unrolled" c.n
+    else Printf.sprintf "mont30x%d" c.n
 
   let fmul c (t : int array) a b dst =
     if c.n = 9 then mont_mul_w9 ~ml:c.ml ~m':c.m' a b dst
+    else if c.n = 3 then mont_mul_w3 ~ml:c.ml ~m':c.m' a b dst
     else mont_mul_loop ~n:c.n ~ml:c.ml ~m':c.m' t a b dst
 
   (* Final correction out of the lazy domain: the value is < 2m, so

@@ -44,9 +44,10 @@ module Mont : sig
       Every modulus runs on one kernel family at [Nat]'s own 30-bit
       limbs: fused multiply-and-reduce (CIOS), lazy reduction and
       per-call arenas. The limb count [n] is the least with
-      [4m < 2^(30n)], the headroom lazy reduction needs; at [n = 9]
-      (every 256-bit modulus) the multiply is a straight-line unrolled
-      kernel, at any other [n] a loop. The window width and
+      [4m < 2^(30n)], the headroom lazy reduction needs; at [n = 3]
+      (59- to 88-bit moduli) and [n = 9] (239 to 268 bits, so every
+      256-bit modulus) the multiply is a straight-line unrolled kernel,
+      at any other [n] a loop. The window width and
       {!pow_batch} lane count follow from [n] alone: 4-bit windows and
       4 lanes below 11 limbs, 5-bit windows and 2 lanes from there
       (1536- and 2048-bit moduli are 52 and 69 limbs). Results are
@@ -58,7 +59,8 @@ module Mont : sig
   val modulus : ctx -> Nat.t
 
   (** The kernel [create] chose, a function of the limb count alone:
-      ["mont30x9-unrolled"] at 9 limbs, ["mont30x<n>"] otherwise. *)
+      ["mont30x3-unrolled"] and ["mont30x9-unrolled"] at 3 and 9 limbs,
+      ["mont30x<n>"] otherwise. *)
   val kernel_name : ctx -> string
 
   (** [pow ctx b e] is [b^e mod m] for [b] in [[0, m)]. *)

@@ -58,7 +58,7 @@ let sender cfg ~rng ?(key_bits = 512) ~records ep =
   Channel.send ep
     (Message.make ~tag:(Protocol.scoped cfg tag_pairs) (Message.Ciphertext_pairs pairs));
   (* Step 5: decrypt the blinded aggregate and return the plaintext. *)
-  let blinded = Paillier.decode_ciphertext pub (Protocol.recv_one cfg ep tag_blinded) in
+  let blinded = Protocol.peer_ciphertext pub (Protocol.recv_one cfg ep tag_blinded) in
   let masked_sum = Paillier.decrypt sec blinded in
   Protocol.send_one cfg ep ~tag:tag_sum (Nat.to_bytes_be masked_sum);
   { v_r_count = List.length y_r; ops }
@@ -68,7 +68,7 @@ let receiver cfg ~rng ~values ep =
   let e_r = Commutative.gen_key cfg.Protocol.group ~rng in
   let own = Protocol.own_layer cfg ops e_r (Protocol.dedup values) in
   Protocol.send_elements_stream cfg ep ~tag:tag_y_r (List.map fst own);
-  let pub = Paillier.decode_public (Protocol.recv_one cfg ep tag_pub) in
+  let pub = Protocol.peer_public (Protocol.recv_one cfg ep tag_pub) in
   (* Strip our layer to obtain f_eS(h(v)) for our own values. *)
   let y_r_enc =
     Protocol.expect_count tag_y_r_enc (List.length own)
@@ -93,7 +93,7 @@ let receiver cfg ~rng ~values ep =
   let rho = Bignum.Nat_rand.below ~rng (Paillier.modulus pub) in
   let acc = ref (Paillier.encrypt pub ~rng rho) in
   List.iter
-    (fun (_, ct) -> acc := Paillier.add pub !acc (Paillier.decode_ciphertext pub ct))
+    (fun (_, ct) -> acc := Paillier.add pub !acc (Protocol.peer_ciphertext pub ct))
     matched;
   ops.Protocol.cipher_ops <- ops.Protocol.cipher_ops + List.length matched + 1;
   Protocol.send_one cfg ep ~tag:tag_blinded (Paillier.encode_ciphertext pub !acc);

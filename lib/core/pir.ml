@@ -33,8 +33,8 @@ let sender ~rng ~records ep =
   let pub, query =
     match Protocol.elements_of (Protocol.recv_tagged ep tag_query) with
     | pub_enc :: cts ->
-        let pub = Paillier.decode_public pub_enc in
-        (pub, List.map (Paillier.decode_ciphertext pub) cts)
+        let pub = Protocol.peer_public pub_enc in
+        (pub, List.map (Protocol.peer_ciphertext pub) cts)
     | [] -> Wire.Errors.protocol_errorf "pir: empty query"
   in
   if List.length query <> List.length records then
@@ -102,7 +102,7 @@ let receiver ~rng ?(key_bits = 512) ~count ~index ep =
           (fun k ct ->
             let lo = k * cb in
             let len = Stdlib.min cb (width - lo) in
-            let v = Paillier.decrypt sec (Paillier.decode_ciphertext pub ct) in
+            let v = Paillier.decrypt sec (Protocol.peer_ciphertext pub ct) in
             Buffer.add_string buf (Nat.to_bytes_be ~width:len v))
           chunks;
         (match unframe (Buffer.contents buf) with

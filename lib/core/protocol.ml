@@ -104,6 +104,12 @@ let decode_peer cfg s =
   | Ok _ -> Wire.Errors.peer_violationf "element outside QR_p"
   | Error e -> Wire.Errors.peer_violationf "%s" e
 
+(* The peer's Paillier key and ciphertexts ([Aggregate], [Pir]): bytes
+   that do not decode are its violation, as a non-element is. *)
+let peer_paillier = function Ok x -> x | Error e -> Wire.Errors.peer_violationf "%s" e
+let peer_public s = peer_paillier (Crypto.Paillier.decode_public s)
+let peer_ciphertext pub s = peer_paillier (Crypto.Paillier.decode_ciphertext pub s)
+
 (* Per-element crypto work, on encodings, through the session's cache:
    plain [compute ss] without one. With one, [ss] are inputs of the
    cache's [(ns, key_fp)] slice and [compute] sees only the misses, so

@@ -243,3 +243,10 @@ val recv_one : config -> Wire.Channel.endpoint -> string -> string
 (** [expect_count tag n xs] is [xs] if it has [n] items — the peer's
     answer to our [n]-item list under [tag]. *)
 val expect_count : string -> int -> 'a list -> 'a list
+
+(** [peer_public s] and [peer_ciphertext pub s] decode the peer's
+    Paillier key and ciphertexts, for [Aggregate] and [Pir].
+    @raise Wire.Errors.Peer_violation on bytes that do not decode. *)
+val peer_public : string -> Crypto.Paillier.public
+
+val peer_ciphertext : Crypto.Paillier.public -> string -> Bignum.Nat.t

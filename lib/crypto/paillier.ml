@@ -72,21 +72,32 @@ let zero pub ~rng = encrypt pub ~rng Nat.zero
 
 let encode_public pub = Nat.to_bytes_be pub.n
 
+(* [keygen ~bits:64], the smallest key, multiplies two 32-bit primes,
+   so every honest modulus has at least 63 bits. The ceiling bounds the
+   work a peer's key can ask for ([make_public] squares it). *)
+let min_modulus_bits = 63
+let max_modulus_bits = 16384
+
 let decode_public s =
   let n = Nat.of_bytes_be s in
-  if Nat.compare n (Nat.of_int 4) < 0 || Nat.is_even n then
-    invalid_arg "Paillier.decode_public: implausible modulus"
-  else make_public n
+  let bits = Nat.num_bits n in
+  if Nat.is_even n then Error "Paillier modulus is even"
+  else if bits < min_modulus_bits || bits > max_modulus_bits then
+    Error
+      (Printf.sprintf "Paillier modulus of %d bits, expected %d to %d" bits min_modulus_bits
+         max_modulus_bits)
+  else Ok (make_public n)
 
 let ciphertext_bytes pub = (Nat.num_bits pub.n_sq + 7) / 8
 let encode_ciphertext pub c = Nat.to_bytes_be ~width:(ciphertext_bytes pub) c
 
 let decode_ciphertext pub s =
   if String.length s <> ciphertext_bytes pub then
-    invalid_arg "Paillier.decode_ciphertext: wrong width"
+    Error
+      (Printf.sprintf "Paillier ciphertext of %d bytes, expected %d" (String.length s)
+         (ciphertext_bytes pub))
   else begin
     let c = Nat.of_bytes_be s in
-    if Nat.compare c pub.n_sq >= 0 then
-      invalid_arg "Paillier.decode_ciphertext: out of range"
-    else c
+    if Nat.compare c pub.n_sq >= 0 then Error "Paillier ciphertext out of range [0, n^2)"
+    else Ok c
   end

@@ -46,7 +46,16 @@ val zero : public -> rng:Bignum.Nat_rand.rng -> Bignum.Nat.t
 (** Fixed-width wire encodings of the public key and ciphertexts. *)
 val encode_public : public -> string
 
-val decode_public : string -> public
+(** [decode_public s] parses {!encode_public} output: [Ok pub] when the
+    modulus is odd and of 63 to 16384 bits (the least {!keygen} makes,
+    and a ceiling on the work a key can ask for), [Error reason]
+    otherwise. Total, because [s] usually comes from a peer. *)
+val decode_public : string -> (public, string) result
+
 val ciphertext_bytes : public -> int
 val encode_ciphertext : public -> Bignum.Nat.t -> string
-val decode_ciphertext : public -> string -> Bignum.Nat.t
+
+(** [decode_ciphertext pub s] parses {!encode_ciphertext} output:
+    [Ok c] when [s] is {!ciphertext_bytes} wide and [c < n^2],
+    [Error reason] otherwise. Total, like {!decode_public}. *)
+val decode_ciphertext : public -> string -> (Bignum.Nat.t, string) result

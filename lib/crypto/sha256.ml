@@ -105,11 +105,10 @@ let update ctx s =
         ctx.buf_len <- 0
       end
     end;
-    (* Whole blocks straight from the input. *)
-    let tmp = Bytes.create block_size in
+    (* Whole blocks straight from the input: [compress] only reads its
+       block, so the string is passed without a copy. *)
     while len - !pos >= block_size do
-      Bytes.blit_string s !pos tmp 0 block_size;
-      compress ctx tmp 0;
+      compress ctx (Bytes.unsafe_of_string s) !pos;
       pos := !pos + block_size
     done;
     (* Stash the tail. *)
@@ -135,7 +134,7 @@ let finalize ctx =
       Bytes.set pad (pad_len - 1 - i) (Char.chr ((bit_len lsr (8 * i)) land 0xff))
     done;
     ctx.finalized <- false;
-    update ctx (Bytes.to_string pad);
+    update ctx (Bytes.unsafe_to_string pad);
     ctx.finalized <- true;
     assert (ctx.buf_len = 0);
     String.init digest_size (fun i ->

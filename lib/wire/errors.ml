@@ -16,7 +16,8 @@ exception Protocol_error of string
 exception Timeout of { what : string; waited_s : float }
 
 (* The peer sent something no honest peer sends: a configuration it
-   does not share with us, or an element outside the group. A
+   does not share with us, an element outside the group, or a Paillier
+   key or ciphertext that does not decode. A
    reconnect would meet the same peer, so it is never retried. *)
 exception Peer_violation of string
 

@@ -26,9 +26,10 @@ exception Protocol_error of string
 exception Timeout of { what : string; waited_s : float }
 
 (** Raised when the peer sends what no honest peer sends: a handshake
-    configuration that disagrees with ours, or a group element of the
-    wrong width, out of range, or outside [QR_p]. Not transient: no
-    fault of the wire produces one. *)
+    configuration that disagrees with ours, a group element of the
+    wrong width, out of range, or outside [QR_p], or a Paillier key or
+    ciphertext that does not decode. Not transient: no fault of the
+    wire produces one. *)
 exception Peer_violation of string
 
 (** [protocol_errorf fmt ...] raises {!Protocol_error} with a formatted

@@ -478,10 +478,11 @@ let test_inverse_none () =
 (* Montgomery kernels                                                  *)
 (*                                                                     *)
 (* Every odd modulus runs on one kernel family (30-bit limbs, lazy     *)
-(* reduction, unrolled at 9 limbs). Every kernel entry point — single  *)
-(* pow_exp, pow_batch's interleaved lanes, sqr_batch — is pinned to    *)
-(* the pow_binary oracle at every width below, across edge exponents   *)
-(* and edge bases, and the window loop is asserted allocation-free.    *)
+(* reduction, unrolled at 3 and 9 limbs). Every kernel entry point —   *)
+(* single pow_exp, pow_batch's interleaved lanes, mul, sqr_batch — is  *)
+(* pinned to the pow_binary oracle at every width below, across edge   *)
+(* exponents and edge bases, and the window loop is asserted           *)
+(* allocation-free.                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* The moduli psi runs on (Group's test groups and RFC 3526 groups 5
@@ -523,19 +524,23 @@ let all_ones k = Nat.pred (Nat.shift_left Nat.one k)
 
 (* (label, modulus, qcheck count, expected kernel). The k-bit all-ones
    moduli sit on limb boundaries: 29/30/31 and 59/60/61 straddle Nat's
-   own limbs (a 30-bit modulus is one Nat limb but two kernel limbs),
-   and 239 and 268 bits are the first and last widths on the unrolled
-   9-limb kernel, with 238 and 269 just outside it. *)
+   own limbs (a 30-bit modulus is one Nat limb but two kernel limbs).
+   59 and 88 bits are the first and last widths on the unrolled 3-limb
+   kernel, with 89 just outside it; 239 and 268 bits are the first and
+   last on the unrolled 9-limb kernel, with 238 and 269 just outside
+   it. *)
 let kernel_widths =
   [
     ("m=3", Nat.of_int 3, 30, "mont30x1");
     ("2^29-1", all_ones 29, 30, "mont30x2");
     ("2^30-1", all_ones 30, 30, "mont30x2");
     ("2^31-1", all_ones 31, 30, "mont30x2");
-    ("2^59-1", all_ones 59, 30, "mont30x3");
-    ("2^60-1", all_ones 60, 30, "mont30x3");
-    ("2^61-1", all_ones 61, 30, "mont30x3");
-    ("test64", p64, 30, "mont30x3");
+    ("2^59-1", all_ones 59, 30, "mont30x3-unrolled");
+    ("2^60-1", all_ones 60, 30, "mont30x3-unrolled");
+    ("2^61-1", all_ones 61, 30, "mont30x3-unrolled");
+    ("test64", p64, 30, "mont30x3-unrolled");
+    ("2^88-1", all_ones 88, 30, "mont30x3-unrolled");
+    ("2^89-1", all_ones 89, 30, "mont30x4");
     ("test128", p128, 30, "mont30x5");
     ("test_modulus (196-bit)", test_modulus, 30, "mont30x7");
     ("2^238-1", all_ones 238, 20, "mont30x8");

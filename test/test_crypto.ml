@@ -615,13 +615,16 @@ let test_paillier_modular_wraparound () =
   in
   Alcotest.check nat "wraps mod n" (Nat.of_int 4) (Paillier.decrypt pail_sec c)
 
+let ok_or_fail = function Ok x -> x | Error e -> Alcotest.fail e
+
 let test_paillier_wire () =
-  let pub2 = Paillier.decode_public (Paillier.encode_public pail_pub) in
+  let pub2 = ok_or_fail (Paillier.decode_public (Paillier.encode_public pail_pub)) in
   Alcotest.check nat "public key roundtrip" (Paillier.modulus pail_pub) (Paillier.modulus pub2);
   let c = Paillier.encrypt pail_pub ~rng:test_rng (Nat.of_int 99) in
   let s = Paillier.encode_ciphertext pail_pub c in
   Alcotest.(check int) "fixed width" (Paillier.ciphertext_bytes pail_pub) (String.length s);
-  Alcotest.check nat "ciphertext roundtrip" c (Paillier.decode_ciphertext pail_pub s);
+  Alcotest.check nat "ciphertext roundtrip" c
+    (ok_or_fail (Paillier.decode_ciphertext pail_pub s));
   (* A ciphertext encrypted under the decoded key decrypts fine. *)
   let c2 = Paillier.encrypt pub2 ~rng:test_rng (Nat.of_int 123) in
   Alcotest.check nat "cross-key" (Nat.of_int 123) (Paillier.decrypt pail_sec c2)
@@ -637,6 +640,29 @@ let test_paillier_validation () =
        ignore (Paillier.keygen ~rng:test_rng ~bits:32);
        false
      with Invalid_argument _ -> true)
+
+(* The decoders read peer bytes, so they answer every input with a
+   result and never raise. *)
+let test_paillier_decoders_total () =
+  let rejects name = function
+    | Error e -> Alcotest.(check bool) (name ^ ": " ^ e) true (String.length e > 0)
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+  in
+  let key_of n = Nat.to_bytes_be n in
+  let pow2 k = Nat.shift_left Nat.one k in
+  rejects "empty key" (Paillier.decode_public "");
+  rejects "n = 2" (Paillier.decode_public "\x02");
+  rejects "even 64-bit n" (Paillier.decode_public (key_of (Nat.pred (pow2 64) |> Nat.pred)));
+  rejects "odd 62-bit n" (Paillier.decode_public (key_of (Nat.pred (pow2 62))));
+  rejects "odd 16385-bit n" (Paillier.decode_public (key_of (Nat.succ (pow2 16384))));
+  let small, _ = Paillier.keygen ~rng:test_rng ~bits:64 in
+  ignore (ok_or_fail (Paillier.decode_public (Paillier.encode_public small)));
+  let width = Paillier.ciphertext_bytes pail_pub in
+  let n_sq = Nat.mul (Paillier.modulus pail_pub) (Paillier.modulus pail_pub) in
+  rejects "short ciphertext" (Paillier.decode_ciphertext pail_pub (String.make (width - 1) '\x01'));
+  rejects "long ciphertext" (Paillier.decode_ciphertext pail_pub (String.make (width + 1) '\x01'));
+  rejects "ciphertext = n^2"
+    (Paillier.decode_ciphertext pail_pub (Nat.to_bytes_be ~width n_sq))
 
 (* ------------------------------------------------------------------ *)
 
@@ -716,6 +742,7 @@ let () =
           Alcotest.test_case "wraps mod n" `Quick test_paillier_modular_wraparound;
           Alcotest.test_case "wire encodings" `Quick test_paillier_wire;
           Alcotest.test_case "validation" `Quick test_paillier_validation;
+          Alcotest.test_case "decoders are total" `Quick test_paillier_decoders_total;
         ] );
       ( "perfect-cipher",
         [

@@ -1155,6 +1155,17 @@ let test_robust_non_residue_element () =
            (Message.make ~tag:"aggregate/Y_R_enc"
               (Message.Elements (p_minus_1 :: List.tl yr)))))
 
+(* A Paillier key that does not decode ("\x02" is even and far too
+   small) is the peer's violation too, not a local bug. *)
+let test_robust_bad_paillier_key () =
+  expect_peer_violation "aggregate/pub = \"\\x02\""
+    (against_fake_sender
+       ~receiver:(fun ~rng ep -> ignore (Psi.Aggregate.receiver cfg ~rng ~values:vr1 ep))
+       (fun ep ->
+         let _ = Wire.Channel.recv ep in
+         Wire.Channel.send ep
+           (Message.make ~tag:"aggregate/pub" (Message.Elements [ "\x02" ]))))
+
 let test_robust_wrong_payload_shape () =
   expect_protocol_error "pairs instead of elements"
     (against_fake_sender (fun ep ->
@@ -2007,6 +2018,8 @@ let () =
           Alcotest.test_case "wrong-width element rejected" `Quick test_robust_wrong_width_element;
           Alcotest.test_case "non-residue element rejected" `Quick
             test_robust_non_residue_element;
+          Alcotest.test_case "undecodable Paillier key rejected" `Quick
+            test_robust_bad_paillier_key;
           Alcotest.test_case "wrong payload shape rejected" `Quick test_robust_wrong_payload_shape;
           Alcotest.test_case "early close fails cleanly" `Quick test_robust_early_close;
         ] );

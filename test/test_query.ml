@@ -569,7 +569,7 @@ let test_pir_width_bound () =
   let lying_sender ep =
     let pub =
       match P.elements_of (P.recv_tagged ep "pir/query") with
-      | pub_enc :: _ -> Crypto.Paillier.decode_public pub_enc
+      | pub_enc :: _ -> Result.get_ok (Crypto.Paillier.decode_public pub_enc)
       | [] -> Alcotest.fail "empty query"
     in
     let header =
@@ -592,6 +592,36 @@ let test_pir_width_bound () =
   | exception Wire.Protocol_error _ -> ());
   Alcotest.(check bool) "nothing large allocated" true
     (Gc.allocated_bytes () -. before < float_of_int (64 lsl 20))
+
+(* A receiver whose query does not decode — an even modulus, or a
+   ciphertext one byte short — is refused by the sender as the peer's
+   violation, which no reconnect cures, not as a local bug. *)
+let test_pir_bad_query () =
+  let rng = Crypto.Drbg.to_rng (Crypto.Drbg.create ~seed:"pir-bad-query") in
+  let pub, _ = Crypto.Paillier.keygen ~rng ~bits:128 in
+  let ct = Crypto.Paillier.encode_ciphertext pub (Crypto.Paillier.encrypt pub ~rng Bignum.Nat.one) in
+  let even_key =
+    Bignum.Nat.to_bytes_be (Bignum.Nat.succ (Crypto.Paillier.modulus pub))
+  in
+  let short_ct = String.sub ct 0 (String.length ct - 1) in
+  List.iter
+    (fun (name, query) ->
+      let fake_receiver ep =
+        Wire.Channel.send ep (Wire.Message.make ~tag:"pir/query" (Wire.Message.Elements query));
+        ignore (Wire.Channel.recv ep)
+      in
+      match
+        Runner.run
+          ~sender:(Psi.Pir.sender ~rng ~records:[ "a"; "b" ])
+          ~receiver:fake_receiver
+      with
+      | _ -> Alcotest.failf "%s: query accepted" name
+      | exception Wire.Peer_violation _ -> ()
+      | exception e -> Alcotest.failf "%s: unexpected %s" name (Printexc.to_string e))
+    [
+      ("even modulus", [ even_key; ct; ct ]);
+      ("short ciphertext", [ Crypto.Paillier.encode_public pub; ct; short_ct ]);
+    ]
 
 let test_pir_query_hides_index () =
   (* S's view: the public key plus [count] ciphertexts — same shape and
@@ -687,6 +717,7 @@ let () =
           Alcotest.test_case "index validation" `Quick test_pir_index_validation;
           Alcotest.test_case "query shape hides index" `Quick test_pir_query_hides_index;
           Alcotest.test_case "reply width bounded by its chunks" `Quick test_pir_width_bound;
+          Alcotest.test_case "undecodable query is a peer violation" `Quick test_pir_bad_query;
         ] );
       ( "value-keys",
         [ Alcotest.test_case "of_key inverts key" `Quick test_value_of_key_roundtrip ] );
