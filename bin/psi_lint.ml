@@ -82,12 +82,12 @@ let expectations_of ~path content =
     in
     go 0
   in
-  match Analysis.Lexer.tokens_of_string ~file:path content with
-  | exception Analysis.Lexer.Error _ -> []
+  match Analysis.Tokens.of_string content with
+  | exception Analysis.Tokens.Error _ -> []
   | toks ->
       List.concat_map
-        (fun (t : Analysis.Lexer.token) ->
-          if t.kind <> Analysis.Lexer.Comment then []
+        (fun (t : Analysis.Tokens.token) ->
+          if t.kind <> Analysis.Tokens.Comment then []
           else
             match find_marker t.text with
             | None -> []

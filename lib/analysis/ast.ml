@@ -1,20 +1,16 @@
-(* A simplified OCaml AST, produced by [Parser] from the [Lexer] token
-   stream. It models exactly what the analysis rules need — bindings,
-   functions, applications, control flow, closures, mutation — and
-   deliberately drops what they do not: types are skipped wholesale,
-   module types are opaque, and inline [struct ... end] module
-   expressions are kept as unanalyzed black boxes. No ppx, no
-   compiler-libs.
+(* A simplified OCaml AST, lowered by [Lower] from the compiler's own
+   [Parsetree]. It models exactly what the analysis rules need —
+   bindings, functions, applications, control flow, closures, mutation,
+   module structure — and drops what they do not: types, module types
+   and classes. A module body written in expression position is hoisted
+   into a structure item (see [Lower]), so every binding the source
+   contains is an item the resolver and the rules walk.
 
    Positions are carried on every expression node (and on the binding
    occurrences of names) so findings can point at real source
-   locations; [equal_*] compare structure only, ignoring positions —
-   that is the contract the pretty-print/reparse property in the tests
-   relies on. *)
+   locations. *)
 
 type pos = { line : int; col : int }
-
-let no_pos = { line = 0; col = 0 }
 
 (* A qualified name, outermost module first: [Crypto.Drbg.generate] is
    [["Crypto"; "Drbg"; "generate"]]. Operators appear as their symbol
@@ -66,9 +62,10 @@ and desc =
   | For of { var : string; from_ : expr; to_ : expr; up : bool; body : expr }
   | Letopen of path * expr (* [let open M in e] and [M.(e)] *)
   | Letmodule of string * path option * expr
-      (* [let module M = P in e]; [None] when the module expression was
-         an inline struct (skipped, not analyzed) *)
-  | Pack of path (* [(module M)]; [["<struct>"]] for inline structs *)
+      (* [let module M = P in e]: [P]'s path, the functor's for an
+         application, the hoisted module's for a [struct]; [None] for
+         [(val e)] *)
+  | Pack of path (* [(module M)]; the hoisted module's for [(module struct ... end)] *)
   | Lazy_ of expr
   | Assert of expr
 
@@ -80,115 +77,15 @@ and case = { lhs : pat; guard : expr option; rhs : expr }
    types and includes are recorded but carry no analyzable payload. *)
 type item =
   | Ilet of { recursive : bool; bindings : binding list; i_pos : pos }
-  | Imodule of string * item list * pos (* [module M = struct ... end] *)
+  | Imodule of string * item list * pos
+      (* [module M = struct ... end], functor bodies included, and the
+         hoisted [<struct@LINE:COL>] bodies *)
   | Imodule_alias of string * path * pos (* [module M = A.B] (incl. functor app) *)
   | Iopen of path * pos
   | Iinclude of path * pos
   | Iskipped of string * pos (* "type" | "exception" | "module type" | ... *)
 
 type structure = item list
-
-(* ------------------------------------------------------------------ *)
-(* Structural equality, ignoring positions                             *)
-(* ------------------------------------------------------------------ *)
-
-let equal_path (a : path) (b : path) = List.equal String.equal a b
-
-let equal_label a b =
-  match (a, b) with
-  | Nolabel, Nolabel -> true
-  | Labelled a, Labelled b | Optional a, Optional b -> String.equal a b
-  | _ -> false
-
-let rec equal_pat a b =
-  match (a, b) with
-  | Pany, Pany -> true
-  | Pvar (a, _), Pvar (b, _) -> String.equal a b
-  | Pconst a, Pconst b -> String.equal a b
-  | Ptuple a, Ptuple b | Plist a, Plist b | Parray_pat a, Parray_pat b ->
-      List.equal equal_pat a b
-  | Pconstruct (p, a), Pconstruct (q, b) ->
-      equal_path p q && Option.equal equal_pat a b
-  | Precord (fa, oa), Precord (fb, ob) ->
-      Bool.equal oa ob
-      && List.equal (fun (p, a) (q, b) -> equal_path p q && equal_pat a b) fa fb
-  | Pcons (a1, a2), Pcons (b1, b2) | Por (a1, a2), Por (b1, b2) ->
-      equal_pat a1 b1 && equal_pat a2 b2
-  | Palias (a, x, _), Palias (b, y, _) -> equal_pat a b && String.equal x y
-  | Pmodule (a, _), Pmodule (b, _) -> String.equal a b
-  | Pexception a, Pexception b | Plazy a, Plazy b -> equal_pat a b
-  | _ -> false
-
-let rec equal_expr a b = equal_desc a.desc b.desc
-
-and equal_desc a b =
-  match (a, b) with
-  | Var p, Var q -> equal_path p q
-  | Const a, Const b -> String.equal a b
-  | Let a, Let b ->
-      Bool.equal a.recursive b.recursive
-      && List.equal equal_binding a.bindings b.bindings
-      && equal_expr a.body b.body
-  | Fun (pa, a), Fun (pb, b) -> List.equal equal_param pa pb && equal_expr a b
-  | Function a, Function b -> List.equal equal_case a b
-  | Apply (f, a), Apply (g, b) ->
-      equal_expr f g
-      && List.equal (fun (l, x) (m, y) -> equal_label l m && equal_expr x y) a b
-  | If (c, t, e), If (c', t', e') ->
-      equal_expr c c' && equal_expr t t' && Option.equal equal_expr e e'
-  | Match (e, cs), Match (e', cs') | Try (e, cs), Try (e', cs') ->
-      equal_expr e e' && List.equal equal_case cs cs'
-  | Tuple a, Tuple b | List_lit a, List_lit b | Array_lit a, Array_lit b ->
-      List.equal equal_expr a b
-  | Construct (p, a), Construct (q, b) ->
-      equal_path p q && Option.equal equal_expr a b
-  | Record (fa, ba), Record (fb, bb) ->
-      Option.equal equal_expr ba bb
-      && List.equal (fun (p, a) (q, b) -> equal_path p q && equal_expr a b) fa fb
-  | Field (e, p), Field (e', q) -> equal_expr e e' && equal_path p q
-  | Setfield (e, p, v), Setfield (e', q, v') ->
-      equal_expr e e' && equal_path p q && equal_expr v v'
-  | Index_get (a, i), Index_get (b, j) -> equal_expr a b && equal_expr i j
-  | Index_set (a, i, v), Index_set (b, j, w) ->
-      equal_expr a b && equal_expr i j && equal_expr v w
-  | Sequence (a1, a2), Sequence (b1, b2) | While (a1, a2), While (b1, b2) ->
-      equal_expr a1 b1 && equal_expr a2 b2
-  | For a, For b ->
-      String.equal a.var b.var && equal_expr a.from_ b.from_
-      && equal_expr a.to_ b.to_ && Bool.equal a.up b.up && equal_expr a.body b.body
-  | Letopen (p, e), Letopen (q, e') -> equal_path p q && equal_expr e e'
-  | Letmodule (n, p, e), Letmodule (m, q, e') ->
-      String.equal n m && Option.equal equal_path p q && equal_expr e e'
-  | Pack p, Pack q -> equal_path p q
-  | Lazy_ a, Lazy_ b | Assert a, Assert b -> equal_expr a b
-  | _ -> false
-
-and equal_param a b =
-  equal_label a.label b.label && equal_pat a.pat b.pat
-  && Option.equal equal_expr a.default b.default
-
-and equal_binding a b =
-  equal_pat a.b_pat b.b_pat
-  && List.equal equal_param a.b_params b.b_params
-  && equal_expr a.b_body b.b_body
-
-and equal_case a b =
-  equal_pat a.lhs b.lhs && Option.equal equal_expr a.guard b.guard
-  && equal_expr a.rhs b.rhs
-
-let rec equal_item a b =
-  match (a, b) with
-  | Ilet a, Ilet b ->
-      Bool.equal a.recursive b.recursive && List.equal equal_binding a.bindings b.bindings
-  | Imodule (n, a, _), Imodule (m, b, _) ->
-      String.equal n m && List.equal equal_item a b
-  | Imodule_alias (n, p, _), Imodule_alias (m, q, _) ->
-      String.equal n m && equal_path p q
-  | Iopen (p, _), Iopen (q, _) | Iinclude (p, _), Iinclude (q, _) -> equal_path p q
-  | Iskipped (a, _), Iskipped (b, _) -> String.equal a b
-  | _ -> false
-
-let equal_structure = List.equal equal_item
 
 (* ------------------------------------------------------------------ *)
 (* Traversal helpers                                                   *)
@@ -262,365 +159,3 @@ let rec pat_vars acc = function
   | Pexception p | Plazy p -> pat_vars acc p
 
 let bound_vars pat = List.rev (pat_vars [] pat)
-
-(* ------------------------------------------------------------------ *)
-(* Pretty-printer                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Prints an AST back to parseable source. Output is fully
-   parenthesized and uses operator sections rather than infix syntax —
-   ugly, but unambiguous: [Parser.structure_of_string (to_source s)]
-   must reproduce [s] up to positions, which is the qcheck property in
-   the tests. *)
-
-let is_op_text s =
-  String.length s > 0
-  && String.contains "!$%&*+-./:<=>?@^|~#" s.[0]
-  && not (s.[0] = '`')
-
-let path_str p =
-  match p with
-  | [ op ] when is_op_text op -> "( " ^ op ^ " )"
-  | _ -> String.concat "." p
-
-let buf_add = Buffer.add_string
-
-let rec pp_pat b = function
-  | Pany -> buf_add b "_"
-  | Pvar (v, _) -> buf_add b (if is_op_text v then "( " ^ v ^ " )" else v)
-  | Pconst c -> buf_add b c
-  | Ptuple ps ->
-      buf_add b "(";
-      List.iteri
-        (fun i p ->
-          if i > 0 then buf_add b ", ";
-          pp_pat b p)
-        ps;
-      buf_add b ")"
-  | Pconstruct (path, arg) -> (
-      buf_add b (path_str path);
-      match arg with
-      | None -> ()
-      | Some p ->
-          buf_add b " (";
-          pp_pat b p;
-          buf_add b ")")
-  | Precord (fields, open_) ->
-      buf_add b "{ ";
-      List.iteri
-        (fun i (path, p) ->
-          if i > 0 then buf_add b "; ";
-          buf_add b (path_str path);
-          buf_add b " = ";
-          pp_pat b p)
-        fields;
-      if open_ then buf_add b "; _";
-      buf_add b " }"
-  | Plist ps ->
-      buf_add b "[";
-      List.iteri
-        (fun i p ->
-          if i > 0 then buf_add b "; ";
-          pp_pat b p)
-        ps;
-      buf_add b "]"
-  | Parray_pat ps ->
-      buf_add b "[|";
-      List.iteri
-        (fun i p ->
-          if i > 0 then buf_add b "; ";
-          pp_pat b p)
-        ps;
-      buf_add b "|]"
-  | Pcons (h, t) ->
-      buf_add b "(";
-      pp_pat b h;
-      buf_add b " :: ";
-      pp_pat b t;
-      buf_add b ")"
-  | Palias (p, v, _) ->
-      buf_add b "(";
-      pp_pat b p;
-      buf_add b " as ";
-      buf_add b v;
-      buf_add b ")"
-  | Por (p, q) ->
-      buf_add b "(";
-      pp_pat b p;
-      buf_add b " | ";
-      pp_pat b q;
-      buf_add b ")"
-  | Pmodule (m, _) -> buf_add b ("(module " ^ m ^ ")")
-  | Pexception p ->
-      buf_add b "(exception ";
-      pp_pat b p;
-      buf_add b ")"
-  | Plazy p ->
-      buf_add b "(lazy ";
-      pp_pat b p;
-      buf_add b ")"
-
-let rec pp_expr b (e : expr) =
-  match e.desc with
-  | Var p -> buf_add b (path_str p)
-  | Const c -> buf_add b c
-  | Let { recursive; bindings; body } ->
-      buf_add b "(let ";
-      if recursive then buf_add b "rec ";
-      List.iteri
-        (fun i bind ->
-          if i > 0 then buf_add b " and ";
-          pp_binding b bind)
-        bindings;
-      buf_add b " in ";
-      pp_expr b body;
-      buf_add b ")"
-  | Fun (params, body) ->
-      buf_add b "(fun";
-      List.iter
-        (fun p ->
-          buf_add b " ";
-          pp_param b p)
-        params;
-      buf_add b " -> ";
-      pp_expr b body;
-      buf_add b ")"
-  | Function cases ->
-      buf_add b "(function";
-      pp_cases b cases;
-      buf_add b ")"
-  | Apply (f, args) ->
-      buf_add b "(";
-      pp_expr b f;
-      List.iter
-        (fun (label, a) ->
-          buf_add b " ";
-          (match label with
-          | Nolabel -> ()
-          | Labelled l -> buf_add b ("~" ^ l ^ ":")
-          | Optional l -> buf_add b ("?" ^ l ^ ":"));
-          pp_expr b a)
-        args;
-      buf_add b ")"
-  | If (c, t, e) ->
-      buf_add b "(if ";
-      pp_expr b c;
-      buf_add b " then ";
-      pp_expr b t;
-      (match e with
-      | None -> ()
-      | Some e ->
-          buf_add b " else ";
-          pp_expr b e);
-      buf_add b ")"
-  | Match (e, cases) ->
-      buf_add b "(match ";
-      pp_expr b e;
-      buf_add b " with";
-      pp_cases b cases;
-      buf_add b ")"
-  | Try (e, cases) ->
-      buf_add b "(try ";
-      pp_expr b e;
-      buf_add b " with";
-      pp_cases b cases;
-      buf_add b ")"
-  | Tuple es ->
-      buf_add b "(";
-      List.iteri
-        (fun i e ->
-          if i > 0 then buf_add b ", ";
-          pp_expr b e)
-        es;
-      buf_add b ")"
-  | Construct (path, arg) -> (
-      match arg with
-      | None -> buf_add b (path_str path)
-      | Some a ->
-          buf_add b "(";
-          buf_add b (path_str path);
-          buf_add b " (";
-          pp_expr b a;
-          buf_add b "))")
-  | Record (fields, base) ->
-      buf_add b "{ ";
-      (match base with
-      | None -> ()
-      | Some e ->
-          pp_expr b e;
-          buf_add b " with ");
-      List.iteri
-        (fun i (path, v) ->
-          if i > 0 then buf_add b "; ";
-          buf_add b (path_str path);
-          buf_add b " = ";
-          pp_expr b v)
-        fields;
-      buf_add b " }"
-  | Field (e, path) ->
-      buf_add b "(";
-      pp_expr b e;
-      buf_add b ").";
-      buf_add b (path_str path)
-  | Setfield (e, path, v) ->
-      buf_add b "((";
-      pp_expr b e;
-      buf_add b ").";
-      buf_add b (path_str path);
-      buf_add b " <- ";
-      pp_expr b v;
-      buf_add b ")"
-  | Index_get (a, i) ->
-      buf_add b "(";
-      pp_expr b a;
-      buf_add b ").(";
-      pp_expr b i;
-      buf_add b ")"
-  | Index_set (a, i, v) ->
-      buf_add b "((";
-      pp_expr b a;
-      buf_add b ").(";
-      pp_expr b i;
-      buf_add b ") <- ";
-      pp_expr b v;
-      buf_add b ")"
-  | List_lit es ->
-      buf_add b "[";
-      List.iteri
-        (fun i e ->
-          if i > 0 then buf_add b "; ";
-          pp_expr b e)
-        es;
-      buf_add b "]"
-  | Array_lit es ->
-      buf_add b "[|";
-      List.iteri
-        (fun i e ->
-          if i > 0 then buf_add b "; ";
-          pp_expr b e)
-        es;
-      buf_add b "|]"
-  | Sequence (a, b') ->
-      buf_add b "(";
-      pp_expr b a;
-      buf_add b "; ";
-      pp_expr b b';
-      buf_add b ")"
-  | While (c, body) ->
-      buf_add b "(while ";
-      pp_expr b c;
-      buf_add b " do ";
-      pp_expr b body;
-      buf_add b " done)"
-  | For { var; from_; to_; up; body } ->
-      buf_add b ("(for " ^ var ^ " = ");
-      pp_expr b from_;
-      buf_add b (if up then " to " else " downto ");
-      pp_expr b to_;
-      buf_add b " do ";
-      pp_expr b body;
-      buf_add b " done)"
-  | Letopen (path, e) ->
-      buf_add b "(let open ";
-      buf_add b (path_str path);
-      buf_add b " in ";
-      pp_expr b e;
-      buf_add b ")"
-  | Letmodule (name, alias, e) ->
-      buf_add b ("(let module " ^ name ^ " = ");
-      (match alias with
-      | Some p -> buf_add b (path_str p)
-      | None -> buf_add b "struct end");
-      buf_add b " in ";
-      pp_expr b e;
-      buf_add b ")"
-  | Pack p -> buf_add b ("(module " ^ path_str p ^ ")")
-  | Lazy_ e ->
-      buf_add b "(lazy ";
-      pp_expr b e;
-      buf_add b ")"
-  | Assert e ->
-      buf_add b "(assert ";
-      pp_expr b e;
-      buf_add b ")"
-
-and pp_param b (p : param) =
-  match (p.label, p.default) with
-  | Nolabel, _ ->
-      buf_add b "(";
-      pp_pat b p.pat;
-      buf_add b ")"
-  | Labelled l, _ ->
-      buf_add b ("~" ^ l ^ ":(");
-      pp_pat b p.pat;
-      buf_add b ")"
-  | Optional l, None ->
-      buf_add b ("?" ^ l ^ ":(");
-      pp_pat b p.pat;
-      buf_add b ")"
-  | Optional l, Some d ->
-      (* parseable only for the var-with-default form *)
-      ignore l;
-      buf_add b "?(";
-      pp_pat b p.pat;
-      buf_add b " = ";
-      pp_expr b d;
-      buf_add b ")"
-
-and pp_binding b (bind : binding) =
-  pp_pat b bind.b_pat;
-  List.iter
-    (fun p ->
-      buf_add b " ";
-      pp_param b p)
-    bind.b_params;
-  buf_add b " = ";
-  pp_expr b bind.b_body
-
-and pp_cases b cases =
-  List.iter
-    (fun c ->
-      buf_add b " | ";
-      pp_pat b c.lhs;
-      (match c.guard with
-      | None -> ()
-      | Some g ->
-          buf_add b " when ";
-          pp_expr b g);
-      buf_add b " -> ";
-      pp_expr b c.rhs)
-    cases
-
-let rec pp_item b = function
-  | Ilet { recursive; bindings; _ } ->
-      buf_add b "let ";
-      if recursive then buf_add b "rec ";
-      List.iteri
-        (fun i bind ->
-          if i > 0 then buf_add b "\nand ";
-          pp_binding b bind)
-        bindings;
-      buf_add b "\n"
-  | Imodule (name, items, _) ->
-      buf_add b ("module " ^ name ^ " = struct\n");
-      List.iter (pp_item b) items;
-      buf_add b "end\n"
-  | Imodule_alias (name, path, _) ->
-      buf_add b ("module " ^ name ^ " = " ^ path_str path ^ "\n")
-  | Iopen (path, _) -> buf_add b ("open " ^ path_str path ^ "\n")
-  | Iinclude (path, _) -> buf_add b ("include " ^ path_str path ^ "\n")
-  | Iskipped (kind, _) ->
-      (* Re-emit a minimal skippable stand-in of the same kind. *)
-      if String.equal kind "type" then buf_add b "type __skipped\n"
-      else if String.equal kind "exception" then buf_add b "exception __Skipped\n"
-      else buf_add b "type __skipped\n"
-
-let to_source (s : structure) =
-  let b = Buffer.create 256 in
-  List.iter (pp_item b) s;
-  Buffer.contents b
-
-let expr_to_source (e : expr) =
-  let b = Buffer.create 64 in
-  pp_expr b e;
-  Buffer.contents b

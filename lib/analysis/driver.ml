@@ -14,7 +14,7 @@ type classified = {
 }
 
 type outcome = {
-  files_scanned : int;
+  files_scanned : int; (* sources that lexed; the others are in [errors] *)
   results : classified list; (* in scan order *)
   errors : string list;
       (* malformed annotations, stale or unexplained baseline entries,
@@ -88,21 +88,21 @@ let context_window = 3
 
 (* Index in [sig_toks] of the token a finding points at: exact
    (line, col) match first, then the first token on the line. *)
-let token_index (sig_toks : Lexer.token array) ~line ~col =
+let token_index (sig_toks : Tokens.token array) ~line ~col =
   let n = Array.length sig_toks in
   let exact = ref (-1) and on_line = ref (-1) in
   let i = ref 0 in
   while !exact < 0 && !i < n do
     let t = sig_toks.(!i) in
-    if t.Lexer.line = line then begin
+    if t.Tokens.line = line then begin
       if !on_line < 0 then on_line := !i;
-      if t.Lexer.col = col then exact := !i
+      if t.Tokens.col = col then exact := !i
     end;
     incr i
   done;
   if !exact >= 0 then !exact else !on_line
 
-let context_hash (sig_toks : Lexer.token array) idx =
+let context_hash (sig_toks : Tokens.token array) idx =
   if idx < 0 then fnv1a32 []
   else begin
     let n = Array.length sig_toks in
@@ -110,12 +110,12 @@ let context_hash (sig_toks : Lexer.token array) idx =
     let hi = Stdlib.min (n - 1) (idx + context_window) in
     let texts = ref [] in
     for j = hi downto lo do
-      if j <> idx then texts := sig_toks.(j).Lexer.text :: !texts
+      if j <> idx then texts := sig_toks.(j).Tokens.text :: !texts
     done;
     fnv1a32 !texts
   end
 
-let fingerprints (sig_toks : Lexer.token array) (findings : Rule.finding list) =
+let fingerprints (sig_toks : Tokens.token array) (findings : Rule.finding list) =
   let seen = Hashtbl.create 16 in
   List.map
     (fun (f : Rule.finding) ->
@@ -125,7 +125,7 @@ let fingerprints (sig_toks : Lexer.token array) (findings : Rule.finding list) =
          show real code. *)
       let f =
         if String.equal f.token "" && idx >= 0 then
-          { f with Rule.token = sig_toks.(idx).Lexer.text }
+          { f with Rule.token = sig_toks.(idx).Tokens.text }
         else f
       in
       let h = context_hash sig_toks idx in
@@ -142,8 +142,8 @@ let fingerprints (sig_toks : Lexer.token array) (findings : Rule.finding list) =
 type lexed = {
   l_path : string;
   l_anns : Suppress.annotation list;
-  l_sig : Lexer.token array;
-  l_toks : Lexer.token list;
+  l_sig : Tokens.token array;
+  l_src : string;
 }
 
 let by_position (a : Rule.finding) (b : Rule.finding) =
@@ -173,8 +173,8 @@ let analyze ?(rules = rules) ?(sem_rules = []) ?(spec = Registry.taint_spec)
     timed "lex" (fun () ->
         List.filter_map
           (fun { path; content } ->
-            match Lexer.tokens_of_string ~file:path content with
-            | exception Lexer.Error { line; col; message } ->
+            match Tokens.of_string content with
+            | exception Tokens.Error { line; col; message } ->
                 errors :=
                   Printf.sprintf "%s:%d:%d: lexer error: %s" path line col message
                   :: !errors;
@@ -186,8 +186,8 @@ let analyze ?(rules = rules) ?(sem_rules = []) ?(spec = Registry.taint_spec)
                   {
                     l_path = path;
                     l_anns = anns;
-                    l_sig = Array.of_list (Lexer.significant tokens);
-                    l_toks = tokens;
+                    l_sig = Array.of_list (Tokens.significant tokens);
+                    l_src = content;
                   })
           sources)
   in
@@ -218,8 +218,8 @@ let analyze ?(rules = rules) ?(sem_rules = []) ?(spec = Registry.taint_spec)
         timed "parse" (fun () ->
             List.filter_map
               (fun l ->
-                match Parser.structure_of_tokens ~file:l.l_path l.l_toks with
-                | exception Parser.Error { line; col; message } ->
+                match Lower.structure_of_string l.l_src with
+                | exception Tokens.Error { line; col; message } ->
                     errors :=
                       Printf.sprintf "%s:%d:%d: parse error: %s" l.l_path line col
                         message
@@ -322,7 +322,7 @@ let analyze ?(rules = rules) ?(sem_rules = []) ?(spec = Registry.taint_spec)
           :: !errors)
     baseline;
   {
-    files_scanned = List.length sources;
+    files_scanned = List.length lexed;
     results = List.rev !results;
     errors = List.rev !errors;
     phases = List.rev !phases;

@@ -17,7 +17,7 @@ type t = {
   description : string; (* what the rule enforces and why, for the registry *)
   scope : string; (* human-readable path scope, e.g. "lib/bignum, lib/crypto" *)
   applies : string -> bool; (* relative path filter *)
-  check : file:string -> Lexer.token array -> finding list;
+  check : file:string -> Tokens.token array -> finding list;
 }
 
 (* Semantic rules run after the parse/resolve/taint phases and see the
@@ -37,7 +37,7 @@ type sem = {
   s_check : sem_ctx -> finding list;
 }
 
-let finding ~rule ~file (tok : Lexer.token) message =
+let finding ~rule ~file (tok : Tokens.token) message =
   { rule; file; line = tok.line; col = tok.col; token = tok.text; message }
 
 (* ------------------------------------------------------------------ *)
@@ -54,33 +54,33 @@ let any_dir prefixes path = List.exists (fun p -> in_dir p path) prefixes
 (* Token helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let is_kind (t : Lexer.token) k = t.kind = k
-let has_text (t : Lexer.token) s = String.equal t.text s
-let is_sym t s = is_kind t Lexer.Symbol && has_text t s
-let is_ident t s = is_kind t Lexer.Ident && has_text t s
+let is_kind (t : Tokens.token) k = t.kind = k
+let has_text (t : Tokens.token) s = String.equal t.text s
+let is_sym t s = is_kind t Tokens.Symbol && has_text t s
+let is_ident t s = is_kind t Tokens.Ident && has_text t s
 
 (* Top-level items start at column 1 (the lexer is 1-based): [let]/[and]
    bindings and the structural keywords between them. Everything else
    (nested lets, match arms) stays inside the current item. *)
-let starts_item (t : Lexer.token) =
-  t.col = 1 && t.kind = Lexer.Ident
+let starts_item (t : Tokens.token) =
+  t.col = 1 && t.kind = Tokens.Ident
   && List.mem t.text [ "let"; "and"; "module"; "type"; "open"; "exception" ]
 
 (* [qualified_at toks i] reads the longest dotted path starting at a
    [Uident] at index [i]: for [Stdlib.compare] it returns
    (["Stdlib"; "compare"], next_index). Stops before a [.(] projection
    so [Stdlib.(=)] yields (["Stdlib"], index_of_dot). *)
-let qualified_at (toks : Lexer.token array) i =
+let qualified_at (toks : Tokens.token array) i =
   let n = Array.length toks in
   let rec go acc j =
     (* acc holds path components in reverse; toks.(j-1) was the last one *)
     if j + 1 < n && is_sym toks.(j) "." then
       match toks.(j + 1).kind with
-      | Lexer.Ident | Lexer.Uident -> go (toks.(j + 1).text :: acc) (j + 2)
+      | Tokens.Ident | Tokens.Uident -> go (toks.(j + 1).text :: acc) (j + 2)
       | _ -> (List.rev acc, j)
     else (List.rev acc, j)
   in
-  if i < n && is_kind toks.(i) Lexer.Uident then go [ toks.(i).text ] (i + 1)
+  if i < n && is_kind toks.(i) Tokens.Uident then go [ toks.(i).text ] (i + 1)
   else ([], i)
 
 let path_string components = String.concat "." components

@@ -48,7 +48,7 @@ let message what =
      use an explicit monomorphic equal/compare"
     what
 
-let check ~file (toks : Lexer.token array) =
+let check ~file (toks : Tokens.token array) =
   let n = Array.length toks in
   let findings = ref [] in
   let add tok what =
@@ -66,7 +66,7 @@ let check ~file (toks : Lexer.token array) =
   while !i < n do
     let t = toks.(!i) in
     (match t.kind with
-    | Lexer.Uident ->
+    | Tokens.Uident ->
         let path, next = Rule.qualified_at toks !i in
         let p = Rule.path_string path in
         if List.exists (String.equal p) banned_paths then add t p;
@@ -77,23 +77,23 @@ let check ~file (toks : Lexer.token array) =
           && next + 2 < n
           && Rule.is_sym toks.(next) "."
           && Rule.is_sym toks.(next + 1) "("
-          && toks.(next + 2).kind = Lexer.Symbol
+          && toks.(next + 2).kind = Tokens.Symbol
           && List.exists (Rule.has_text toks.(next + 2)) [ "="; "<>"; "=="; "!=" ]
         then add t (p ^ ".(" ^ toks.(next + 2).text ^ ")");
         i := Stdlib.max !i (next - 1)
-    | Lexer.Ident when List.exists (String.equal t.text) shadowable ->
+    | Tokens.Ident when List.exists (String.equal t.text) shadowable ->
         let qualified = !i > 0 && Rule.is_sym toks.(!i - 1) "." in
         if is_definition !i then Hashtbl.replace local_defs t.text ()
         else if (not qualified) && not (Hashtbl.mem local_defs t.text) then
           add t (t.text ^ " (Stdlib's polymorphic " ^ t.text ^ ")")
-    | Lexer.Symbol when String.equal t.text "==" || String.equal t.text "!=" ->
+    | Tokens.Symbol when String.equal t.text "==" || String.equal t.text "!=" ->
         add t ("physical " ^ t.text)
-    | Lexer.Symbol when String.equal t.text "(" ->
+    | Tokens.Symbol when String.equal t.text "(" ->
         (* Operator section [( = )] used as a first-class comparator,
            e.g. [List.exists ((=) x)]. Skip definitions [let ( = ) ...]. *)
         if
           !i + 2 < n
-          && toks.(!i + 1).kind = Lexer.Symbol
+          && toks.(!i + 1).kind = Tokens.Symbol
           && List.exists (Rule.has_text toks.(!i + 1)) [ "="; "<>" ]
           && Rule.is_sym toks.(!i + 2) ")"
           && not (!i > 0 && Rule.is_ident toks.(!i - 1) "let")

@@ -26,15 +26,15 @@ let banned_idents =
 let banned_paths =
   [ "Printf.printf"; "Printf.eprintf"; "Format.printf"; "Format.eprintf" ]
 
-let check ~file (toks : Lexer.token array) =
+let check ~file (toks : Tokens.token array) =
   let n = Array.length toks in
   let findings = ref [] in
-  let add tok what msg = findings := Rule.finding ~rule:id ~file { tok with Lexer.text = what } msg :: !findings in
+  let add tok what msg = findings := Rule.finding ~rule:id ~file { tok with Tokens.text = what } msg :: !findings in
   let i = ref 0 in
   while !i < n do
     let t = toks.(!i) in
     (match t.kind with
-    | Lexer.Ident
+    | Tokens.Ident
       when List.exists (String.equal t.text) banned_idents
            && not (!i > 0 && Rule.is_sym toks.(!i - 1) ".")
            && not (!i > 0 && Rule.is_ident toks.(!i - 1) "let") ->
@@ -43,14 +43,14 @@ let check ~file (toks : Lexer.token array) =
              "`%s` writes to a std channel from library code; route output \
               through lib/obs or return it to the caller"
              t.text)
-    | Lexer.Ident
+    | Tokens.Ident
       when String.equal t.text "assert"
            && !i + 1 < n
            && Rule.is_ident toks.(!i + 1) "false" ->
         add t "assert false"
           "`assert false` raises an unmatchable Assert_failure from library \
            code; raise a named exception for unreachable branches"
-    | Lexer.Uident ->
+    | Tokens.Uident ->
         let path, next = Rule.qualified_at toks !i in
         let p = Rule.path_string path in
         if List.exists (String.equal p) banned_paths then

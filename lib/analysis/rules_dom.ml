@@ -13,13 +13,13 @@ let id = "DOM01"
 
 let banned = [ "spawn"; "join" ]
 
-let check ~file (toks : Lexer.token array) =
+let check ~file (toks : Tokens.token array) =
   let n = Array.length toks in
   let findings = ref [] in
   let i = ref 0 in
   while !i < n do
     let t = toks.(!i) in
-    (if t.kind = Lexer.Uident && String.equal t.text "Domain" then
+    (if t.kind = Tokens.Uident && String.equal t.text "Domain" then
        let path, _ = Rule.qualified_at toks !i in
        match path with
        | "Domain" :: rest when List.exists (fun f -> List.mem f rest) banned ->

@@ -18,8 +18,8 @@ let id = "EXN01"
 
 type frame = Try | Match | Brace
 
-let check ~file (toks : Lexer.token array) =
-  let toks = Array.of_list (Lexer.significant (Array.to_list toks)) in
+let check ~file (toks : Tokens.token array) =
+  let toks = Array.of_list (Tokens.significant (Array.to_list toks)) in
   let n = Array.length toks in
   let findings = ref [] in
   let stack = ref [] in
@@ -28,10 +28,10 @@ let check ~file (toks : Lexer.token array) =
   while !i < n do
     let t = toks.(!i) in
     (match t.kind with
-    | Lexer.Ident when String.equal t.text "try" -> push Try
-    | Lexer.Ident when String.equal t.text "match" -> push Match
-    | Lexer.Symbol when String.equal t.text "{" -> push Brace
-    | Lexer.Symbol when String.equal t.text "}" -> (
+    | Tokens.Ident when String.equal t.text "try" -> push Try
+    | Tokens.Ident when String.equal t.text "match" -> push Match
+    | Tokens.Symbol when String.equal t.text "{" -> push Brace
+    | Tokens.Symbol when String.equal t.text "}" -> (
         (* Pop through any unconsumed try/match frames opened inside the
            braces (e.g. a match whose arms end at the brace). *)
         let rec pop () =
@@ -43,7 +43,7 @@ let check ~file (toks : Lexer.token array) =
           | [] -> ()
         in
         pop ())
-    | Lexer.Ident when String.equal t.text "with" -> (
+    | Tokens.Ident when String.equal t.text "with" -> (
         match !stack with
         | Try :: rest ->
             stack := rest;
@@ -100,8 +100,8 @@ module Err = struct
     | f :: _ -> List.mem f frame_readers
     | [] -> false
 
-  let check ~file (toks : Lexer.token array) =
-    let toks = Array.of_list (Lexer.significant (Array.to_list toks)) in
+  let check ~file (toks : Tokens.token array) =
+    let toks = Array.of_list (Tokens.significant (Array.to_list toks)) in
     let n = Array.length toks in
     let findings = ref [] in
     (* Per current item: the failures raised, and whether it reads. *)
@@ -129,21 +129,21 @@ module Err = struct
       let t = toks.(!i) in
       if Rule.starts_item t then flush ();
       match t.kind with
-      | Lexer.Uident ->
+      | Tokens.Uident ->
           let path, next = Rule.qualified_at toks !i in
           if reads_frame path then reads := true
           else if String.equal (Rule.path_string path) "Stdlib.failwith" then
             raises := t :: !raises;
           i := max next (!i + 1)
-      | Lexer.Ident when String.equal t.text "failwith" && not (bound !i) ->
+      | Tokens.Ident when String.equal t.text "failwith" && not (bound !i) ->
           raises := t :: !raises;
           incr i
-      | Lexer.Ident when String.equal t.text "raise" ->
+      | Tokens.Ident when String.equal t.text "raise" ->
           let j = if !i + 1 < n && Rule.is_sym toks.(!i + 1) "(" then !i + 2 else !i + 1 in
-          if j < n && toks.(j).kind = Lexer.Uident && String.equal toks.(j).text "Failure"
+          if j < n && toks.(j).kind = Tokens.Uident && String.equal toks.(j).text "Failure"
           then raises := t :: !raises;
           incr i
-      | Lexer.Ident when reads_frame [ t.text ] && not (bound !i) ->
+      | Tokens.Ident when reads_frame [ t.text ] && not (bound !i) ->
           reads := true;
           incr i
       | _ -> incr i

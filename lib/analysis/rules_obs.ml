@@ -23,7 +23,7 @@ let is_span_call name path =
   | Some ("Span", f) -> String.equal f name
   | _ -> false
 
-let check ~file (toks : Lexer.token array) =
+let check ~file (toks : Tokens.token array) =
   let n = Array.length toks in
   let findings = ref [] in
   (* Per current item: the enter tokens seen, and how many exits. *)
@@ -51,7 +51,7 @@ let check ~file (toks : Lexer.token array) =
   while !i < n do
     let t = toks.(!i) in
     if Rule.starts_item t then flush ();
-    if t.kind = Lexer.Uident then begin
+    if t.kind = Tokens.Uident then begin
       let path, next = Rule.qualified_at toks !i in
       if is_span_call "enter" path then enters := t :: !enters
       else if is_span_call "exit" path then incr exits;

@@ -10,13 +10,13 @@
 
 let id = "RNG01"
 
-let check ~file (toks : Lexer.token array) =
+let check ~file (toks : Tokens.token array) =
   let n = Array.length toks in
   let findings = ref [] in
   let i = ref 0 in
   while !i < n do
     let t = toks.(!i) in
-    (if t.kind = Lexer.Uident && String.equal t.text "Random" then
+    (if t.kind = Tokens.Uident && String.equal t.text "Random" then
        (* Only a *use* of the module counts: [Random.int], [Random.State.*],
           or passing the module itself ([(module Random)]). A capitalized
           identifier elsewhere (e.g. a constructor named Random) would

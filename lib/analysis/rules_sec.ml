@@ -39,6 +39,13 @@ let sanitizers =
     (* XOR against a fresh DRBG pad is the OT one-time-pad layer: the
        ciphertext hides both operands. *)
     "Ot.xor";
+    (* Removing the receiver's own additive pad from the decrypted
+       aggregate leaves the sum itself: R's output, independent of the
+       pad. *)
+    "Aggregate.unblind";
+    (* Synthetic benchmark and demo data: drawn from a DRBG so that it is
+       reproducible from a public seed, not because it is secret. *)
+    "Workload.*";
   ]
 
 let sinks =

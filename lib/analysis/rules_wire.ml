@@ -23,10 +23,10 @@ let allocators_qualified =
 
 let max_window = 24 (* tokens scanned for the allocator's argument list *)
 
-let check ~file (toks : Lexer.token array) =
+let check ~file (toks : Tokens.token array) =
   let n = Array.length toks in
   let findings = ref [] in
-  let last_ident (t : Lexer.token) = t.kind = Lexer.Ident in
+  let last_ident (t : Tokens.token) = t.kind = Tokens.Ident in
   (* Scan the argument window after an allocator: token [i] is the last
      token of the allocator name. Stop at a statement boundary or when
      the parenthesis depth drops below the starting level. *)
@@ -38,15 +38,15 @@ let check ~file (toks : Lexer.token array) =
     while (not !stop) && (not !hit) && !j < n && !j <= i + max_window do
       let t = toks.(!j) in
       (match t.kind with
-      | Lexer.Symbol when String.equal t.text "(" -> incr depth
-      | Lexer.Symbol when String.equal t.text ")" ->
+      | Tokens.Symbol when String.equal t.text "(" -> incr depth
+      | Tokens.Symbol when String.equal t.text ")" ->
           decr depth;
           if !depth < 0 then stop := true
-      | Lexer.Symbol when String.equal t.text ";" && !depth = 0 -> stop := true
-      | Lexer.Ident
+      | Tokens.Symbol when String.equal t.text ";" && !depth = 0 -> stop := true
+      | Tokens.Ident
         when (String.equal t.text "let" || String.equal t.text "in") && !depth = 0 ->
           stop := true
-      | Lexer.Ident when List.exists (String.equal t.text) length_readers -> hit := true
+      | Tokens.Ident when List.exists (String.equal t.text) length_readers -> hit := true
       | _ -> ());
       incr j
     done;
@@ -56,7 +56,7 @@ let check ~file (toks : Lexer.token array) =
   while !i < n do
     let t = toks.(!i) in
     (match t.kind with
-    | Lexer.Ident
+    | Tokens.Ident
       when List.exists (String.equal t.text) allocators_unqualified
            && not (!i > 0 && Rule.is_sym toks.(!i - 1) ".")
            && not (!i > 0 && Rule.is_ident toks.(!i - 1) "let") ->
@@ -68,7 +68,7 @@ let check ~file (toks : Lexer.token array) =
                   check; bind the length, compare it to a declared max, then read"
                  t.text)
             :: !findings
-    | Lexer.Uident ->
+    | Tokens.Uident ->
         let path, next = Rule.qualified_at toks !i in
         let p = Rule.path_string path in
         if List.exists (String.equal p) allocators_qualified then begin

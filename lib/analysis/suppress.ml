@@ -89,9 +89,9 @@ let parse_body ~file ~line body =
    malformed ones. *)
 let scan ~file tokens =
   List.fold_left
-    (fun (anns, errs) (t : Lexer.token) ->
+    (fun (anns, errs) (t : Tokens.token) ->
       match t.kind with
-      | Lexer.Comment ->
+      | Tokens.Comment ->
           (* Only a comment that opens with the marker is an annotation;
              prose that mentions one is not. *)
           let body = String.trim (String.sub t.text 2 (String.length t.text - 2)) in

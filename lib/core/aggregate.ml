@@ -63,6 +63,12 @@ let sender cfg ~rng ?(key_bits = 512) ~records ep =
   Protocol.send_one cfg ep ~tag:tag_sum (Nat.to_bytes_be masked_sum);
   { v_r_count = List.length y_r; ops }
 
+(* R's last step: strip the pad [rho] it drew from the sum S decrypted
+   for it. The result is S's total over the intersection whatever [rho]
+   was, so it is R's protocol output, not DRBG-derived data (SEC01 lists
+   [Aggregate.unblind] among its sanitizers). *)
+let unblind ~n masked_sum rho = Bignum.Modular.sub (Nat.rem masked_sum n) rho n
+
 let receiver cfg ~rng ~values ep =
   let ops = Protocol.new_ops () in
   let e_r = Commutative.gen_key cfg.Protocol.group ~rng in
@@ -98,8 +104,7 @@ let receiver cfg ~rng ~values ep =
   ops.Protocol.cipher_ops <- ops.Protocol.cipher_ops + List.length matched + 1;
   Protocol.send_one cfg ep ~tag:tag_blinded (Paillier.encode_ciphertext pub !acc);
   let masked_sum = Nat.of_bytes_be (Protocol.recv_one cfg ep tag_sum) in
-  let n = Paillier.modulus pub in
-  let sum = Bignum.Modular.sub (Nat.rem masked_sum n) rho n in
+  let sum = unblind ~n:(Paillier.modulus pub) masked_sum rho in
   {
     intersection = List.sort String.compare (List.map fst matched);
     sum = Nat.to_int_exn sum;

@@ -1,10 +1,11 @@
-(* psi_lint unit tests: the lexer against tricky OCaml surface syntax,
+(* psi_lint unit tests: the token adapter against tricky OCaml surface
+   syntax,
    every rule both firing and suppressed, and the baseline freeze /
    unfreeze workflow. All fixtures are in-memory sources fed through
    [Analysis.Driver.analyze] — the linter never touches the filesystem
    here, exactly as in production (the binary does the IO). *)
 
-module Lexer = Analysis.Lexer
+module Tokens = Analysis.Tokens
 module Rule = Analysis.Rule
 module Suppress = Analysis.Suppress
 module Driver = Analysis.Driver
@@ -31,7 +32,7 @@ let baselined_rules (o : Driver.outcome) =
 let check_rules = Alcotest.(check (list string))
 
 (* ------------------------------------------------------------------ *)
-(* Lexer                                                               *)
+(* Token adapter                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Concatenating token texts must reproduce the source minus layout:
@@ -42,10 +43,10 @@ let strip_ws s =
   |> String.of_seq
 
 let roundtrip src =
-  let toks = Lexer.tokens_of_string src in
+  let toks = Tokens.of_string src in
   Alcotest.(check string)
     "token texts reproduce the source" (strip_ws src)
-    (strip_ws (String.concat "" (List.map (fun (t : Lexer.token) -> t.text) toks)))
+    (strip_ws (String.concat "" (List.map (fun (t : Tokens.token) -> t.text) toks)))
 
 let test_lexer_roundtrip () =
   roundtrip {x|let f (a : int) = a + 1|x};
@@ -53,46 +54,85 @@ let test_lexer_roundtrip () =
   roundtrip {x|(* outer (* nested *) and a "string *) inside" *) let x = 1|x};
   roundtrip {x|let c = 'a' and nl = '\n' and hex = '\x41' and poly : 'a t = v|x};
   roundtrip {x|let raw = {q|verbatim "no escapes" here|q} and empty = {||}|x};
-  roundtrip {x|let n = 0xFF_EC and f = 1.5e-3 and g = 0x1p+4|x}
+  roundtrip {x|let n = 0xFF_EC and f = 1.5e-3 and g = 0x1p+4|x};
+  roundtrip {x|let g = f ~x:1 ?y:None a.(i) ;; let h ~x ?(y = 2) () = [| x; y |]|x}
 
-let kinds src = List.map (fun (t : Lexer.token) -> t.Lexer.kind) (Lexer.tokens_of_string src)
+let kinds src = List.map (fun (t : Tokens.token) -> t.Tokens.kind) (Tokens.of_string src)
+
+(* (kind, text) of every significant token. *)
+let shape src =
+  Tokens.significant (Tokens.of_string src)
+  |> List.map (fun (t : Tokens.token) -> (t.kind, t.text))
+
+let check_shape what src expected =
+  if shape src <> expected then
+    Alcotest.failf "%s: unexpected tokens [%s]" what
+      (String.concat " " (List.map (fun (_, text) -> text) (shape src)))
 
 let test_lexer_kinds () =
   (* A nested comment is ONE token; the string inside does not escape. *)
   (match kinds {x|(* a (* b *) "c *) d" *) x|x} with
-  | [ Lexer.Comment; Lexer.Ident ] -> ()
+  | [ Tokens.Comment; Tokens.Ident ] -> ()
   | _ -> Alcotest.fail "nested comment with embedded string should be one Comment token");
-  (* Char literal vs type-variable quote. *)
+  (* Char literal vs type variable quote. *)
   (match kinds {x|'a' 'b|x} with
-  | [ Lexer.Char_lit; Lexer.Symbol; Lexer.Ident ] -> ()
+  | [ Tokens.Char_lit; Tokens.Symbol; Tokens.Ident ] -> ()
   | _ -> Alcotest.fail "char literal then type variable");
   (* Qualified access lexes as Uident / "." / Ident. *)
-  match Lexer.significant (Lexer.tokens_of_string "Stdlib.compare") with
-  | [ { kind = Lexer.Uident; text = "Stdlib"; _ }; { kind = Lexer.Symbol; text = "."; _ };
-      { kind = Lexer.Ident; text = "compare"; _ } ] ->
-      ()
-  | _ -> Alcotest.fail "qualified path token shape"
+  check_shape "qualified path" "Stdlib.compare"
+    [ (Tokens.Uident, "Stdlib"); (Symbol, "."); (Ident, "compare") ];
+  (* The compiler's LABEL/OPTLABEL tokens split into "~"/"?", the
+     name and ":", as a rule reading [~key:] expects. *)
+  check_shape "labels" "f ~x:1 ?y:z"
+    [
+      (Tokens.Ident, "f"); (Symbol, "~"); (Ident, "x"); (Symbol, ":"); (Number, "1");
+      (Symbol, "?"); (Ident, "y"); (Symbol, ":"); (Ident, "z");
+    ];
+  check_shape "array index" "a.(i)"
+    [ (Tokens.Ident, "a"); (Symbol, "."); (Symbol, "("); (Ident, "i"); (Symbol, ")") ];
+  (* A quoted string with a delimiter is one literal, whatever it holds. *)
+  check_shape "quoted string" {x|let s = {id|a "b" |} (* c|id}|x}
+    [
+      (Tokens.Ident, "let"); (Ident, "s"); (Symbol, "=");
+      (String_lit, {x|{id|a "b" |} (* c|id}|x});
+    ];
+  (* Touching operators stay the compiler's tokens: [:=] then [!]. *)
+  check_shape "touching operators" "r:=!r+1"
+    [ (Tokens.Ident, "r"); (Symbol, ":="); (Symbol, "!"); (Ident, "r"); (Symbol, "+"); (Number, "1") ]
 
 let test_lexer_positions () =
-  match Lexer.tokens_of_string "let x =\n  y" with
+  (match Tokens.of_string "let x =\n  y" with
   | [ _let; _x; _eq; y ] ->
-      Alcotest.(check int) "line" 2 y.Lexer.line;
-      Alcotest.(check int) "col" 3 y.Lexer.col
-  | _ -> Alcotest.fail "expected four tokens"
+      Alcotest.(check int) "line" 2 y.Tokens.line;
+      Alcotest.(check int) "col" 3 y.Tokens.col
+  | _ -> Alcotest.fail "expected four tokens");
+  (* Pieces of a split compiler token keep their own columns. *)
+  match Tokens.of_string "f ~key:v" with
+  | [ _f; tilde; key; colon; _v ] ->
+      Alcotest.(check (list int)) "label columns" [ 3; 4; 7 ]
+        [ tilde.Tokens.col; key.Tokens.col; colon.Tokens.col ]
+  | _ -> Alcotest.fail "expected five tokens"
 
 let test_lexer_errors () =
   let expect_error src =
-    match Lexer.tokens_of_string src with
-    | exception Lexer.Error _ -> ()
+    match Tokens.of_string src with
+    | exception Tokens.Error _ -> ()
     | _ -> Alcotest.fail ("lexer accepted: " ^ src)
   in
   expect_error "(* never closed";
   expect_error {x|let s = "no closing quote|x};
   expect_error "let c = '\\n";
-  (* A lexer failure surfaces as a run error, not a crash. *)
-  let o = analyze ~path:"lib/core/broken.ml" "(* open" in
+  (* A lexer failure surfaces as a run error, not a crash, and names
+     the file, the position and the phase. *)
+  let o = analyze ~path:"lib/core/broken.ml" "let x = 1\n(* open" in
   Alcotest.(check bool) "lexer error fails the run" false (Driver.clean o);
-  Alcotest.(check int) "one error" 1 (List.length o.errors)
+  Alcotest.(check int) "an unread file is not scanned" 0 o.files_scanned;
+  match o.errors with
+  | [ e ] ->
+      let prefix = "lib/core/broken.ml:2:1: lexer error" in
+      Alcotest.(check string) "path:line:col: lexer error" prefix
+        (String.sub e 0 (min (String.length e) (String.length prefix)))
+  | _ -> Alcotest.failf "expected one error, got %d" (List.length o.errors)
 
 (* ------------------------------------------------------------------ *)
 (* CT01                                                                *)
@@ -541,6 +581,30 @@ let test_sec01_sanitized () =
   let o = analyze_sem ~path:"lib/core/fixture.ml" src in
   check_rules "sanitizers clear the taint" [] (uniq_rules o)
 
+(* Declared-public results: a DRBG-built value leaves [Workload.*] and
+   [Aggregate.unblind] clean, while the same flow through a function of
+   another module still fires. *)
+let test_sec01_public_results () =
+  let run ~workload ~aggregate =
+    let file modname content =
+      { Driver.path = "lib/core/" ^ String.lowercase_ascii modname ^ ".ml"; content }
+    in
+    Driver.analyze ~sem_rules:Analysis.Registry.sem_rules ~baseline:no_baseline
+      [
+        file workload "let tables st = Drbg.generate st 32";
+        file aggregate "let unblind ~n masked rho = Bignum.Modular.sub masked rho n";
+        file "Fixture"
+          (Printf.sprintf
+             "let demo st ep = Channel.send ep (%s.tables st)\n\
+              let sum st ep = Channel.send ep (%s.unblind ~n:7 3 (Drbg.generate st 32))"
+             workload aggregate);
+      ]
+  in
+  check_rules "Workload and Aggregate.unblind results are public" []
+    (uniq_rules (run ~workload:"Workload" ~aggregate:"Aggregate"));
+  let o = run ~workload:"Synth" ~aggregate:"Sums" in
+  Alcotest.(check int) "the same flows elsewhere are leaks" 2 (List.length (Driver.new_findings o))
+
 let test_sec01_suppressed () =
   let src =
     "(* psi-lint: allow SEC01 — fixture: deliberate leak *)\n\
@@ -700,6 +764,7 @@ let () =
           tc "fires" `Quick test_sec01_fires;
           tc "interprocedural" `Quick test_sec01_interprocedural;
           tc "sanitized" `Quick test_sec01_sanitized;
+          tc "public results" `Quick test_sec01_public_results;
           tc "suppressed" `Quick test_sec01_suppressed;
         ] );
       ( "ct02",

@@ -1,24 +1,21 @@
-(* Parser tests: one fixture per supported construct, checked by the
-   strongest cheap invariant we have — pretty-print the parsed AST with
-   [Ast.to_source] and reparse; the two trees must be structurally equal
-   (positions ignored). A QCheck property then drives the same invariant
-   over randomly generated ASTs, which exercises the pretty-printer's
-   parenthesization against the parser's precedence table. *)
+(* Lowering tests: one fixture per construct the analyses walk, each
+   parsed by the compiler's own parser and lowered by [Lower] without
+   error; then the shapes the analyses rely on — real operator
+   precedence, labeled parameters, module bodies written in expression
+   position turned into items [Resolve] sees — including the six such
+   bodies in lib/. *)
 
 module Ast = Analysis.Ast
-module Parser = Analysis.Parser
+module Lower = Analysis.Lower
+module Resolve = Analysis.Resolve
+module Tokens = Analysis.Tokens
 
 let parse src =
-  try Parser.structure_of_string src
-  with Parser.Error { line; col; message } ->
+  try Lower.structure_of_string src
+  with Tokens.Error { line; col; message } ->
     Alcotest.failf "parse error at %d:%d: %s\nin:\n%s" line col message src
 
-let reparses src =
-  let s1 = parse src in
-  let printed = Ast.to_source s1 in
-  let s2 = parse printed in
-  if not (Ast.equal_structure s1 s2) then
-    Alcotest.failf "print/reparse mismatch\nsource:\n%s\nprinted:\n%s" src printed
+let reparses src = ignore (parse src)
 
 (* ------------------------------------------------------------------ *)
 (* Construct fixtures                                                  *)
@@ -92,7 +89,17 @@ let test_modules () =
   reparses "open A\nlet y = x";
   reparses "include A";
   reparses "type t = int\nlet x = 3";
-  reparses "exception E of string\nlet f () = raise (E \"boom\")"
+  reparses "exception E of string\nlet f () = raise (E \"boom\")";
+  reparses "let c = Conn ((module struct\n  let send = send\nend : S), c)";
+  reparses
+    "let d xs =\n\
+    \  let module VS = Set.Make (struct\n\
+    \    type t = int\n\
+    \    let compare = compare\n\
+    \  end) in\n\
+    \  VS.elements (VS.of_list xs)";
+  reparses "module F (X : S) = struct\n  let y = X.x\nend";
+  reparses "include struct\n  let z = 1\nend"
 
 (* Shape checks: the AST really is what the analyses walk, not just a
    reprintable blob. *)
@@ -134,9 +141,9 @@ let test_positions () =
 
 let test_errors () =
   let fails src =
-    match Parser.structure_of_string src with
+    match Lower.structure_of_string src with
     | _ -> Alcotest.failf "expected a parse error for: %s" src
-    | exception Parser.Error _ -> ()
+    | exception Tokens.Error _ -> ()
   in
   fails "let = 3";
   fails "let f x = match x with";
@@ -144,121 +151,84 @@ let test_errors () =
   fails "let r = { a = 1;"
 
 (* ------------------------------------------------------------------ *)
-(* QCheck: generated AST -> to_source -> parse = same AST              *)
+(* Lowering shapes                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let gen_ast =
-  let open QCheck.Gen in
-  let var = oneofl [ "x"; "y"; "acc"; "f" ] in
-  (* [true]/[false] parse as [Var], not [Const] — keep them out. *)
-  let const = oneofl [ "0"; "1"; "42"; "\"s\""; "'c'"; "()" ] in
-  let label = oneofl [ "key"; "len" ] in
-  let e d = Ast.{ desc = d; pos = Ast.no_pos } in
-  let rec expr depth =
-    if depth = 0 then
-      oneof [ map (fun v -> e (Ast.Var [ v ])) var; map (fun c -> e (Ast.Const c)) const ]
-    else
-      let sub = expr (depth - 1) in
-      let arg =
-        oneof
-          [
-            map (fun a -> (Ast.Nolabel, a)) sub;
-            map2 (fun l a -> (Ast.Labelled l, a)) label sub;
-          ]
-      in
-      frequency
-        [
-          (2, map (fun v -> e (Ast.Var [ v ])) var);
-          (2, map (fun c -> e (Ast.Const c)) const);
-          ( 3,
-            map2
-              (fun f args -> e (Ast.Apply (e (Ast.Var [ f ]), args)))
-              var
-              (list_size (int_range 1 3) arg) );
-          (2, map3 (fun c t f -> e (Ast.If (c, t, Some f))) sub sub sub);
-          (1, map2 (fun c t -> e (Ast.If (c, t, None))) sub sub);
-          (2, map2 (fun a b -> e (Ast.Tuple [ a; b ])) sub sub);
-          ( 2,
-            map3
-              (fun v b body ->
-                e
-                  (Ast.Let
-                     {
-                       recursive = false;
-                       bindings =
-                         [
-                           {
-                             Ast.b_pat = Ast.Pvar (v, Ast.no_pos);
-                             b_params = [];
-                             b_body = b;
-                             b_pos = Ast.no_pos;
-                           };
-                         ];
-                       body;
-                     }))
-              var sub sub );
-          ( 2,
-            map2
-              (fun v body ->
-                e
-                  (Ast.Fun
-                     ( [ { Ast.label = Ast.Nolabel; pat = Ast.Pvar (v, Ast.no_pos); default = None } ],
-                       body )))
-              var sub );
-          ( 2,
-            map3
-              (fun scrut a b ->
-                e
-                  (Ast.Match
-                     ( scrut,
-                       [
-                         { Ast.lhs = Ast.Pconst "0"; guard = None; rhs = a };
-                         { Ast.lhs = Ast.Pany; guard = None; rhs = b };
-                       ] )))
-              sub sub sub );
-          (1, map2 (fun a b -> e (Ast.Sequence (a, b))) sub sub);
-          (1, map (fun xs -> e (Ast.List_lit xs)) (list_size (int_range 0 3) sub));
-          (1, map (fun a -> e (Ast.Construct ([ "Some" ], Some a))) sub);
-          (1, return (e (Ast.Construct ([ "None" ], None))));
-          (1, map (fun a -> e (Ast.Assert a)) sub);
-          (1, map (fun a -> e (Ast.Lazy_ a)) sub);
-          (1, map (fun a -> e (Ast.Field (a, [ "contents" ]))) sub);
-          (1, map2 (fun a i -> e (Ast.Index_get (a, i))) sub sub);
-        ]
-  in
-  let item =
-    let* depth = int_range 1 4 in
-    let* name = var in
-    let* body = expr depth in
-    return
-      (Ast.Ilet
-         {
-           recursive = false;
-           bindings =
-             [
-               {
-                 Ast.b_pat = Ast.Pvar (name, Ast.no_pos);
-                 b_params = [];
-                 b_body = body;
-                 b_pos = Ast.no_pos;
-               };
-             ];
-           i_pos = Ast.no_pos;
-         })
-  in
-  QCheck.Gen.list_size (QCheck.Gen.int_range 1 3) item
+let body_of src =
+  match parse src with
+  | [ Ast.Ilet { bindings = [ { b_body; _ } ]; _ } ] -> b_body
+  | _ -> Alcotest.failf "expected one binding in: %s" src
 
-let arb_ast = QCheck.make ~print:Ast.to_source gen_ast
+let test_precedence () =
+  let op_of (e : Ast.expr) =
+    match e.desc with Ast.Apply ({ desc = Ast.Var [ op ]; _ }, _) -> op | _ -> "-"
+  in
+  (match (body_of "let x = a + b * c").desc with
+  | Ast.Apply ({ desc = Ast.Var [ "+" ]; _ }, [ (_, a); (_, bc) ]) ->
+      Alcotest.(check string) "left operand" "-" (op_of a);
+      Alcotest.(check string) "* under +" "*" (op_of bc)
+  | _ -> Alcotest.fail "a + b * c must lower as an application of +");
+  match (body_of "let x = r := !r + 1").desc with
+  | Ast.Apply ({ desc = Ast.Var [ ":=" ]; _ }, [ _; (_, sum) ]) ->
+      Alcotest.(check string) "r := !r + 1 assigns the sum" "+" (op_of sum)
+  | _ -> Alcotest.fail "r := !r + 1 must lower as an application of :="
 
-let prop_print_reparse =
-  QCheck.Test.make ~name:"to_source output reparses to an equal AST" ~count:500 arb_ast
-    (fun s ->
-      let printed = Ast.to_source s in
-      match Parser.structure_of_string printed with
-      | reparsed -> Ast.equal_structure s reparsed
-      | exception Parser.Error { line; col; message } ->
-          QCheck.Test.fail_reportf "parse error at %d:%d: %s\nprinted:\n%s" line col
-            message printed)
+let defs_of files =
+  (Resolve.build (List.map (fun (path, src) -> (path, parse src)) files)).Resolve.def_order
+
+let has_def defs ~prefix ~suffix =
+  List.exists (fun d -> String.starts_with ~prefix d && String.ends_with ~suffix d) defs
+
+let test_module_bodies () =
+  let defs =
+    defs_of
+      [
+        ( "lib/core/packed.ml",
+          "let pack c = Conn ((module struct\n  let send_packed x = x\nend), c)\n\n\
+           let sorted xs =\n\
+          \  let module VS = Set.Make (struct\n\
+          \    type t = int\n\
+          \    let compare_local = compare\n\
+          \  end) in\n\
+          \  VS.elements (VS.of_list xs)" );
+      ]
+  in
+  Alcotest.(check bool) "(module struct ... end) binding is a def" true
+    (has_def defs ~prefix:"Packed.<struct@1:" ~suffix:".send_packed");
+  Alcotest.(check bool) "let module ... = F (struct ... end) binding is a def" true
+    (has_def defs ~prefix:"Packed.<struct@6:" ~suffix:".compare_local")
+
+(* The module bodies in expression position in lib/: every one lowers
+   to an item whose bindings [Resolve] defines. *)
+let test_lib_module_bodies () =
+  let read path = In_channel.with_open_bin ("../" ^ path) In_channel.input_all in
+  let files =
+    [
+      "lib/wire/transport.ml"; "lib/wire/fault.ml"; "lib/minidb/relop.ml";
+      "lib/minidb/table.ml";
+    ]
+  in
+  let defs = defs_of (List.map (fun p -> (p, read p)) files) in
+  (* [n] distinct bodies under [outer] define a binding named [suffix];
+     the bodies are told apart by their <struct@LINE:COL> segment. *)
+  let bodies ~outer ~suffix =
+    List.filter_map
+      (fun d ->
+        let prefix = outer ^ ".<struct@" in
+        if String.starts_with ~prefix d && String.ends_with ~suffix d then
+          Some (String.sub d 0 (String.index_from d (String.length prefix) '>'))
+        else None)
+      defs
+    |> List.sort_uniq String.compare |> List.length
+  in
+  List.iter
+    (fun (outer, suffix, n) ->
+      Alcotest.(check int) (Printf.sprintf "%s bodies defining %s" outer suffix) n
+        (bodies ~outer ~suffix))
+    [
+      ("Transport.Memory", ".send", 1); ("Transport.Socket", ".send", 1); ("Fault", ".send", 1);
+      ("Relop", ".compare", 2); ("Table", ".compare", 1);
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -279,5 +249,10 @@ let () =
           tc "positions" `Quick test_positions;
           tc "errors" `Quick test_errors;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest prop_print_reparse ]);
+      ( "lowering",
+        [
+          tc "precedence" `Quick test_precedence;
+          tc "module bodies are defs" `Quick test_module_bodies;
+          tc "lib module bodies are defs" `Quick test_lib_module_bodies;
+        ] );
     ]

@@ -7,7 +7,8 @@
 #      `(* lint-expect: RULE *)` annotation. The run fails unless every
 #      expected (file, line, rule) is reported (MISS) and nothing
 #      unexpected is (EXTRA), so both false negatives and false
-#      positives in the analyses break the build.
+#      positives in the analyses break the build. It also fails if a
+#      compiler warning or alert shows in psi_lint's output.
 #   2. Schema validation of the machine output: `--json` must emit a
 #      versioned lint_header as its first line and a versioned summary
 #      with per-phase timings as its last, matching the trace_header
@@ -24,18 +25,25 @@ ROOT=$2
 dir=$(mktemp -d "$PWD/smoke.XXXXXX")
 trap 'rm -rf "$dir"' EXIT
 
+fail() {
+  echo "lint_selfcheck: $1" >&2
+  exit 1
+}
+
 echo "== lint selfcheck: seeded fixtures =="
-"$LINT" --root "$ROOT" --selfcheck "$ROOT/tools/lint_fixtures"
+# The corpus includes source the compiler warns about; none of its
+# warnings or alerts may reach psi_lint's output.
+"$LINT" --root "$ROOT" --selfcheck "$ROOT/tools/lint_fixtures" >"$dir/selfcheck.out" 2>&1 \
+  || { cat "$dir/selfcheck.out"; fail "seeded fixtures"; }
+cat "$dir/selfcheck.out"
+if grep -q -e "Warning" -e "Alert" "$dir/selfcheck.out"; then
+  fail "compiler warnings reached psi_lint's output"
+fi
 
 echo
 echo "== lint selfcheck: JSON schema =="
 "$LINT" --root "$ROOT" --baseline "$ROOT/tools/lint_baseline.txt" \
   --json "$dir/lint.jsonl" lib bin
-
-fail() {
-  echo "lint_selfcheck: $1" >&2
-  exit 1
-}
 
 head -n 1 "$dir/lint.jsonl" | grep -q '"type":"lint_header"' \
   || fail "first JSON line is not a lint_header"
