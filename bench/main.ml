@@ -473,6 +473,7 @@ let kernel ~check =
     us "bignum" "pow_precomputed_window@256" (fun () ->
         Bignum.Modular.Mont.pow_exp mont x256 we);
     us "bignum" "mont_mul@256" (fun () -> Bignum.Modular.Mont.mul mont x256 x256);
+    us "bignum" "mont_sqr@256" (fun () -> Bignum.Modular.Mont.sqr mont x256);
     us "bignum" "mul_karatsuba@16384" (fun () -> Bignum.Nat.mul a16k b16k);
     us "bignum" "mul_schoolbook@16384" (fun () -> Bignum.Nat.mul_schoolbook a16k b16k);
     let k_mul = Crypto.Perfect_cipher.Mul.encrypt test256 ~key:kappa in

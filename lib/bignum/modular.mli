@@ -41,16 +41,17 @@ module Mont : sig
 
   (** [create m] precomputes a context for odd modulus [m] >= 3.
 
-      Every modulus runs on one kernel family at [Nat]'s own 30-bit
-      limbs: fused multiply-and-reduce (CIOS), lazy reduction and
-      per-call arenas. The limb count [n] is the least with
-      [4m < 2^(30n)], the headroom lazy reduction needs; at [n = 3]
-      (59- to 88-bit moduli) and [n = 9] (239 to 268 bits, so every
-      256-bit modulus) the multiply is a straight-line unrolled kernel,
-      at any other [n] a loop. The window width and
+      Every modulus runs on one kernel family at 29-bit Montgomery limbs
+      ([Nat]'s 30-bit limbs are repacked on the way in and out):
+      carry-save multiply-and-reduce (CIOS), a dedicated squaring, lazy
+      reduction and per-call arenas. The limb count [n] is the least
+      with [4m < 2^(29n)], the headroom lazy reduction needs; at [n = 3]
+      (57- to 85-bit moduli) and [n = 9] (231 to 259 bits, so every
+      256-bit modulus) the multiply and the squaring are straight-line
+      unrolled kernels, at any other [n] loops. The window width and
       {!pow_batch} lane count follow from [n] alone: 4-bit windows and
       4 lanes below 11 limbs, 5-bit windows and 2 lanes from there
-      (1536- and 2048-bit moduli are 52 and 69 limbs). Results are
+      (1536- and 2048-bit moduli are 54 and 71 limbs). Results are
       bit-identical to {!pow_binary}, which the qcheck parity suite in
       test/test_bignum.ml pins every width to.
       @raise Invalid_argument if [m] is even or < 3. *)
@@ -59,8 +60,8 @@ module Mont : sig
   val modulus : ctx -> Nat.t
 
   (** The kernel [create] chose, a function of the limb count alone:
-      ["mont30x3-unrolled"] and ["mont30x9-unrolled"] at 3 and 9 limbs,
-      ["mont30x<n>"] otherwise. *)
+      ["mont29x3-unrolled"] and ["mont29x9-unrolled"] at 3 and 9 limbs,
+      ["mont29x<n>"] otherwise. *)
   val kernel_name : ctx -> string
 
   (** [pow ctx b e] is [b^e mod m] for [b] in [[0, m)]. *)
@@ -69,7 +70,7 @@ module Mont : sig
   (** [mul ctx a b] is [a*b mod m] for [a], [b] in [[0, m)]. *)
   val mul : ctx -> Nat.t -> Nat.t -> Nat.t
 
-  (** [sqr ctx a] is [mul ctx a a]. *)
+  (** [sqr ctx a] is [mul ctx a a], through the squaring kernel. *)
   val sqr : ctx -> Nat.t -> Nat.t
 
   (** The window decompositions of an exponent, precomputed once so
@@ -111,5 +112,19 @@ module Mont : sig
     val load_base : arena -> lane:int -> Nat.t -> unit
     val run_windows : arena -> lanes:int -> exponent -> unit
     val lane_result : arena -> lane:int -> Nat.t
+
+    (** Bits per Montgomery limb (29), and the context's limb count
+        [n]: the Montgomery radix is [R = 2^(limb_bits * n)]. *)
+    val limb_bits : int
+
+    val limbs : ctx -> int
+
+    (** [product ctx op a b] runs one kernel on [a] and [b] staged as
+        they are, with no range check, and returns its raw output:
+        [a*b*R^-1 mod m] ([`Mul]) or [a*a*R^-1 mod m] ([`Sqr], which
+        ignores [b]), still lazy in [[0, 2m)]. The kernels accept
+        operands in [[0, 2m)]; the public entry points pass only
+        [[0, m)] from outside. *)
+    val product : ctx -> [ `Mul | `Sqr ] -> Nat.t -> Nat.t -> Nat.t
   end
 end

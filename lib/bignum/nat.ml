@@ -706,6 +706,7 @@ let () = assert (check_limbs zero && check_limbs one)
 module Internal = struct
   let base_bits = base_bits
   let of_limbs w = normalize (Array.copy w)
+  let of_owned_limbs w = normalize w
   let raw_limbs (a : t) : int array = a
   let add_back_count = add_back_count
   let jacobi_batched = jacobi_batched

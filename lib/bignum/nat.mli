@@ -133,6 +133,12 @@ module Internal : sig
       zeros) and returns the value it denotes. *)
   val of_limbs : int array -> t
 
+  (** [of_owned_limbs w] is {!of_limbs} without the copy: the value takes
+      [w] over, so the caller must not touch [w] again. [w] is returned
+      as it is when its top limb is non-zero, and trimmed (one copy)
+      otherwise. *)
+  val of_owned_limbs : int array -> t
+
   (** [raw_limbs n] is the value's own little-endian limb array, not a
       copy. Callers must treat it as read-only; mutating it corrupts the
       value. Exposed so {!Modular.Mont}'s arenas can stage limbs without

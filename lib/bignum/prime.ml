@@ -31,7 +31,7 @@ let miller_rabin_witness ctx ~d ~s a =
     let rec squares i x =
       if i >= s - 1 then true
       else begin
-        let x = Modular.Mont.mul ctx x x in
+        let x = Modular.Mont.sqr ctx x in
         if Nat.equal x n1 then false else squares (i + 1) x
       end
     in

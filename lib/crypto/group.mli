@@ -80,9 +80,9 @@ val pow_batch : t -> elt list -> Bignum.Modular.Mont.exponent -> elt list
 val sqr_batch : t -> elt list -> elt list
 
 (** The Montgomery kernel plan of this group's context
-    ({!Bignum.Modular.Mont.kernel_name}), e.g. ["mont30x3-unrolled"]
-    for the 64-bit group, ["mont30x9-unrolled"] for the 256-bit group
-    or ["mont30x52"] for MODP-1536. *)
+    ({!Bignum.Modular.Mont.kernel_name}), e.g. ["mont29x3-unrolled"]
+    for the 64-bit group, ["mont29x9-unrolled"] for the 256-bit group
+    or ["mont29x54"] for MODP-1536. *)
 val kernel_name : t -> string
 
 (** [inv_elt g x] is the group inverse of [x]. *)

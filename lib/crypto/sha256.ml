@@ -29,19 +29,25 @@ type ctx = {
   mutable finalized : bool;
 }
 
+let iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+     0x1f83d9ab; 0x5be0cd19 |]
+
 let init () =
   {
-    h =
-      [|
-        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
-        0x1f83d9ab; 0x5be0cd19;
-      |];
+    h = Array.copy iv;
     buf = Bytes.create block_size;
     buf_len = 0;
     total = 0;
     w = Array.make 64 0;
     finalized = false;
   }
+
+let reset ctx =
+  Array.blit iv 0 ctx.h 0 8;
+  ctx.buf_len <- 0;
+  ctx.total <- 0;
+  ctx.finalized <- false
 
 let ror x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
@@ -119,24 +125,26 @@ let update ctx s =
     end
   end
 
+(* Pad in the context's own block buffer: 0x80, zeros, then the
+   message length in bits as a 64-bit big-endian integer at bytes
+   56..63, spilling into a second block when fewer than 9 bytes are
+   free. *)
 let finalize ctx =
   if ctx.finalized then invalid_arg "Sha256.finalize: finalized context"
   else begin
     ctx.finalized <- true;
-    let bit_len = 8 * ctx.total in
-    let pad_len =
-      let r = (ctx.buf_len + 9) mod block_size in
-      if r = 0 then 9 else 9 + (block_size - r)
-    in
-    let pad = Bytes.make pad_len '\x00' in
-    Bytes.set pad 0 '\x80';
-    for i = 0 to 7 do
-      Bytes.set pad (pad_len - 1 - i) (Char.chr ((bit_len lsr (8 * i)) land 0xff))
-    done;
-    ctx.finalized <- false;
-    update ctx (Bytes.unsafe_to_string pad);
-    ctx.finalized <- true;
-    assert (ctx.buf_len = 0);
+    let buf = ctx.buf in
+    Bytes.set buf ctx.buf_len '\x80';
+    let used = ctx.buf_len + 1 in
+    if used > block_size - 8 then begin
+      Bytes.fill buf used (block_size - used) '\x00';
+      compress ctx buf 0;
+      Bytes.fill buf 0 (block_size - 8) '\x00'
+    end
+    else Bytes.fill buf used (block_size - 8 - used) '\x00';
+    Bytes.set_int64_be buf (block_size - 8) (Int64.of_int (8 * ctx.total));
+    compress ctx buf 0;
+    ctx.buf_len <- 0;
     String.init digest_size (fun i ->
         Char.chr ((ctx.h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xff))
   end

@@ -9,7 +9,12 @@ type ctx
 (** [init ()] is a fresh hashing context. *)
 val init : unit -> ctx
 
-(** [update ctx s] absorbs [s]. Contexts are single-use after {!finalize}. *)
+(** [reset ctx] returns [ctx] to the state {!init} gives, finalized or
+    not, so one context can hash many messages without allocating. *)
+val reset : ctx -> unit
+
+(** [update ctx s] absorbs [s]. A finalized context takes no more input
+    until {!reset}. *)
 val update : ctx -> string -> unit
 
 (** [finalize ctx] is the 32-byte digest of everything absorbed.

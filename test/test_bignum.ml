@@ -477,9 +477,10 @@ let test_inverse_none () =
 (* ------------------------------------------------------------------ *)
 (* Montgomery kernels                                                  *)
 (*                                                                     *)
-(* Every odd modulus runs on one kernel family (30-bit limbs, lazy     *)
-(* reduction, unrolled at 3 and 9 limbs). Every kernel entry point —   *)
-(* single pow_exp, pow_batch's interleaved lanes, mul, sqr_batch — is  *)
+(* Every odd modulus runs on one kernel family (29-bit carry-save      *)
+(* limbs, lazy reduction, a dedicated squaring, unrolled at 3 and 9    *)
+(* limbs). Every kernel entry point — single pow_exp, pow_batch's      *)
+(* interleaved lanes, mul, sqr, sqr_batch — is                         *)
 (* pinned to the pow_binary oracle at every width below, across edge   *)
 (* exponents and edge bases, and the window loop is asserted           *)
 (* allocation-free.                                                    *)
@@ -519,38 +520,47 @@ let p512 =
      019d599aa1ee140096188ba220a3b8b03c983e385ffa254975f393361740f733"
 
 (* 2^k - 1: the largest odd modulus of k bits, so the tightest case for
-   the lazy-reduction headroom (4m < 2^(30n)) at its limb count. *)
+   the lazy-reduction headroom (4m < 2^(29n)) at its limb count. *)
 let all_ones k = Nat.pred (Nat.shift_left Nat.one k)
 
-(* (label, modulus, qcheck count, expected kernel). The k-bit all-ones
-   moduli sit on limb boundaries: 29/30/31 and 59/60/61 straddle Nat's
-   own limbs (a 30-bit modulus is one Nat limb but two kernel limbs).
-   59 and 88 bits are the first and last widths on the unrolled 3-limb
-   kernel, with 89 just outside it; 239 and 268 bits are the first and
-   last on the unrolled 9-limb kernel, with 238 and 269 just outside
-   it. *)
+(* (label, modulus, qcheck count, expected kernel). The kernels run at
+   29-bit limbs, n = ceil((bits + 2) / 29). The k-bit all-ones moduli sit
+   on limb boundaries: 29/30/31 straddle Nat's own 30-bit limbs; 57 and
+   85 bits are the first and last widths on the unrolled 3-limb kernel,
+   with 56 and 86 just outside it; 231 and 259 bits are the first and
+   last on the unrolled 9-limb kernel, with 230 and 260 just outside it.
+   59/60/61/88/89 and 238/239/268/269 bits were the boundaries of the
+   earlier 30-bit kernels. *)
 let kernel_widths =
   [
-    ("m=3", Nat.of_int 3, 30, "mont30x1");
-    ("2^29-1", all_ones 29, 30, "mont30x2");
-    ("2^30-1", all_ones 30, 30, "mont30x2");
-    ("2^31-1", all_ones 31, 30, "mont30x2");
-    ("2^59-1", all_ones 59, 30, "mont30x3-unrolled");
-    ("2^60-1", all_ones 60, 30, "mont30x3-unrolled");
-    ("2^61-1", all_ones 61, 30, "mont30x3-unrolled");
-    ("test64", p64, 30, "mont30x3-unrolled");
-    ("2^88-1", all_ones 88, 30, "mont30x3-unrolled");
-    ("2^89-1", all_ones 89, 30, "mont30x4");
-    ("test128", p128, 30, "mont30x5");
-    ("test_modulus (196-bit)", test_modulus, 30, "mont30x7");
-    ("2^238-1", all_ones 238, 20, "mont30x8");
-    ("2^239-1", all_ones 239, 20, "mont30x9-unrolled");
-    ("test256", p256, 30, "mont30x9-unrolled");
-    ("2^268-1", all_ones 268, 20, "mont30x9-unrolled");
-    ("2^269-1", all_ones 269, 20, "mont30x10");
-    ("test512", p512, 10, "mont30x18");
-    ("modp1536", p1536, 6, "mont30x52");
-    ("modp2048", p2048, 6, "mont30x69");
+    ("m=3", Nat.of_int 3, 30, "mont29x1");
+    ("2^29-1", all_ones 29, 30, "mont29x2");
+    ("2^30-1", all_ones 30, 30, "mont29x2");
+    ("2^31-1", all_ones 31, 30, "mont29x2");
+    ("2^56-1", all_ones 56, 30, "mont29x2");
+    ("2^57-1", all_ones 57, 30, "mont29x3-unrolled");
+    ("2^59-1", all_ones 59, 30, "mont29x3-unrolled");
+    ("2^60-1", all_ones 60, 30, "mont29x3-unrolled");
+    ("2^61-1", all_ones 61, 30, "mont29x3-unrolled");
+    ("test64", p64, 30, "mont29x3-unrolled");
+    ("2^85-1", all_ones 85, 30, "mont29x3-unrolled");
+    ("2^86-1", all_ones 86, 30, "mont29x4");
+    ("2^88-1", all_ones 88, 30, "mont29x4");
+    ("2^89-1", all_ones 89, 30, "mont29x4");
+    ("test128", p128, 30, "mont29x5");
+    ("test_modulus (196-bit)", test_modulus, 30, "mont29x7");
+    ("2^230-1", all_ones 230, 20, "mont29x8");
+    ("2^231-1", all_ones 231, 20, "mont29x9-unrolled");
+    ("2^238-1", all_ones 238, 20, "mont29x9-unrolled");
+    ("2^239-1", all_ones 239, 20, "mont29x9-unrolled");
+    ("test256", p256, 30, "mont29x9-unrolled");
+    ("2^259-1", all_ones 259, 20, "mont29x9-unrolled");
+    ("2^260-1", all_ones 260, 20, "mont29x10");
+    ("2^268-1", all_ones 268, 20, "mont29x10");
+    ("2^269-1", all_ones 269, 20, "mont29x10");
+    ("test512", p512, 10, "mont29x18");
+    ("modp1536", p1536, 6, "mont29x54");
+    ("modp2048", p2048, 6, "mont29x71");
   ]
 
 let test_kernel_selection () =
@@ -560,10 +570,10 @@ let test_kernel_selection () =
       Alcotest.(check string) label kname (Modular.Mont.kernel_name ctx))
     kernel_widths;
   (* Windows and lanes follow the limb count: 4-bit x 4 lanes at 9 limbs,
-     5-bit x 2 lanes at 52 limbs and up. *)
+     5-bit x 2 lanes at 54 limbs and up. *)
   Alcotest.(check int) "lanes at 9 limbs" 4
     (Modular.Mont.Internal.lanes (Modular.Mont.create p256));
-  Alcotest.(check int) "lanes at 52 limbs" 2
+  Alcotest.(check int) "lanes at 54 limbs" 2
     (Modular.Mont.Internal.lanes (Modular.Mont.create p1536))
 
 (* Generator for elements of [0, m): rejection-free via rem. *)
@@ -671,9 +681,60 @@ let test_kernel_edges () =
               Alcotest.check nat
                 (Printf.sprintf "%s mul %s %s" kname (Nat.to_hex a) (Nat.to_hex b))
                 (Modular.mul a b m) (Modular.Mont.mul ctx a b))
-            operands)
-        operands)
+            operands;
+          Alcotest.check nat
+            (Printf.sprintf "%s sqr %s" kname (Nat.to_hex a))
+            (Modular.mul a a m) (Modular.Mont.sqr ctx a))
+        operands;
+      (* Results of every bit length below the modulus's: each one is
+         repacked from 29-bit limbs into a Nat of exactly its own limb
+         count. *)
+      let pow2 k = Nat.shift_left Nat.one k in
+      for k = 0 to bits - 2 do
+        Alcotest.check nat
+          (Printf.sprintf "%s mul to 2^%d" kname k)
+          (pow2 k)
+          (Modular.Mont.mul ctx (pow2 (k / 2)) (pow2 (k - (k / 2))));
+        if k mod 2 = 0 then
+          Alcotest.check nat
+            (Printf.sprintf "%s sqr to 2^%d" kname k)
+            (pow2 k)
+            (Modular.Mont.sqr ctx (pow2 (k / 2)))
+      done)
     kernel_widths
+
+(* Inside an exponentiation the kernels take lazy operands in [0, 2m),
+   which no public entry point passes from outside. At the top modulus
+   of each width, 2^(29n-2) - 1 (the largest with 4m < 2^(29n)), and
+   with a = b = 2m - 1, the carry-save rows reach their largest
+   intermediates. Every product of such operands must stay lazy (< 2m)
+   and equal a*b*R^-1 mod m, R = 2^(29n). *)
+let test_lazy_operands () =
+  let bits = Modular.Mont.Internal.limb_bits in
+  List.iter
+    (fun n ->
+      let m = all_ones ((bits * n) - 2) in
+      let ctx = Modular.Mont.create m in
+      Alcotest.(check int) (Printf.sprintf "limbs of 2^%d-1" ((bits * n) - 2)) n
+        (Modular.Mont.Internal.limbs ctx);
+      let r_inv = Modular.inv_exn (Nat.rem (Nat.shift_left Nat.one (bits * n)) m) m in
+      let top = Nat.pred (Nat.add m m) in
+      let operands = [ top; Nat.pred top; m; Nat.pred m; Nat.one; Nat.zero ] in
+      let check what a b r =
+        let label = Printf.sprintf "%d limbs %s %s %s" n what (Nat.to_hex a) (Nat.to_hex b) in
+        Alcotest.(check bool) (label ^ " < 2m") true (Nat.compare r (Nat.add m m) < 0);
+        Alcotest.check nat label
+          (Modular.mul (Modular.mul (Nat.rem a m) (Nat.rem b m) m) r_inv m)
+          (Nat.rem r m)
+      in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b -> check "mul" a b (Modular.Mont.Internal.product ctx `Mul a b))
+            operands;
+          check "sqr" a a (Modular.Mont.Internal.product ctx `Sqr a Nat.zero))
+        operands)
+    [ 1; 2; 3; 4; 5; 7; 8; 9; 10; 18; 54; 71 ]
 
 (* The steady-state window loop runs out of the preallocated arena: a
    full multi-lane scan over a maximal exponent must allocate nothing
@@ -1001,7 +1062,11 @@ let () =
         :: Alcotest.test_case "edge exponents and bases" `Quick test_kernel_edges
         :: Alcotest.test_case "window loop allocates nothing" `Quick
              test_zero_alloc_window_loop
-        :: kernel_parity_props );
+        :: kernel_parity_props
+        @ [
+            Alcotest.test_case "lazy operands at the top modulus of each width" `Quick
+              test_lazy_operands;
+          ] );
       ( "prime",
         [
           Alcotest.test_case "small primes & carmichael" `Quick test_small_primes;

@@ -90,6 +90,21 @@ let test_sha256_finalize_twice () =
   Alcotest.check_raises "finalize twice" (Invalid_argument "Sha256.finalize: finalized context")
     (fun () -> ignore (Sha256.finalize ctx))
 
+(* One context reused through [reset], finalized or not, gives the
+   digest of a fresh one: the hash-to-group expansion hashes every
+   block of a chunk in one context. *)
+let test_sha256_reset_reuse () =
+  let ctx = Sha256.init () in
+  Sha256.update ctx "left over, never finalized";
+  List.iter
+    (fun n ->
+      let msg = String.init n (fun i -> Char.chr (i * 13 mod 256)) in
+      Sha256.reset ctx;
+      Sha256.update ctx msg;
+      Alcotest.(check string) (Printf.sprintf "len %d after reset" n) (Sha256.digest msg)
+        (Sha256.finalize ctx))
+    [ 0; 3; 55; 56; 64; 119; 200 ]
+
 let prop_digest_concat =
   qtest "digest_concat = digest of concat"
     QCheck2.Gen.(list_size (int_range 0 5) (gen_string 100))
@@ -677,6 +692,7 @@ let () =
           Alcotest.test_case "padding boundaries" `Quick test_sha256_length_boundaries;
           Alcotest.test_case "finalize twice rejected" `Quick test_sha256_finalize_twice;
           prop_digest_concat;
+          Alcotest.test_case "reset reuses a context" `Quick test_sha256_reset_reuse;
         ] );
       ( "hmac",
         [
