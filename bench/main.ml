@@ -557,6 +557,39 @@ let cache_unit_costs cfg ~prepare values =
       Psi.Ecache.close c;
       (1e6 *. load_dt /. float_of_int loaded, 1e6 *. lookup_dt /. float_of_int (List.length values)))
 
+(* The per-element bookkeeping a warm rerun still pays at perfbench's
+   n = 20k per side, for the time model, ungated: the own layer's
+   reorder (sort and collision check) of (encoding, value) pairs, the
+   step-6 match (table and probes), and record-log verification over
+   ~900-byte frames, an element cache's frame size. *)
+let bookkeeping_unit_costs emit =
+  let n = 20_000 in
+  let point = Printf.sprintf "n=%d" n in
+  let cfg = Psi.Protocol.config ~domain:"bookkeeping-bench" test256 in
+  let vs, vr = value_sets ~seed:"bookkeeping-bench" n in
+  let encodings vs =
+    List.map
+      (fun (_, h) -> Psi.Protocol.encode cfg h)
+      (Psi.Protocol.hash_values cfg (Psi.Protocol.new_ops ()) vs)
+  in
+  let z_s = encodings vs and z_r = encodings vr in
+  let pairs = List.combine z_s vs in
+  let us_per_element f = 1e6 *. per_call f /. float_of_int n in
+  emit "core" (at "reorder_us" point) "us"
+    (us_per_element (fun () -> Psi.Protocol.reorder pairs));
+  emit "core" (at "match_us" point) "us"
+    (us_per_element (fun () ->
+         let in_z_s = Psi.Protocol.member_of z_s in
+         List.fold_left (fun k z -> if in_z_s z then k + 1 else k) 0 z_r));
+  with_dir (fun dir ->
+      let path = Filename.concat dir "log" in
+      let body i = String.init 900 (fun j -> Char.chr ((i + (j * 31)) land 0xff)) in
+      Wire.Record_log.write ~kind:"bench" path (Seq.init 8_000 body);
+      let bytes = (Unix.stat path).Unix.st_size in
+      let read () = Wire.Record_log.fold ~kind:"bench" path ~init:0 (fun k _ -> k + 1) in
+      emit "store" (at "verify_mb_s" "frame=900") "MB/s"
+        (float_of_int bytes /. per_call read /. 1e6))
+
 (* For each churn fraction f: a cold Session.run_incremental, f*n
    replacements per side, then a warm rerun that pays modexps only for
    the changed elements. The warm result and bytes must equal a run
@@ -627,7 +660,8 @@ let incremental ~check =
               (100. *. f) target_speedup
             :: !misses
       end)
-    (points ~check [ 0.; target_fraction; 0.1; 0.5; 1.0 ])
+    (points ~check [ 0.; target_fraction; 0.1; 0.5; 1.0 ]);
+  if not check then bookkeeping_unit_costs emit
 
 (* ------------------------------------------------------------------ *)
 (* sharded: streamed size curve with peak RSS                          *)

@@ -88,7 +88,9 @@ let receiver cfg ~rng ~values ep =
   let pairs = Protocol.recv_pairs cfg ep tag_pairs in
   let matched =
     Obs.Span.with_ "match" (fun () ->
-        let index = Hashtbl.create (List.length own) in
+        (* Keyed by S's reply: seeded, so it cannot be ground into one
+           bucket. *)
+        let index = Hashtbl.create ~random:true (List.length own) in
         List.iter2 (fun fes_h (_, v) -> Hashtbl.replace index fes_h v) fes_hs own;
         List.filter_map
           (fun (key_part, ct) -> Option.map (fun v -> (v, ct)) (Hashtbl.find_opt index key_part))

@@ -159,7 +159,8 @@ let receiver cfg ~rng ~values ep =
           (List.combine own fes_hs)
           kappas)
   in
-  let index = Hashtbl.create (List.length keyed) in
+  (* Keyed by S's reply: seeded, so it cannot be ground into one bucket. *)
+  let index = Hashtbl.create ~random:true (List.length keyed) in
   List.iter (fun (k, vk) -> Hashtbl.replace index k vk) keyed;
   (* Step 7: match S's ext pairs against our keys and decrypt. *)
   let ext_pairs = Protocol.recv_pairs cfg ep tag_ext in

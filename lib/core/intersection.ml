@@ -49,9 +49,9 @@ let receiver cfg ~rng ~values ep =
   (* Step 6: v in the intersection iff f_eS(f_eR(h(v))) in Z_S. *)
   let intersection =
     Obs.Span.with_ "match" (fun () ->
-        let z_s = Sset.of_list z_s in
+        let in_z_s = Protocol.member_of z_s in
         List.fold_left2
-          (fun acc z (_, v) -> if Sset.mem z z_s then v :: acc else acc)
+          (fun acc z (_, v) -> if in_z_s z then v :: acc else acc)
           [] y_r_enc own
         |> List.sort String.compare)
   in

@@ -30,8 +30,8 @@ let receiver_half cfg ~rng ~values ep =
 
 (* Step 6: |Z_R ∩ Z_S|. *)
 let common z_r z_s =
-  let z_s = Sset.of_list z_s in
-  List.length (List.filter (fun z -> Sset.mem z z_s) z_r)
+  let in_z_s = Protocol.member_of z_s in
+  List.fold_left (fun n z -> if in_z_s z then n + 1 else n) 0 z_r
 
 let sender cfg ~rng ~values ep =
   Obs.Span.with_ "intersection_size/sender" @@ fun () ->

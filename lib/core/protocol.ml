@@ -70,21 +70,41 @@ let launch ?endpoints ?attempt drbg ~sender ~receiver =
   let endpoints = match endpoints with Some eps -> eps | None -> Wire.Channel.create () in
   Wire.Runner.run_on endpoints ~sender:(sender s_drbg) ~receiver:(receiver r_drbg)
 
-let dedup values = List.sort_uniq String.compare values
+let rec strictly_increasing = function
+  | a :: (b :: _ as tl) -> String.compare a b < 0 && strictly_increasing tl
+  | [] | [ _ ] -> true
+
+(* A list that is already a set (an incremental session hands over the
+   lists it deduplicated for its snapshot diff) costs one linear pass. *)
+let dedup values =
+  if strictly_increasing values then values else List.sort_uniq String.compare values
 
 (* §3.2.2: "a collision within V_S or V_R can be detected by the server
    at the start of each protocol by sorting the hashes". With a 64-bit
    test group and millions of values this could actually fire; failing
-   loudly beats silently corrupting the result. Sorted in place: one
-   array, no list copies. *)
-let check_distinct cmp xs =
-  let sorted = Array.of_list xs in
-  Array.sort cmp sorted;
-  for i = 0 to Array.length sorted - 2 do
-    if cmp sorted.(i) sorted.(i + 1) = 0 then
-      failwith
-        "protocol error: hash collision within this party's value set (use a larger group)"
-  done
+   loudly beats silently corrupting the result. The list is sorted by
+   its keys already, so two equal keys are neighbours. *)
+let rec check_adjacent = function
+  | (a, _) :: ((b, _) :: _ as tl) ->
+      if String.equal a b then
+        failwith
+          "protocol error: hash collision within this party's value set (use a larger group)"
+      else check_adjacent tl
+  | [] | [ _ ] -> ()
+
+let reorder pairs =
+  let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) pairs in
+  check_adjacent sorted;
+  sorted
+
+(* A membership test over encodings derived from the peer's list. Each
+   table draws its own hash seed, so a peer that grinds its elements
+   into one bucket cannot make the match quadratic; only membership is
+   asked, so the seed never reaches a result. *)
+let member_of zs =
+  let table = Hashtbl.create ~random:true (List.length zs) in
+  List.iter (fun z -> Hashtbl.replace table z ()) zs;
+  Hashtbl.mem table
 
 let encode cfg x = Group.encode_elt cfg.group x
 
@@ -157,7 +177,7 @@ let decrypt_encoded cfg ops key ss =
 (* The element-valued entry points, over the encoded steps. *)
 let hash_values cfg ops vs =
   let hs = hash_encoded cfg ops vs in
-  check_distinct String.compare hs;
+  ignore (reorder (List.combine hs vs));
   List.combine vs (List.map (decode cfg) hs)
 
 let encrypt_batch cfg ops key xs =
@@ -184,9 +204,9 @@ let sort_encoded ss = List.sort String.compare ss
    hash slice's encodings feed the encryption slice as they are), then
    reordered lexicographically (§3.3 footnote 3: the order must not
    reveal which value is which). Each encoding keeps its value beside
-   it for the party's own matching step. The collision check sorts the
-   encodings rather than the hashes; f_key permutes QR_p, so two values
-   share a hash iff they share an encoding. *)
+   it for the party's own matching step. The collision check runs on
+   the reordered encodings rather than the hashes; f_key permutes QR_p,
+   so two values share a hash iff they share an encoding. *)
 let own_layer cfg ops key vs =
   Obs.Span.with_ "own-set" @@ fun () ->
   let es =
@@ -196,9 +216,7 @@ let own_layer cfg ops key vs =
         Obs.Span.with_ "encrypt-own" (fun () -> encrypt_encoded ~decode cfg ops key hs))
       vs
   in
-  check_distinct String.compare es;
-  Obs.Span.with_ "reorder" (fun () ->
-      List.sort (fun (a, _) (b, _) -> String.compare a b) (List.combine es vs))
+  Obs.Span.with_ "reorder" (fun () -> reorder (List.combine es vs))
 
 (* f_key over the peer's list, in its order. *)
 let peer_layer cfg ops key ys =

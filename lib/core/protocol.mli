@@ -109,8 +109,21 @@ val launch :
 (** {1 Helpers used by the protocol modules} *)
 
 (** [dedup values] sorts and removes duplicates — the paper's "set of
-    values (without duplicates) that occur in [T.A]". *)
+    values (without duplicates) that occur in [T.A]". A list that is
+    already strictly increasing is returned as it is, after one linear
+    check. *)
 val dedup : string list -> string list
+
+(** [reorder pairs] sorts [(encoding, value)] pairs by encoding (the
+    §3.3 reorder) and checks, on the sorted list, that no two encodings
+    are equal (§3.2.2).
+    @raise Failure on two equal encodings. *)
+val reorder : (string * 'a) list -> (string * 'a) list
+
+(** [member_of zs] is a membership test over [zs], through a hash table
+    with a seed of its own: encodings that derive from the peer's list
+    cannot be ground into one bucket. *)
+val member_of : string list -> string -> bool
 
 (** [own_layer cfg ops key vs] is steps 1–2 on a party's own distinct
     values [vs]: each is hashed into [QR_p], encrypted under [key] and
@@ -120,7 +133,8 @@ val dedup : string list -> string list
     at a time, so the hashes and ciphertexts of the whole set never
     exist at once.
     Spans: [own-set], around one [hash] and one [encrypt-own] per
-    slice, then [reorder].
+    slice, then [reorder] (the sort and the collision check of
+    {!reorder}).
     @raise Failure if two values hash alike (§3.2.2 collision check). *)
 val own_layer :
   config -> ops -> Crypto.Commutative.key -> string list -> (string * string) list

@@ -73,6 +73,17 @@ let op_elements = function
   | Equijoin { s_records; r_values } ->
       (Protocol.dedup (List.map fst s_records), Protocol.dedup r_values)
 
+(* [op] with its sides replaced by the sets [op_elements] made of them,
+   so the parties' own dedup finds them sorted and passes them through.
+   The equijoin sender keeps its records and the equijoin-size sides
+   stay multisets: their duplicates count. *)
+let with_elements op (s, r) =
+  match op with
+  | Intersect _ -> Intersect { s_values = s; r_values = r }
+  | Intersect_size _ -> Intersect_size { s_values = s; r_values = r }
+  | Equijoin e -> Equijoin { e with r_values = r }
+  | Equijoin_size _ -> op
+
 (* Merge-walk two sorted unique lists, tallying (added, removed,
    unchanged) relative to [prev]. *)
 let diff_counts prev cur =
@@ -111,9 +122,10 @@ let run_incremental cfg ?(seed = "session") ?(keys = `Cached) ?max_entries ?shar
       shard
   in
   let cache = Ecache.open_ ?max_entries ~dir:cache_dir () in
-  Fun.protect ~finally:(fun () -> Ecache.close cache) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Obs.Span.with_ "incremental/close" (fun () -> Ecache.close cache))
+  @@ fun () ->
   let path = snapshot_file cache_dir in
-  let prev = Wire.Snapshot.load ~path in
+  let prev = Obs.Span.with_ "incremental/load" (fun () -> Wire.Snapshot.load ~path) in
   let run_id = match prev with None -> 1 | Some p -> p.Wire.Snapshot.run_id + 1 in
   (* Key policy: the whole session's key material derives from the Drbg
      seed, and key derivation consumes the rng independently of the data
@@ -130,29 +142,33 @@ let run_incremental cfg ?(seed = "session") ?(keys = `Cached) ?max_entries ?shar
       (Crypto.Sha256.hexdigest ("psi:session-keys:v1\x00" ^ effective_seed))
       0 32
   in
-  let elements = List.map op_elements operations in
   let cold =
     match prev with
     | Some p when snapshot_compatible ~key_fp p operations -> false
     | Some _ | None -> true
   in
-  let added, removed, unchanged =
-    if cold then
-      ( List.fold_left (fun n (s, r) -> n + List.length s + List.length r) 0 elements,
-        0,
-        0 )
-    else
-      let p = Option.get prev in
-      List.fold_left2
-        (fun (a, d, u) e (s, r) ->
-          let a1, d1, u1 = diff_counts e.Wire.Snapshot.s_elements s in
-          let a2, d2, u2 = diff_counts e.Wire.Snapshot.r_elements r in
-          (a + a1 + a2, d + d1 + d2, u + u1 + u2))
-        (0, 0, 0) p.Wire.Snapshot.entries elements
+  let elements, (added, removed, unchanged) =
+    Obs.Span.with_ "incremental/diff" @@ fun () ->
+    let elements = List.map op_elements operations in
+    ( elements,
+      if cold then
+        ( List.fold_left (fun n (s, r) -> n + List.length s + List.length r) 0 elements,
+          0,
+          0 )
+      else
+        let p = Option.get prev in
+        List.fold_left2
+          (fun (a, d, u) e (s, r) ->
+            let a1, d1, u1 = diff_counts e.Wire.Snapshot.s_elements s in
+            let a2, d2, u2 = diff_counts e.Wire.Snapshot.r_elements r in
+            (a + a1 + a2, d + d1 + d2, u + u1 + u2))
+          (0, 0, 0) p.Wire.Snapshot.entries elements )
   in
   let before = Ecache.stats cache in
   let report =
-    run { cfg with Protocol.ecache = Some cache } ~seed:effective_seed ?shard operations ()
+    run { cfg with Protocol.ecache = Some cache } ~seed:effective_seed ?shard
+      (List.map2 with_elements operations elements)
+      ()
   in
   let after = Ecache.stats cache in
   (* Leakage ledger: cumulative exposure per key fingerprint. Each run
@@ -170,15 +186,16 @@ let run_incremental cfg ?(seed = "session") ?(keys = `Cached) ?max_entries ?shar
        (match keys with
        | `Cached -> "leakage.cached_key_runs"
        | `Fresh -> "leakage.fresh_key_runs"));
-  Wire.Snapshot.save ~path
-    {
-      Wire.Snapshot.run_id;
-      entries =
-        List.map2
-          (fun op (s, r) ->
-            { Wire.Snapshot.op = op_name op; key_fp; s_elements = s; r_elements = r })
-          operations elements;
-    };
+  Obs.Span.with_ "incremental/save" (fun () ->
+      Wire.Snapshot.save ~path
+        {
+          Wire.Snapshot.run_id;
+          entries =
+            List.map2
+              (fun op (s, r) ->
+                { Wire.Snapshot.op = op_name op; key_fp; s_elements = s; r_elements = r })
+              operations elements;
+        });
   {
     report;
     incremental =

@@ -9,16 +9,55 @@ let header kind =
   Buf.write_u8 w version;
   Buf.contents w
 
-(* FNV-1a-64 over [s.[off] .. s.[off + len - 1]]. A plain loop over a
-   local ref keeps the state unboxed: no allocation per byte. Each step
-   xors a byte in and multiplies by an odd prime (a bijection mod 2^64),
-   so two bodies differing in one byte always hash apart. *)
-let fnv64 s off len =
-  let h = ref 0xcbf29ce484222325L in
+let fnv_basis = 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3L
+
+(* FNV-1a-64 over [s.[off] .. s.[off + len - 1]], from the state [h]. A
+   plain loop over a local ref keeps the state unboxed: no allocation
+   per byte. Each step xors a byte in and multiplies by an odd prime (a
+   bijection mod 2^64), so two bodies differing in one byte always hash
+   apart. *)
+let fnv64_from h s off len =
+  let h = ref h in
   for i = off to off + len - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) 0x100000001b3L
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
   done;
   !h
+
+let fnv64 s off len = fnv64_from fnv_basis s off len
+
+(* One FNV-1a step on [s.[i]], unchecked: the caller keeps [i] in
+   bounds. *)
+let[@inline] step h s i =
+  Int64.mul (Int64.logxor h (Int64.of_int (Char.code (String.unsafe_get s i)))) fnv_prime
+
+(* The checksums of four bodies, written big-endian into [sums] in
+   order. One chain waits on each multiply before the next byte; four
+   independent chains in one loop keep four multiplies in flight. Each
+   chain is FNV-1a-64 over its whole body, bit for bit: the loop runs
+   over the shortest body ([i < common] is in bounds for all four),
+   then each chain finishes its own tail. *)
+let fnv64x4 a b c d sums =
+  let common =
+    Int.min (Int.min (String.length a) (String.length b))
+      (Int.min (String.length c) (String.length d))
+  in
+  let ha = ref fnv_basis and hb = ref fnv_basis in
+  let hc = ref fnv_basis and hd = ref fnv_basis in
+  for i = 0 to common - 1 do
+    ha := step !ha a i;
+    hb := step !hb b i;
+    hc := step !hc c i;
+    hd := step !hd d i
+  done;
+  let finish k h s =
+    Bytes.set_int64_be sums (k * checksum_bytes)
+      (fnv64_from h s common (String.length s - common))
+  in
+  finish 0 !ha a;
+  finish 1 !hb b;
+  finish 2 !hc c;
+  finish 3 !hd d
 
 type frame = Body of string | Corrupt
 type 'a read = Missing | Foreign | Read of { acc : 'a; valid : int; clean : bool }
@@ -41,36 +80,68 @@ let input_varint ic =
   in
   go 0 0
 
-(* The next frame at the channel's position, or [None] when no frame
-   fits in the [size - pos] bytes left (or the file shrank under the
-   read). The claimed length is checked against those bytes before the
-   body is allocated. *)
-let input_frame ic ~size sum =
+(* The next frame's body at the channel's position, its stored checksum
+   read into [sums] at slot [k], or [None] when no frame fits in the
+   [size - pos] bytes left (or the file shrank under the read). The
+   claimed length is checked against those bytes before the body is
+   allocated. *)
+let input_frame ic ~size sums k =
   match input_varint ic with
   | Some len when len <= size - pos_in ic - checksum_bytes -> (
       match
         let body = really_input_string ic len in
-        really_input ic sum 0 checksum_bytes;
+        really_input ic sums (k * checksum_bytes) checksum_bytes;
         body
       with
       | exception (End_of_file | Sys_error _) -> None
-      | body ->
-          if Int64.equal (fnv64 body 0 len) (Bytes.get_int64_be sum 0) then Some (Body body)
-          else Some Corrupt)
+      | body -> Some body)
   | Some _ | None -> None
   | exception Sys_error _ -> None
 
+(* Frames read and verified together ([fnv64x4]'s chains). *)
+let batch = 4
+
+(* The frames are read up to [batch] at a time, their checksums computed
+   together, then folded one by one in file order: [f] sees exactly
+   the frames, the [Corrupt] marks and the tail a frame-at-a-time read
+   would, and [valid] and [clean] come out the same. *)
 let scan ic ~size ~init f =
-  let sum = Bytes.create checksum_bytes in
+  let stored = Bytes.create (batch * checksum_bytes) in
+  let computed = Bytes.create (batch * checksum_bytes) in
+  let bodies = Array.make batch "" and ends = Array.make batch 0 in
+  (* Up to [batch] frames from the channel: how many, and whether the
+     read stopped at an unframeable tail. *)
+  let rec fill k =
+    if k = batch || pos_in ic >= size then (k, false)
+    else
+      match input_frame ic ~size stored k with
+      | None -> (k, true)
+      | Some body ->
+          bodies.(k) <- body;
+          ends.(k) <- pos_in ic;
+          fill (k + 1)
+  in
+  let rec emit n k acc valid clean =
+    if k = n then (acc, valid, clean)
+    else
+      let at = k * checksum_bytes in
+      let body = bodies.(k) in
+      bodies.(k) <- "";
+      if Int64.equal (Bytes.get_int64_be stored at) (Bytes.get_int64_be computed at) then
+        emit n (k + 1) (f acc (Body body)) (if clean then ends.(k) else valid) clean
+      else emit n (k + 1) (f acc Corrupt) valid false
+  in
   let rec go acc valid clean =
     if pos_in ic >= size then Read { acc; valid; clean }
     else
-      match input_frame ic ~size sum with
-      | Some (Body _ as frame) ->
-          let next = pos_in ic in
-          go (f acc frame) (if clean then next else valid) clean
-      | Some Corrupt -> go (f acc Corrupt) valid false
-      | None -> Read { acc = f acc Corrupt; valid; clean = false }
+      let n, tail = fill 0 in
+      if n > 0 then begin
+        (* Short batches repeat their last body in the spare chains. *)
+        let body k = bodies.(Int.min k (n - 1)) in
+        fnv64x4 (body 0) (body 1) (body 2) (body 3) computed
+      end;
+      let acc, valid, clean = emit n 0 acc valid clean in
+      if tail then Read { acc = f acc Corrupt; valid; clean = false } else go acc valid clean
   in
   let start = pos_in ic in
   go init start true

@@ -43,8 +43,9 @@ type 'a read =
     }
 
 (** [fold ~kind path ~init f] folds [f] over the file's frames in file
-    order, reading them from the channel one at a time: only the frame
-    being folded is in memory, never the whole file. Total on file
+    order, reading them from the channel up to four at a time and
+    verifying their checksums in one pass: only those frames are in
+    memory, never the whole file. Total on file
     contents: a claimed length is checked against the bytes left in the
     file before anything is allocated, a file that shrinks under the
     read ends in a [Corrupt] tail, and no content makes it raise.

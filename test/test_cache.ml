@@ -312,6 +312,98 @@ let decodable_pairs path =
   | Wire.Record_log.Read { acc; _ } -> acc
   | Wire.Record_log.Missing | Wire.Record_log.Foreign -> []
 
+(* A record log of [bodies] laid out byte by byte, each checksum
+   computed by the reference [fnv64] above rather than by the writer
+   under test, and the offset just past each frame. *)
+let reference_log bodies =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Wire.Record_log.header "test");
+  let rec varint n =
+    if n < 0x80 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+      varint (n lsr 7)
+    end
+  in
+  let ends =
+    List.map
+      (fun body ->
+        varint (String.length body);
+        Buffer.add_string b body;
+        let sum = Bytes.create 8 in
+        Bytes.set_int64_be sum 0 (fnv64 body 0 (String.length body));
+        Buffer.add_bytes b sum;
+        Buffer.length b)
+      bodies
+  in
+  (Buffer.contents b, ends)
+
+let log_frames path =
+  match
+    Wire.Record_log.fold ~kind:"test" path ~init:[] (fun acc frame -> frame :: acc)
+  with
+  | Wire.Record_log.Read { acc; valid; clean } -> (List.rev acc, valid, clean)
+  | Wire.Record_log.Missing | Wire.Record_log.Foreign -> Alcotest.fail "expected a read"
+
+(* Bodies of one file differ from their first byte on. *)
+let body_of_length seed len =
+  String.init len (fun i -> Char.chr (((i * 131) + (len * 7) + (seed * 17)) land 0xff))
+
+(* Every body length 0-2,100, in consecutive files of 1, 2, ..., 7, 1,
+   ... frames (so full and short verification batches, and bodies of
+   unequal lengths in one batch), reads back whole and clean. *)
+let test_log_checksums_match_reference () =
+  let path = Filename.concat (fresh_dir ()) "log" in
+  Wire.Record_log.mkdirs (Filename.dirname path);
+  let rec go len run =
+    if len <= 2_100 then begin
+      let lens = List.init run (fun k -> len + k) |> List.filter (fun l -> l <= 2_100) in
+      let lens = if run mod 2 = 0 then List.rev lens else lens in
+      let bodies = List.map (body_of_length run) lens in
+      let data, _ = reference_log bodies in
+      write_file path data;
+      let frames, valid, clean = log_frames path in
+      if frames <> List.map (fun b -> Wire.Record_log.Body b) bodies then
+        Alcotest.failf "lengths from %d in a run of %d: frames differ" len run;
+      Alcotest.(check bool) "clean" true clean;
+      Alcotest.(check int) "valid = size" (String.length data) valid;
+      go (len + List.length lens) ((run mod 7) + 1)
+    end
+  in
+  go 0 1
+
+(* One flipped byte, in a body or in a checksum, marks exactly its own
+   frame [Corrupt], at every position of runs of 1-7 frames. *)
+let test_log_flip_marks_one_frame () =
+  let path = Filename.concat (fresh_dir ()) "log" in
+  Wire.Record_log.mkdirs (Filename.dirname path);
+  for run = 1 to 7 do
+    let bodies = List.init run (fun k -> body_of_length k (1 + (k * 37 mod 200))) in
+    let data, ends = reference_log bodies in
+    let starts = String.length (Wire.Record_log.header "test") :: ends in
+    List.iteri
+      (fun j body ->
+        let frame_end = List.nth ends j and frame_start = List.nth starts j in
+        List.iter
+          (fun pos ->
+            let b = Bytes.of_string data in
+            Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x20));
+            write_file path (Bytes.to_string b);
+            let frames, valid, clean = log_frames path in
+            let expected =
+              List.mapi
+                (fun k body ->
+                  if k = j then Wire.Record_log.Corrupt else Wire.Record_log.Body body)
+                bodies
+            in
+            if frames <> expected then
+              Alcotest.failf "run %d: a flip at %d is not frame %d alone" run pos j;
+            Alcotest.(check bool) "not clean" false clean;
+            Alcotest.(check int) "valid stops before the frame" frame_start valid)
+          [ frame_end - 8 - String.length body; frame_end - 9; frame_end - 1 ])
+      bodies
+  done
+
 (* store → corrupt one byte anywhere → load: any single-byte flip must
    never surface a wrong value. With [reseal], the flip lands in a frame
    body and the frame's checksum is recomputed over it, so the damage
@@ -686,6 +778,12 @@ let () =
           Alcotest.test_case "stale version header" `Quick test_stale_version_header;
           corrupt_one_byte_prop;
           Alcotest.test_case "older layout is rewritten" `Quick test_old_layout_rewritten;
+        ] );
+      ( "record log",
+        [
+          Alcotest.test_case "checksums equal the reference" `Quick
+            test_log_checksums_match_reference;
+          Alcotest.test_case "one flip marks one frame" `Quick test_log_flip_marks_one_frame;
         ] );
       ( "eviction",
         [

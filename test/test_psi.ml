@@ -1179,6 +1179,44 @@ let test_robust_early_close () =
          let _ = Wire.Channel.recv ep in
          ()))
 
+(* §3.2.2's collision check. QR_23 has 11 elements, so 12 distinct
+   values must share a hash, and so an encoding. *)
+let tiny_cfg = P.config (Group.of_prime (Bignum.Nat.of_int 23))
+let crowded = List.init 12 (Printf.sprintf "v%02d")
+
+let collision_failure =
+  Failure "protocol error: hash collision within this party's value set (use a larger group)"
+
+let test_own_layer_collision () =
+  let rng = Crypto.Drbg.to_rng (Crypto.Drbg.create ~seed:"tiny") in
+  let key = Crypto.Commutative.gen_key tiny_cfg.P.group ~rng in
+  Alcotest.check_raises "own_layer" collision_failure (fun () ->
+      ignore (P.own_layer tiny_cfg (P.new_ops ()) key crowded));
+  (* Eleven values whose hashes are all distinct pass the check. *)
+  let distinct =
+    List.fold_left
+      (fun (seen, kept) v ->
+        let h = snd (List.hd (P.hash_values tiny_cfg (P.new_ops ()) [ v ])) in
+        if List.exists (Group.equal_elt h) seen then (seen, kept) else (h :: seen, v :: kept))
+      ([], [])
+      (List.init 200 (Printf.sprintf "w%03d"))
+    |> snd
+  in
+  Alcotest.(check int) "QR_23 is covered" 11 (List.length distinct);
+  Alcotest.(check int) "distinct hashes pass" 11
+    (List.length (P.own_layer tiny_cfg (P.new_ops ()) key distinct))
+
+let test_session_collision_fails () =
+  match
+    Psi.Session.run tiny_cfg ~seed:"tiny"
+      [ Psi.Session.Intersect { s_values = [ "x" ]; r_values = crowded } ]
+      ()
+  with
+  | _ -> Alcotest.fail "a colliding value set returned a result"
+  | exception e ->
+      Alcotest.(check string) "the collision failure" (Printexc.to_string collision_failure)
+        (Printexc.to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* Cost model (§6) and circuit baseline (Appendix A)                   *)
 (* ------------------------------------------------------------------ *)
@@ -2022,6 +2060,8 @@ let () =
             test_robust_bad_paillier_key;
           Alcotest.test_case "wrong payload shape rejected" `Quick test_robust_wrong_payload_shape;
           Alcotest.test_case "early close fails cleanly" `Quick test_robust_early_close;
+          Alcotest.test_case "own-layer collision raises" `Quick test_own_layer_collision;
+          Alcotest.test_case "colliding session fails" `Quick test_session_collision_fails;
         ] );
       ( "cost-model",
         [
